@@ -8,7 +8,7 @@ from typing import Any, ClassVar, Dict, Optional, Tuple
 
 import numpy as np
 
-from repro.des.trace import Tracer
+from repro.obs.tracer import Tracer
 from repro.machines.spec import MachineSpec
 from repro.perturb.spec import NoiseSpec
 from repro.stencil.coefficients import FLOPS_PER_POINT
@@ -79,7 +79,7 @@ class RunConfig:
     box_thickness: int = 1
     functional: bool = False
     network: str = "mirror"
-    #: record an execution timeline (see repro.des.trace); small overhead.
+    #: record an execution timeline (see repro.obs.tracer); small overhead.
     trace: bool = False
     #: root seed of the perturbation layer; None = noiseless (bit-identical
     #: to the pre-perturbation simulator, cache keys unchanged).

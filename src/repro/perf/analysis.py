@@ -11,7 +11,7 @@ from __future__ import annotations
 from typing import Dict, Optional, Tuple
 
 from repro.core.config import RunResult
-from repro.des.trace import Tracer
+from repro.obs.tracer import Tracer
 
 __all__ = [
     "parallel_efficiency",

@@ -216,9 +216,12 @@ class Scheduler:
             if self._closed:
                 return
             self._closed = True
-            if self._exec is not None:
-                self._exec.shutdown(wait=True, cancel_futures=True)
-                self._exec = None
+            pool, self._exec = self._exec, None
+        if pool is not None:
+            # Outside the lock: done-callbacks of still-running chunks
+            # (an exception left map() early) take it to wake drainers.
+            pool.shutdown(wait=True, cancel_futures=True)
+        with self._lock:
             if self.journal is not None:
                 self.journal.close()
 
@@ -277,7 +280,14 @@ class Scheduler:
                     protocol=pickle.HIGHEST_PROTOCOL,
                 )
             items.append(rec.blob)
-        fut = self._executor().submit(execute_chunk, items)
+        try:
+            fut = self._executor().submit(execute_chunk, items)
+        except BrokenExecutor as exc:
+            # An earlier chunk's worker crash broke the pool before this
+            # chunk went out: settle it as a broken chunk, so the drain
+            # loop's crash-blame path rebuilds the pool and resubmits it.
+            fut = Future()
+            fut.set_exception(exc)
         now = time.perf_counter()
         for rec in recs:
             rec.state = TaskState.RUNNING

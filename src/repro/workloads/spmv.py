@@ -118,10 +118,16 @@ _MASK64 = (1 << 64) - 1
 
 
 def _mix64(z: np.ndarray) -> np.ndarray:
-    """Vectorized SplitMix64 finalizer (wrapping uint64 arithmetic)."""
-    z = (z ^ (z >> _U(30))) * _U(0xBF58476D1CE4E5B9)
-    z = (z ^ (z >> _U(27))) * _U(0x94D049BB133111EB)
-    return z ^ (z >> _U(31))
+    """Vectorized SplitMix64 finalizer (wrapping uint64 arithmetic).
+
+    Works in place: callers pass a freshly computed counter array.
+    """
+    z ^= z >> _U(30)
+    z *= _U(0xBF58476D1CE4E5B9)
+    z ^= z >> _U(27)
+    z *= _U(0x94D049BB133111EB)
+    z ^= z >> _U(31)
+    return z
 
 
 def _stream_base(pseed: int, stream: int) -> np.uint64:
@@ -142,7 +148,8 @@ def _extra_cols(rows: int, extras: int, pseed: int, lo: int, hi: int) -> np.ndar
         ^ (i * _U(0xA24BAED4963EE407))
         ^ (j * _U(0x9FB21C651E98DF25))
     )
-    return (z % _U(rows)).astype(np.int64)
+    z %= _U(rows)
+    return z.view(np.int64)  # every value is < rows
 
 
 def _unit_floats(base: np.uint64, idx: np.ndarray) -> np.ndarray:
@@ -154,6 +161,17 @@ def _unit_floats(base: np.uint64, idx: np.ndarray) -> np.ndarray:
 def initial_x(pseed: int, lo: int, hi: int) -> np.ndarray:
     """The global initial vector restricted to rows ``[lo, hi)``."""
     return _unit_floats(_stream_base(pseed, 2), np.arange(lo, hi, dtype=np.int64))
+
+
+def _sorted_unique(a: np.ndarray) -> np.ndarray:
+    """Sorted distinct values of an int array: one sort plus an
+    adjacent-difference mask (NumPy 2's hash-based ``np.unique`` is far
+    slower on these sizes)."""
+    a = np.sort(a)
+    keep = np.empty(len(a), dtype=bool)
+    keep[:1] = True
+    np.not_equal(a[1:], a[:-1], out=keep[1:])
+    return a[keep]
 
 
 # -- the problem -----------------------------------------------------------
@@ -202,6 +220,7 @@ class SpmvProblem:
         self._starts = np.zeros(ntasks, dtype=np.int64)
         np.cumsum(sizes[:-1], out=self._starts[1:])
         self._coupling: Dict[int, SpmvCoupling] = {}
+        self._representative: Dict[int, int] = {}
         #: x-update scale keeping iterate magnitudes O(1): row sums are
         #: ~(2*band+1+extras) values of magnitude <= 1.
         self.x_scale = 1.0 / (2 * band + 1 + extras)
@@ -233,28 +252,25 @@ class SpmvProblem:
         win_hi = np.minimum(i + band, rows - 1)
         band_counts = win_hi - win_lo + 1
         nnz = int(band_counts.sum()) + extras * nrows
-        extra = _extra_cols(rows, extras, self.pseed, row0, r1)
-        extra_flat = extra.reshape(-1)
+        extra = _extra_cols(rows, extras, self.pseed, row0, r1).reshape(-1)
         banded_remote = np.concatenate(
             [
                 np.arange(max(0, row0 - band), row0, dtype=np.int64),
                 np.arange(r1, min(rows, r1 + band), dtype=np.int64),
             ]
         )
-        extra_remote = extra_flat[(extra_flat < row0) | (extra_flat >= r1)]
-        remote = np.unique(np.concatenate([banded_remote, extra_remote]))
+        extra_remote = np.compress((extra < row0) | (extra >= r1), extra)
+        remote = _sorted_unique(np.concatenate([banded_remote, extra_remote]))
+        # Sorted columns have sorted owners: split at the owner changes.
         owners = self.owner_of(remote)
-        gather_cols = {
-            int(p): remote[owners == p] for p in np.unique(owners)
-        }
+        heads = np.flatnonzero(np.diff(owners, prepend=-1))
+        gather_cols = dict(zip(owners[heads].tolist(), np.split(remote, heads[1:])))
         # Entry-granular local/non-local split (Schubert's matrix parts):
         # the band's overhang outside [row0, r1) plus the remote extras.
         band_overhang = np.maximum(row0 - win_lo, 0) + np.maximum(
             win_hi - (r1 - 1), 0
         )
-        nnz_boundary = int(band_overhang.sum())
-        if extras:
-            nnz_boundary += int(((extra < row0) | (extra >= r1)).sum())
+        nnz_boundary = int(band_overhang.sum()) + len(extra_remote)
         out = SpmvCoupling(
             rank=rank,
             row0=row0,
@@ -266,6 +282,37 @@ class SpmvProblem:
         )
         self._coupling[rank] = out
         return out
+
+    def representative(self, tpn: int) -> int:
+        """Node 0's rank gathering the most off-node x entries (memoized).
+
+        With ``tpn`` contiguous ranks per node, node 0 owns rows
+        ``[0, split)`` and every column ``>= split`` lives off-node. A
+        rank's off-node gather is its band overhang past ``split`` plus
+        its distinct extras beyond that overhang, so one pass over node
+        0's draws counts all ranks without building their couplings. Ties
+        go to the lowest rank; a single node has no off-node traffic.
+        """
+        got = self._representative.get(tpn)
+        if got is not None:
+            return got
+        rep = 0
+        if 1 < tpn < self.ntasks:
+            rows, split = self.rows, int(self._starts[tpn])
+            bounds = self._starts[:tpn + 1]
+            over = np.clip(np.minimum(bounds[1:] + self.band, rows) - split, 0, None)
+            row_rank = np.repeat(np.arange(tpn), np.diff(bounds))
+            extra = _extra_cols(rows, self.extras, self.pseed, 0, split)
+            # Distinct (rank, column) pairs keyed rank * rows + column;
+            # np.compress beats boolean indexing on a random mask.
+            far = extra >= (split + over[row_rank])[:, None]
+            keys = _sorted_unique(np.compress(
+                far.ravel(), (extra + (row_rank * rows)[:, None]).ravel()
+            ))
+            per_rank = np.diff(np.searchsorted(keys, np.arange(tpn + 1) * rows))
+            rep = int(np.argmax(over + per_rank))
+        self._representative[tpn] = rep
+        return rep
 
     def triplets(self, rank: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(local row index, global column, value) of the rank's nonzeros.
@@ -748,15 +795,7 @@ class SpmvWorkload(Workload):
     def mirror_profile(self, cfg: RunConfig, decomp: SpmvPartition) -> MirrorProfile:
         problem = decomp.problem
         tpn = min(cfg.tasks_per_node, problem.ntasks)
-
-        def offnode_bytes(r: int) -> int:
-            c = problem.coupling(r)
-            return sum(
-                c.gather_bytes(p) for p in c.peers if p // tpn != 0
-            )
-
-        node_ranks = range(tpn)
-        rep = max(node_ranks, key=offnode_bytes)
+        rep = problem.representative(tpn)
         coupling = problem.coupling(rep)
         offnode_by_tag = {
             gather_tag(rep, p, problem.ntasks): (p // tpn != 0)

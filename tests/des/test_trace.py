@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.des.trace import TraceEvent, Tracer
+from repro.obs.tracer import TraceEvent, Tracer
 
 
 def make_tracer(events):

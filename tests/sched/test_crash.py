@@ -88,6 +88,33 @@ class TestCrashRetry:
             assert a.elapsed_s == b.elapsed_s
             assert a.phases == b.phases
 
+    def test_pool_broken_at_submit_is_retried(self, tmp_path):
+        """A pool an earlier crash already broke can fail the *submit* of
+        a later chunk; that chunk must take the crash-retry path too,
+        never raise out of map()."""
+        from concurrent.futures.process import BrokenProcessPool
+
+        from repro.core.runner import run
+
+        class BrokenOnSecondSubmit(Scheduler):
+            submits = 0
+
+            def _executor(self):
+                self.submits += 1
+                if self.submits == 2:
+                    raise BrokenProcessPool("broken by an earlier chunk")
+                return super()._executor()
+
+        cfgs = _cfgs(4)
+        with BrokenOnSecondSubmit(jobs=2, cache_dir=str(tmp_path / "c"),
+                                  chunk_max_tasks=1) as sched:
+            out = sched.map(cfgs)
+            s = sched.stats()
+        assert [r.elapsed_s for r in out] == [run(c).elapsed_s for c in cfgs]
+        assert s["crashes"] == 1
+        assert s["retries"] >= 1
+        assert s["poisoned"] == 0
+
     def test_poisoned_error_names_the_config(self):
         cfg = _cfgs(1)[0]
         err = PoisonedConfigError(cfg, attempts=3)

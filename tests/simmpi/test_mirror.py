@@ -1,6 +1,8 @@
 """Tests for the mirror backend and its cross-validation against the full one."""
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from repro.core.config import RunConfig
 from repro.core.runner import run
@@ -36,6 +38,71 @@ class TestProfile:
     def test_representative_is_comm_heaviest(self):
         _, _, prof = make_comm(64, 4)
         assert 0 <= prof.representative_rank < 4
+
+
+def _brute_profile_tables(d, tasks_per_node):
+    """The literal per-run node-0 scan the memoized helper replaced."""
+    tpn = min(tasks_per_node, d.ntasks)
+    node_ranks = list(range(tpn))
+    off = {r: d.offnode_dims(r, tpn) for r in node_ranks}
+    rep = max(node_ranks,
+              key=lambda r: sum(int(b) for dd in off[r].values() for b in dd))
+    offnode, share = {}, {}
+    for dim in range(3):
+        node_sends = sum(int(b) for r in node_ranks for b in off[r][dim])
+        for side in (-1, 1):
+            tag = halo_tag(dim, side)
+            offnode[tag] = off[rep][dim][0 if side < 0 else 1]
+            share[tag] = max(1.0, float(node_sends))
+    return rep, offnode, share
+
+
+@st.composite
+def _layouts(draw):
+    domain = tuple(draw(st.integers(1, 9)) for _ in range(3))
+    ntasks = draw(st.integers(1, min(96, domain[0] * domain[1] * domain[2])))
+    return domain, ntasks, draw(st.integers(1, 24))
+
+
+class TestMemoizedScan:
+    """The cached node-0 scan against the per-run scan it replaced."""
+
+    @given(layout=_layouts())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_brute_force_scan(self, layout):
+        domain, ntasks, tpn = layout
+        try:
+            d = Decomposition(ntasks, domain)
+        except ValueError:
+            assume(False)  # no valid task grid for this domain
+        prof = MirrorProfile.for_decomposition(JAGUARPF, d, tpn)
+        rep, offnode, share = _brute_profile_tables(d, tpn)
+        assert prof.representative_rank == rep
+        assert prof.offnode_by_tag == offnode
+        assert list(prof.offnode_by_tag) == list(offnode)
+        assert prof.nic_share_by_tag == share
+        assert prof.tasks_per_node == min(tpn, ntasks)
+
+    def test_paper_scale_layouts(self):
+        for ntasks in (24, 384, 4096, 24576):
+            d = Decomposition(ntasks, (420, 420, 420))
+            for tpn in (1, 2, 6, 12, 24):
+                prof = MirrorProfile.for_decomposition(JAGUARPF, d, tpn)
+                rep, offnode, share = _brute_profile_tables(d, tpn)
+                assert (prof.representative_rank, prof.offnode_by_tag,
+                        prof.nic_share_by_tag) == (rep, offnode, share)
+
+    def test_tables_do_not_leak_between_runs(self):
+        d = Decomposition(64, (420, 420, 420))
+        first = MirrorProfile.for_decomposition(JAGUARPF, d, 4)
+        want_off, want_share = dict(first.offnode_by_tag), dict(first.nic_share_by_tag)
+        first.offnode_by_tag[halo_tag(0, -1)] = True
+        first.offnode_by_tag[99] = False
+        first.nic_share_by_tag.clear()
+        second = MirrorProfile.for_decomposition(JAGUARPF, d, 4)
+        assert second.offnode_by_tag == want_off
+        assert second.nic_share_by_tag == want_share
+        assert second.offnode_by_tag is not first.offnode_by_tag
 
 
 class TestMirrorComm:

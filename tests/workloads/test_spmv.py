@@ -3,6 +3,8 @@ the SS V-E overlap ordering, and trace invariants."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.config import RunConfig
 from repro.core.runner import run
@@ -110,6 +112,78 @@ class TestProblem:
             np.concatenate([initial_x(1, 0, 400), initial_x(1, 400, 1000)]),
             full,
         )
+
+
+def _brute_coupling(pr, rank):
+    """Literal per-rank coupling: np.unique plus one owner mask per peer."""
+    row0, nrows = pr.block(rank)
+    r1 = row0 + nrows
+    _, cols, _ = pr.triplets(rank)
+    remote = np.unique(cols[(cols < row0) | (cols >= r1)])
+    owners = pr.owner_of(remote)
+    return {int(p): remote[owners == p] for p in np.unique(owners)}
+
+
+def _brute_representative(pr, tpn):
+    """The node-0 scan: build every coupling, keep the first max."""
+    def offnode_bytes(r):
+        cols = _brute_coupling(pr, r)
+        return sum(8 * len(c) for p, c in cols.items() if p // tpn != 0)
+
+    return max(range(tpn), key=offnode_bytes)
+
+
+@st.composite
+def _spmv_shapes(draw):
+    rows = draw(st.integers(1, 400))
+    ntasks = draw(st.integers(1, min(rows, 12)))
+    return (rows, draw(st.integers(0, 24)), draw(st.integers(0, 5)),
+            draw(st.integers(1, 3)), ntasks, draw(st.integers(1, 16)))
+
+
+class TestRepresentative:
+    """The one-pass representative pick and the O(n) gather split against
+    the literal per-rank scan they replace."""
+
+    @given(shape=_spmv_shapes())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_brute_force_scan(self, shape):
+        rows, band, extras, pseed, ntasks, tpn = shape
+        pr = SpmvProblem(rows, band, extras, pseed, ntasks)
+        tpn = min(tpn, ntasks)
+        assert pr.representative(tpn) == _brute_representative(pr, tpn)
+        for r in range(ntasks):
+            want = _brute_coupling(pr, r)
+            got = pr.coupling(r).gather_cols
+            assert list(got) == list(want)
+            for p in want:
+                assert np.array_equal(got[p], want[p])
+
+    @pytest.mark.parametrize("band,extras", [(0, 0), (0, 3), (6, 0), (500, 2)])
+    @pytest.mark.parametrize("tpn", [1, 3, 8, 50])
+    def test_edge_shapes(self, band, extras, tpn):
+        pr = SpmvProblem(240, band, extras, 1, 8)
+        tpn = min(tpn, 8)
+        assert pr.representative(tpn) == _brute_representative(pr, tpn)
+
+    def test_single_node_picks_rank_zero(self):
+        pr = SpmvProblem(4096, 8, 2, 1, 4)
+        assert pr.representative(4) == 0
+
+    def test_memoized_without_node_couplings(self):
+        pr = SpmvProblem(1 << 14, 8, 4, 1, 64)
+        rep = pr.representative(16)
+        assert pr.representative(16) == rep
+        assert pr._representative == {16: rep}
+        assert pr._coupling == {}  # no per-rank coupling was built
+
+    def test_mirror_profile_builds_only_the_representative(self):
+        cfg = _cfg(JAGUARPF, "bulk", 96, 6)
+        wl = get_workload("spmv")
+        part = wl.decompose(cfg)
+        part.problem._coupling.clear()
+        prof = wl.mirror_profile(cfg, part)
+        assert set(part.problem._coupling) == {prof.representative_rank}
 
 
 class TestParams:
