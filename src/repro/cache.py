@@ -20,9 +20,9 @@ Cache key
 Any change to a machine's calibrated constants changes the key directly;
 any change to the *model code* (engine scheduling, implementation logic,
 cost formulas) must bump :data:`MODEL_VERSION`, which invalidates every
-prior entry at once (old files are simply never addressed again; ``prune``
-removes them). Floats are rendered with ``repr`` (shortest round-trip), so
-keys are stable across processes and sessions.
+prior entry at once (old entries are simply never addressed again;
+``prune`` drops them). Floats are rendered with ``repr`` (shortest
+round-trip), so keys are stable across processes and sessions.
 
 Entries store ``elapsed_s``/``phases``/``comm_stats`` as plain JSON floats
 (exact round-trip in CPython), so a cache *hit reproduces the uncached
@@ -31,20 +31,32 @@ fields, tracers) bypass the cache.
 
 The cache is **opt-in**: nothing is read or written unless
 :func:`configure` installs an active cache (the CLI does this for
-``experiment`` runs unless ``--no-cache``). Writes are atomic
-(temp file + ``os.replace``), so concurrent sweep workers sharing a
-directory are safe.
+``experiment`` runs unless ``--no-cache``).
 
-Layout and hashing at sweep scale
----------------------------------
-Entries are sharded into 256 two-hex-char subdirectories keyed by the
-cache-key prefix (``<dir>/<key[:2]>/<key>.json``), so million-entry
-sweeps never funnel every store through one directory inode and a
-resume only has to list the shards it touches. The original flat v1
-layout (``<dir>/<key>.json``) stays readable: lookups fall back to the
-flat path and migrate the entry into its shard on first hit, and
-``prune``/``len`` walk both layouts.
+On-disk layout
+--------------
+Entries are JSON lines in 256 append-only segment files named by the
+cache-key prefix, ``<dir>/<key[:2]>.jsonl``. Each line starts with its
+``key`` and carries the payload (``model_version``, ``elapsed_s``,
+``phases``, ``comm_stats``, machine/implementation/cores). A store is
+one ``os.write`` of the whole line to the segment opened with
+``O_APPEND``: no file is created per entry and nothing is renamed or
+fsynced (the cache is a memo; the journal is the durable record). The
+layout assumes a local Linux file system, where one ``O_APPEND`` write
+is never interleaved with another appender's, so scheduler workers,
+serve threads and concurrent CLI processes can share a directory.
 
+A handle indexes segments lazily, keeping each entry's raw line bytes
+(decoded only on a hit), and on an index miss reads just the bytes
+appended since its last look, up to the last complete line. A torn,
+corrupt or foreign line is a miss, never a crash, and re-storing the
+key appends a line that supersedes it. Entries of the older
+one-file-per-entry layouts (``<dir>/<key>.json`` and
+``<dir>/<key[:2]>/<key>.json``) are never read — a one-time cold
+regeneration — and ``prune`` deletes them.
+
+Key memoization
+---------------
 Hashing is memoized: :func:`config_key` caches the digest on the
 (frozen, hence immutable) :class:`RunConfig` instance, and the
 machine-spec canonical form — by far the largest part of the document —
@@ -57,10 +69,14 @@ from __future__ import annotations
 
 import dataclasses
 import enum
+import errno
+import glob
 import hashlib
 import json
+import logging
 import os
 import tempfile
+import threading
 from typing import TYPE_CHECKING, Any, Dict, Optional
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
@@ -214,85 +230,113 @@ def cacheable(cfg: "RunConfig") -> bool:
     return not cfg.functional and not cfg.trace
 
 
-class RunCache:
-    """A sharded directory of content-addressed run results (JSON files).
+#: Every segment line starts with this, so the key a line was stored
+#: under is read from its first bytes without parsing the JSON.
+_KEY_HEAD = b'{"key":"'
 
-    Entries live at ``<dir>/<key[:2]>/<key>.json`` (256 shard
-    directories, lazily created), so concurrent schedulers touch
-    distinct inodes and per-shard resume scans stay O(shard). A flat v1
-    directory (``<dir>/<key>.json``) remains fully readable: lookups
-    fall back to the flat path and migrate the entry into its shard on
-    first hit; ``__len__``/``prune``/``keys`` walk both layouts.
+#: Counters kept per handle (and merged across scheduler workers).
+_COUNTERS = ("hits", "misses", "stores", "write_errors")
+
+log = logging.getLogger("repro.cache")
+
+
+def _decode(line: Optional[bytes]) -> Optional[dict]:
+    """A line's payload when it is a current-version entry, else None."""
+    if line is None:
+        return None
+    try:
+        payload = json.loads(line)
+    except ValueError:  # torn, fused or garbage bytes (incl. bad UTF-8)
+        return None
+    if not isinstance(payload, dict) or (
+        payload.get("model_version") != MODEL_VERSION
+    ):
+        # Defense in depth: the version is part of the key, so this only
+        # triggers on a corrupted/forged entry.
+        return None
+    return payload
+
+
+class RunCache:
+    """A directory of content-addressed run results in append-only segments.
+
+    Entries are JSON lines in ``<dir>/<key[:2]>.jsonl``. A handle keeps
+    one in-memory index of raw lines by key, filled lazily: on an index
+    miss it reads only the bytes appended to that key's segment since
+    its last look, so it sees entries other processes stored after it
+    opened. One lock guards the index (the serve daemon shares a handle
+    between threads).
     """
 
     def __init__(self, directory: str):
         self.directory = str(directory)
-        self.hits = 0
-        self.misses = 0
-        self.stores = 0
+        self.hits = self.misses = self.stores = self.write_errors = 0
         os.makedirs(self.directory, exist_ok=True)
-        #: shard directories known to exist (skip mkdir on the hot path)
-        self._shards_made: set = set()
-        # One probe at open: does this directory hold flat v1 entries?
-        # Only then do lookups pay the second (fallback) stat.
+        self._index: Dict[str, bytes] = {}
+        #: bytes of each segment consumed so far (always a line boundary)
+        self._offsets: Dict[str, int] = {}
+        self._lock = threading.Lock()
+        self._warned = False
+
+    def _segment_path(self, prefix: str) -> str:
+        return os.path.join(self.directory, f"{prefix}.jsonl")
+
+    def _segment_prefixes(self):
+        """Prefixes of the segment files on disk."""
+        pattern = os.path.join(self.directory, "?" * SHARD_PREFIX_CHARS + ".jsonl")
+        return [os.path.basename(p)[:SHARD_PREFIX_CHARS] for p in glob.glob(pattern)]
+
+    def _read_lines(self, prefix: str, offset: int, index: dict) -> int:
+        """Index a segment's complete lines from ``offset``; returns the new offset.
+
+        A peer's line still being written (no ``\\n`` yet) is left for a
+        later read. Later lines win, so a re-stored key supersedes its
+        corrupt predecessor.
+        """
         try:
-            self._flat_fallback = any(
-                name.endswith(".json") for name in os.listdir(self.directory)
-            )
+            with open(self._segment_path(prefix), "rb") as fh:
+                fh.seek(offset)
+                tail = fh.read()
         except OSError:
-            self._flat_fallback = False
+            return offset
+        end = tail.rfind(b"\n") + 1
+        head = len(_KEY_HEAD)
+        for line in tail[:end].split(b"\n"):
+            if line.startswith(_KEY_HEAD):
+                key = line[head : line.find(b'"', head)]
+                index[key.decode("ascii", "replace")] = line
+        return offset + end
 
-    # -- addressing ---------------------------------------------------------
-    def _shard_dir(self, key: str) -> str:
-        return os.path.join(self.directory, key[:SHARD_PREFIX_CHARS])
+    def _refresh(self, prefix: str) -> None:
+        """Catch the index up with a segment's new lines (lock held)."""
+        self._offsets[prefix] = self._read_lines(
+            prefix, self._offsets.get(prefix, 0), self._index
+        )
 
-    def _path(self, key: str) -> str:
-        return os.path.join(self._shard_dir(key), f"{key}.json")
-
-    def _flat_path(self, key: str) -> str:
-        """v1 (pre-shard) location of an entry; read-only fallback."""
-        return os.path.join(self.directory, f"{key}.json")
-
-    def _ensure_shard(self, key: str) -> str:
-        d = self._shard_dir(key)
-        if d not in self._shards_made:
-            os.makedirs(d, exist_ok=True)
-            self._shards_made.add(d)
-        return d
-
-    def _migrate_flat(self, key: str) -> None:
-        """Move a v1 flat entry into its shard (best-effort, atomic)."""
-        try:
-            self._ensure_shard(key)
-            os.replace(self._flat_path(key), self._path(key))
-        except OSError:
-            pass
+    def _line(self, key: str) -> Optional[bytes]:
+        """The raw entry line stored for ``key``, or None."""
+        with self._lock:
+            line = self._index.get(key)
+            if line is None:
+                self._refresh(key[:SHARD_PREFIX_CHARS])
+                line = self._index.get(key)
+        return line
 
     # -- lookup -------------------------------------------------------------
     def has_key(self, key: str) -> bool:
-        """Existence probe by key — no read, no counter traffic."""
-        if os.path.exists(self._path(key)):
-            return True
-        return self._flat_fallback and os.path.exists(self._flat_path(key))
+        """Existence probe by key — nothing decoded, no counter traffic."""
+        return self._line(key) is not None
 
     def warm_keys(self, keys) -> set:
         """The subset of ``keys`` with an entry on disk (batch probe).
 
-        Pure existence checks: nothing is read, validated or charged to
-        the hit/miss counters. The serve daemon uses this to classify a
-        sweep request into warm/cold halves before admitting the cold
-        half to a worker.
+        Existence only, like :meth:`has_key`: the serve daemon splits a
+        sweep request into warm/cold halves with it.
         """
         return {k for k in keys if self.has_key(k)}
 
     def probe_keys(self, keys) -> int:
-        """Count how many of ``keys`` have an entry on disk (batch probe).
-
-        Pure existence checks: nothing is read, validated or charged to
-        the hit/miss counters. The ``sweep --dry-run`` warm/cold split
-        uses this to classify a whole cross-product without touching
-        payloads.
-        """
+        """How many of ``keys`` have an entry (``sweep --dry-run`` split)."""
         return len(self.warm_keys(keys))
 
     def get(
@@ -308,35 +352,9 @@ class RunCache:
         """
         if not cacheable(cfg):
             return None
-        key = config_key(cfg)
-        flat_hit = False
-        try:
-            with open(self._path(key), "r") as fh:
-                payload = json.load(fh)
-        except (OSError, json.JSONDecodeError, UnicodeDecodeError):
-            payload = None
-        if payload is None and self._flat_fallback:
-            try:
-                with open(self._flat_path(key), "r") as fh:
-                    payload = json.load(fh)
-                flat_hit = True
-            except (OSError, json.JSONDecodeError, UnicodeDecodeError):
-                payload = None
-        if payload is None:
-            # Missing, unreadable, truncated or torn entry: a plain miss —
-            # the run is re-simulated and the entry rewritten atomically.
-            self.misses += record_miss
-            return None
-        if (
-            not isinstance(payload, dict)
-            or payload.get("model_version") != MODEL_VERSION
-        ):
-            # Defense in depth: the version is part of the key, so this only
-            # triggers on a corrupted/forged entry.
-            self.misses += record_miss
-            return None
         from repro.core.config import RunResult
 
+        payload = _decode(self._line(config_key(cfg)))
         try:
             result = RunResult(
                 config=cfg,
@@ -345,23 +363,28 @@ class RunCache:
                 comm_stats={k: int(v) for k, v in payload["comm_stats"].items()},
             )
         except (KeyError, TypeError, ValueError, AttributeError):
-            # Structurally valid JSON with the wrong shape (hand-edited or
-            # partially corrupted entry): also a miss, never a crash.
+            # No entry (payload None), or a corrupt, torn, foreign or
+            # wrong-shape one: a plain miss, never a crash — the run is
+            # re-simulated and a fresh line appended.
             self.misses += record_miss
             return None
-        if flat_hit:
-            # Valid v1 entry: promote it into its shard so the flat
-            # directory drains as it is re-read (lazy migration).
-            self._migrate_flat(key)
         self.hits += 1
         return result
 
     def put(self, cfg: "RunConfig", result: "RunResult") -> bool:
-        """Store ``result``; returns False when the config is not cacheable."""
+        """Append ``result`` to its segment; False when nothing was stored.
+
+        One ``O_APPEND`` write of the whole line, no fsync (see the
+        module docstring). A failed write (disk full, I/O error,
+        read-only mount) is counted in ``write_errors`` and logged once
+        per handle, never raised: the caller's result just is not
+        memoized.
+        """
         if not cacheable(cfg):
             return False
         key = config_key(cfg)
-        payload = {
+        doc = {
+            "key": key,  # first: segment readers index lines by this head
             "model_version": MODEL_VERSION,
             "machine": cfg.machine.name,
             "implementation": cfg.implementation,
@@ -370,108 +393,82 @@ class RunCache:
             "phases": dict(result.phases),
             "comm_stats": dict(result.comm_stats),
         }
-        # Atomic publish so concurrent sweep workers never see torn files.
-        shard = self._ensure_shard(key)
-        fd, tmp = tempfile.mkstemp(dir=shard, suffix=".tmp")
+        line = json.dumps(doc, separators=(",", ":")).encode("utf-8")
+        prefix = key[:SHARD_PREFIX_CHARS]
         try:
-            with os.fdopen(fd, "w") as fh:
-                json.dump(payload, fh)
-            os.replace(tmp, self._path(key))
-        except BaseException:
+            flags = os.O_WRONLY | os.O_APPEND | os.O_CREAT
+            fd = os.open(self._segment_path(prefix), flags, 0o666)
             try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
-        if self._flat_fallback:
-            # The shard entry is now authoritative; drop any stale v1 copy
-            # so the two layouts never hold diverging duplicates.
-            try:
-                os.unlink(self._flat_path(key))
-            except OSError:
-                pass
+                data = line + b"\n"
+                if os.write(fd, data) < len(data):
+                    # Terminate the torn line so only this entry is lost,
+                    # not the next one appended after it.
+                    os.write(fd, b"\n")
+                    raise OSError(errno.EIO, f"short write to {prefix}.jsonl")
+            finally:
+                os.close(fd)
+        except OSError as exc:
+            self.write_errors += 1
+            if not self._warned:
+                self._warned = True
+                log.warning("run cache %s: write failed (%s); results are "
+                            "not memoized", self.directory, exc)
+            return False
+        with self._lock:
+            self._index[key] = line
         self.stores += 1
         return True
 
     # -- maintenance --------------------------------------------------------
-    def _entries(self):
-        """Yield ``(key, [paths])`` per distinct entry key, both layouts.
-
-        A key can exist in *both* the flat v1 layout and its shard — an
-        interrupted ``_migrate_flat``, or a peer writing the shard while
-        a flat copy lingers. The walk groups the copies under one key
-        (shard copy first: it is the authoritative one that ``get``
-        reads), so ``__len__``/``prune`` see each entry exactly once.
-        """
-        try:
-            names = sorted(os.listdir(self.directory))
-        except OSError:
-            return
-        flat: Dict[str, str] = {}
-        for name in names:
-            if name.endswith(".json"):
-                flat[name[: -len(".json")]] = os.path.join(self.directory, name)
-        for name in names:
-            path = os.path.join(self.directory, name)
-            if len(name) == SHARD_PREFIX_CHARS and os.path.isdir(path):
-                try:
-                    inner = sorted(os.listdir(path))
-                except OSError:
-                    continue
-                for sub in inner:
-                    if not sub.endswith(".json"):
-                        continue
-                    key = sub[: -len(".json")]
-                    paths = [os.path.join(path, sub)]
-                    dup = flat.pop(key, None)
-                    if dup is not None:
-                        paths.append(dup)
-                    yield key, paths
-        for key, path in flat.items():
-            yield key, [path]
-
-    def _entry_paths(self):
-        """Every distinct entry's authoritative file (dupes collapsed)."""
-        for _key, paths in self._entries():
-            yield paths[0]
-
     def __len__(self) -> int:
-        """Distinct entry keys on disk (a half-migrated key counts once)."""
-        return sum(1 for _ in self._entries())
+        """Distinct entry keys across all segments."""
+        with self._lock:
+            for prefix in self._segment_prefixes():
+                self._refresh(prefix)
+            return len(self._index)
 
     def prune(self) -> int:
-        """Delete entries from other model versions; returns keys removed.
+        """Drop stale and unreadable entries; returns entries removed.
 
-        Shard-aware: walks the 256 shard directories *and* any remaining
-        flat v1 entries, so a partially migrated cache prunes
-        completely. A stale key present in both layouts is removed from
-        both (and counted once); a current key's lingering flat
-        duplicate is dropped as housekeeping (the shard copy is the one
-        lookups read), uncounted.
+        Each segment is rewritten atomically (temp file + ``os.replace``)
+        with the last line of every key whose entry decodes under the
+        current :data:`MODEL_VERSION`; a line a peer appends meanwhile is
+        lost (a later miss). Entries of the one-file-per-entry layouts,
+        which lookups never read, are deleted.
         """
         removed = 0
-        for key, paths in list(self._entries()):
-            stale = True
-            try:
-                with open(paths[0], "r") as fh:
-                    stale = json.load(fh).get("model_version") != MODEL_VERSION
-            except (OSError, json.JSONDecodeError):
-                pass
-            doomed = paths if stale else paths[1:]
-            gone = 0
-            for path in doomed:
+        with self._lock:
+            self._index.clear()
+            self._offsets.clear()
+            for prefix in self._segment_prefixes():
+                lines: Dict[str, bytes] = {}
+                self._read_lines(prefix, 0, lines)
+                keep = [ln for ln in lines.values() if _decode(ln) is not None]
+                removed += len(lines) - len(keep)
+                fd, tmp = tempfile.mkstemp(dir=self.directory, suffix=".tmp")
                 try:
-                    os.unlink(path)
-                except OSError:
-                    continue
-                gone += 1
-            if stale and gone:
-                removed += 1
+                    with os.fdopen(fd, "wb") as fh:
+                        fh.write(b"".join(ln + b"\n" for ln in keep))
+                    os.replace(tmp, self._segment_path(prefix))
+                except BaseException:
+                    os.unlink(tmp)
+                    raise
+        shards = os.path.join(self.directory, "?" * SHARD_PREFIX_CHARS)
+        legacy = glob.glob(os.path.join(self.directory, "*.json"))
+        legacy += glob.glob(os.path.join(shards, "*.json"))
+        for path in legacy:
+            os.unlink(path)
+        removed += len(legacy)
+        for shard in glob.glob(shards + os.sep):
+            try:
+                os.rmdir(shard)
+            except OSError:  # holds foreign files: leave it
+                pass
         return removed
 
     def stats(self) -> Dict[str, int]:
-        """Hit/miss/store counters since construction."""
-        return {"hits": self.hits, "misses": self.misses, "stores": self.stores}
+        """Hit/miss/store/write-error counters since construction."""
+        return {name: getattr(self, name) for name in _COUNTERS}
 
 
 #: The process-wide cache consulted by :func:`repro.core.runner.run`.
@@ -493,7 +490,7 @@ def active_cache() -> Optional[RunCache]:
 def stats() -> Dict[str, int]:
     """Counters of the active cache (zeros when no cache is installed)."""
     if _active is None:
-        return {"hits": 0, "misses": 0, "stores": 0}
+        return dict.fromkeys(_COUNTERS, 0)
     return _active.stats()
 
 
@@ -501,12 +498,12 @@ def merge_stats(extra: Dict[str, int]) -> None:
     """Fold a worker's counters into the active cache's (process pools)."""
     if _active is None:
         return
-    _active.hits += int(extra.get("hits", 0))
-    _active.misses += int(extra.get("misses", 0))
-    _active.stores += int(extra.get("stores", 0))
+    for name in _COUNTERS:
+        setattr(_active, name, getattr(_active, name) + int(extra.get(name, 0)))
 
 
 def reset_stats() -> None:
     """Zero the active cache's counters."""
     if _active is not None:
-        _active.hits = _active.misses = _active.stores = 0
+        for name in _COUNTERS:
+            setattr(_active, name, 0)

@@ -456,6 +456,20 @@ def _resolve_cache_dir(args) -> Optional[str]:
     return explicit or os.environ.get("REPRO_CACHE_DIR") or DEFAULT_CACHE_DIR
 
 
+def _print_cache_stats(cache_dir: str) -> None:
+    """The ``run cache:`` line (write errors only when there were any)."""
+    from repro.cache import stats
+
+    s = stats()
+    looked_up = s["hits"] + s["misses"]
+    rate = 100.0 * s["hits"] / looked_up if looked_up else 0.0
+    errors = f", {s['write_errors']} write errors" if s["write_errors"] else ""
+    print(
+        f"run cache: {s['hits']} hits / {s['misses']} misses "
+        f"({rate:.0f}% hit rate), {s['stores']} stored{errors} -> {cache_dir}"
+    )
+
+
 def _cmd_experiment(args) -> int:
     from repro.experiments import run_experiments
 
@@ -487,15 +501,7 @@ def _cmd_experiment(args) -> int:
             write_csv(result, path)
             print(f"wrote {path}")
     if cache_dir is not None:
-        from repro.cache import stats
-
-        s = stats()
-        looked_up = s["hits"] + s["misses"]
-        rate = 100.0 * s["hits"] / looked_up if looked_up else 0.0
-        print(
-            f"run cache: {s['hits']} hits / {s['misses']} misses "
-            f"({rate:.0f}% hit rate), {s['stores']} stored -> {cache_dir}"
-        )
+        _print_cache_stats(cache_dir)
     return 0
 
 
@@ -659,13 +665,7 @@ def _cmd_sweep(args) -> int:
     _print_sweep_table(rows)
     print(summary)
     if cache_dir is not None:
-        s = run_cache.stats()
-        looked_up = s["hits"] + s["misses"]
-        rate = 100.0 * s["hits"] / looked_up if looked_up else 0.0
-        print(
-            f"run cache: {s['hits']} hits / {s['misses']} misses "
-            f"({rate:.0f}% hit rate), {s['stores']} stored -> {cache_dir}"
-        )
+        _print_cache_stats(cache_dir)
     return 0
 
 

@@ -234,5 +234,37 @@ class TestKeying:
             sched.map([cfg])
         cache = RunCache(cache_dir)
         assert cache.get(cfg) is not None
-        key = config_key(cfg)
-        assert (tmp_path / "c" / key[:2] / f"{key}.json").exists()
+        assert cache.has_key(config_key(cfg))
+
+
+class TestCacheWriteFailure:
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_failing_cache_still_reports_success(self, tmp_path, monkeypatch,
+                                                 jobs):
+        """A disk-full run cache costs memoization, never the results."""
+        import errno
+        import os
+
+        cache_dir = str(tmp_path / "c")
+        cache = cache_configure(cache_dir)
+        real_open = os.open
+
+        def full_disk(path, *args, **kwargs):
+            if str(path).startswith(cache_dir):
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+            return real_open(path, *args, **kwargs)
+
+        cfgs = _cfgs(3)
+        with monkeypatch.context() as m:
+            m.setattr(os, "open", full_disk)  # inherited by forked workers
+            with Scheduler(jobs=jobs, cache_dir=cache_dir) as sched:
+                results = sched.map(cfgs)
+                s = sched.stats()
+        assert s["failed"] == 0 and s["simulated"] == 3
+        cache_configure(None)
+        for got, want in zip(results, [run(c) for c in cfgs]):
+            assert got.elapsed_s == want.elapsed_s
+            assert got.phases == want.phases
+        assert cache.stats()["write_errors"] == 3  # merged from workers
+        assert cache.stats()["stores"] == 0
+        assert len(RunCache(cache_dir)) == 0

@@ -1,14 +1,18 @@
 """Tests for the content-addressed run-result cache."""
 
+import errno
 import json
+import multiprocessing
 import os
+import sys
+import threading
 
 import pytest
 
 from repro import cache as run_cache
 from repro.cache import MODEL_VERSION, RunCache, cacheable, config_key
-from repro.core.config import RunConfig
-from repro.core.runner import run
+from repro.core.config import RunConfig, RunResult
+from repro.core.runner import _run_uncached, run
 from repro.machines import JAGUARPF, YONA
 
 
@@ -23,6 +27,56 @@ def cache(tmp_path):
     c = run_cache.configure(str(tmp_path / "cache"))
     yield c
     run_cache.configure(None)
+
+
+def _segment(cache, key):
+    return os.path.join(cache.directory, f"{key[:2]}.jsonl")
+
+
+def _lines(cache, key):
+    """The raw lines of ``key``'s segment file."""
+    with open(_segment(cache, key), "rb") as fh:
+        return fh.read().splitlines()
+
+
+def _encode(doc):
+    """``doc`` as a segment line, in the compact form stores write."""
+    return json.dumps(doc, separators=(",", ":")).encode() + b"\n"
+
+
+def _forge(cache, cfg, raw):
+    """Replace ``cfg``'s segment with ``raw`` and reopen the active cache.
+
+    A fresh handle is the way another process (or a later session) sees
+    the forged bytes: the open handle has the good line indexed.
+    """
+    with open(_segment(cache, config_key(cfg)), "wb") as fh:
+        fh.write(raw)
+    return run_cache.configure(cache.directory)
+
+
+def _same_segment(cfg, n):
+    """``n`` configs whose keys share one segment (found by key only)."""
+    by_prefix = {}
+    for steps in range(1, 5000):
+        c = cfg.with_(steps=steps)
+        group = by_prefix.setdefault(config_key(c)[:2], [])
+        group.append(c)
+        if len(group) == n:
+            return group
+    raise AssertionError("no shared segment")  # pragma: no cover
+
+
+def _fake_result(c, i):
+    """A distinctive result for ``c`` without simulating it."""
+    return RunResult(config=c, elapsed_s=i / 3.0 + 1e-9,
+                     phases={"compute": i / 7.0, "mpi": 0.1 * i},
+                     comm_stats={"messages_sent": i, "bytes_sent": 8 * i})
+
+
+def _same_result(a, b):
+    return (a.elapsed_s == b.elapsed_s and a.phases == b.phases
+            and a.comm_stats == b.comm_stats)
 
 
 class TestKey:
@@ -57,7 +111,8 @@ class TestKey:
 class TestRoundTrip:
     def test_hit_is_bit_identical(self, cfg, cache):
         cold = run(cfg)
-        assert cache.stats() == {"hits": 0, "misses": 1, "stores": 1}
+        assert cache.stats() == {"hits": 0, "misses": 1, "stores": 1,
+                                 "write_errors": 0}
         warm = run(cfg)
         assert cache.stats()["hits"] == 1
         assert warm.elapsed_s == cold.elapsed_s  # exact, not approx
@@ -78,7 +133,8 @@ class TestRoundTrip:
         traced = cfg.with_(trace=True)
         r = run(traced)
         assert r.tracer is not None
-        assert cache.stats() == {"hits": 0, "misses": 0, "stores": 0}
+        assert cache.stats() == {"hits": 0, "misses": 0, "stores": 0,
+                                 "write_errors": 0}
         r2 = run(traced)
         assert r2.tracer is not None  # simulated again, artifacts intact
 
@@ -101,38 +157,41 @@ class TestInvalidation:
     def test_prune_removes_foreign_versions(self, cfg, cache):
         run(cfg)
         # Forge an entry from an older model version.
-        stale = os.path.join(cache.directory, "deadbeef.json")
-        with open(stale, "w") as fh:
-            json.dump({"model_version": "pr0-ancient", "elapsed_s": 1.0,
-                       "phases": {}, "comm_stats": {}}, fh)
+        stale = {"key": "de" + "0" * 62, "model_version": "pr0-ancient",
+                 "elapsed_s": 1.0, "phases": {}, "comm_stats": {}}
+        with open(os.path.join(cache.directory, "de.jsonl"), "ab") as fh:
+            fh.write(_encode(stale))
         assert len(cache) == 2
         assert cache.prune() == 1
         assert len(cache) == 1
-        assert not os.path.exists(stale)
+        assert not cache.has_key(stale["key"])
+        assert cache.has_key(config_key(cfg))
 
     def test_corrupt_entry_is_a_miss(self, cfg, cache):
         run(cfg)
         key = config_key(cfg)
-        path = cache._path(key)  # sharded location
-        with open(path, "w") as fh:
-            fh.write("{not json")
+        cache = _forge(cache, cfg, b'{"key":"' + key.encode() + b'",not json\n')
         r = run(cfg)  # falls back to simulation, re-stores
         assert r.elapsed_s > 0
-        assert cache.stats()["stores"] == 2
-        with open(path) as fh:
-            assert json.load(fh)["model_version"] == MODEL_VERSION
+        assert cache.stats()["stores"] == 1
+        last = json.loads(_lines(cache, key)[-1])
+        assert last["key"] == key and last["model_version"] == MODEL_VERSION
+        run_cache.configure(cache.directory)
+        run(cfg)  # the re-stored line supersedes the corrupt one on disk
+        assert run_cache.stats()["hits"] == 1
 
     def test_wrong_version_payload_is_a_miss(self, cfg, cache):
         run(cfg)
         key = config_key(cfg)
-        path = cache._path(key)  # sharded location
-        with open(path) as fh:
-            payload = json.load(fh)
+        payload = json.loads(_lines(cache, key)[0])
         payload["model_version"] = "pr0-forged"
-        with open(path, "w") as fh:
-            json.dump(payload, fh)
+        cache = _forge(cache, cfg, _encode(payload))
         run(cfg)
         assert cache.stats()["hits"] == 0
+        assert cache.stats()["stores"] == 1
+        run_cache.configure(cache.directory)
+        run(cfg)  # the re-stored line supersedes the forged one on disk
+        assert run_cache.stats()["hits"] == 1
 
 
 class TestExperimentIntegration:
@@ -207,44 +266,41 @@ class TestCanonicalErrors:
 
 
 class TestCorruptEntries:
-    def _entry_path(self, cache, cfg):
-        return cache._path(config_key(cfg))
+    """Every kind of bad line is a miss, is re-stored, then hits."""
+
+    def _miss_then_restore(self, cache, cfg, raw):
+        cache = _forge(cache, cfg, raw)
+        result = run(cfg)  # must re-simulate, not crash
+        assert result.elapsed_s > 0
+        assert cache.stats() == {"hits": 0, "misses": 1, "stores": 1,
+                                 "write_errors": 0}
+        fresh = run_cache.configure(cache.directory)
+        assert _same_result(run(cfg), result)
+        assert fresh.stats()["hits"] == 1
 
     def test_truncated_json_is_a_miss(self, cfg, cache):
         run(cfg)  # store
-        path = self._entry_path(cache, cfg)
-        blob = open(path).read()
-        with open(path, "w") as fh:
-            fh.write(blob[: len(blob) // 2])  # torn write
-        run_cache.reset_stats()
-        result = run(cfg)  # must re-simulate, not crash
-        assert cache.stats()["misses"] == 1
-        assert cache.stats()["stores"] == 1  # rewritten
-        assert result.elapsed_s > 0
+        line = _lines(cache, config_key(cfg))[0]
+        self._miss_then_restore(cache, cfg, line[: len(line) // 2] + b"\n")
 
     def test_garbage_bytes_are_a_miss(self, cfg, cache):
         run(cfg)
-        path = self._entry_path(cache, cfg)
-        with open(path, "wb") as fh:
-            fh.write(b"\x00\xff\x00 not json")
-        run_cache.reset_stats()
-        assert run(cfg).elapsed_s > 0
-        assert cache.stats()["misses"] == 1
+        key = config_key(cfg).encode()
+        self._miss_then_restore(cache, cfg, b"\x00\xff\x00 not json\n")
+        self._miss_then_restore(
+            cache, cfg, b'{"key":"' + key + b'",\x00\xff\x00 not json\n'
+        )
 
     def test_wrong_shape_json_is_a_miss(self, cfg, cache):
         run(cfg)
-        path = self._entry_path(cache, cfg)
+        key = config_key(cfg)
         for payload in (
             [1, 2, 3],  # not a dict
-            {"model_version": MODEL_VERSION},  # missing fields
-            {"model_version": MODEL_VERSION, "elapsed_s": "NaN?",
+            {"key": key, "model_version": MODEL_VERSION},  # missing fields
+            {"key": key, "model_version": MODEL_VERSION, "elapsed_s": "NaN?",
              "phases": 7, "comm_stats": {}},  # phases not a mapping
         ):
-            with open(path, "w") as fh:
-                json.dump(payload, fh)
-            run_cache.reset_stats()
-            assert run(cfg).elapsed_s > 0
-            assert cache.stats()["misses"] == 1
+            self._miss_then_restore(cache, cfg, _encode(payload))
 
     def test_entry_matching_baseline_still_hits(self, cfg, cache):
         cold = run(cfg)
@@ -258,11 +314,11 @@ class TestShardedLayout:
     def test_entries_land_in_prefix_shards(self, cfg, cache):
         run(cfg)
         key = config_key(cfg)
-        shard = os.path.join(cache.directory, key[:2])
-        assert os.path.isdir(shard)
-        assert os.path.exists(os.path.join(shard, f"{key}.json"))
-        # Nothing at the old flat location.
-        assert not os.path.exists(os.path.join(cache.directory, f"{key}.json"))
+        lines = _lines(cache, key)
+        assert len(lines) == 1
+        assert lines[0].startswith(b'{"key":"' + key.encode() + b'",')
+        # Nothing in either one-file-per-entry layout.
+        assert os.listdir(cache.directory) == [f"{key[:2]}.jsonl"]
 
     def test_len_counts_across_shards(self, cfg, cache):
         run(cfg)
@@ -270,109 +326,241 @@ class TestShardedLayout:
         run(cfg.with_(steps=4))
         assert len(cache) == 3
 
-    def test_v1_flat_layout_still_readable(self, cfg, tmp_path):
-        """A pre-shard cache directory is a warm cache, not an empty one."""
-        d = str(tmp_path / "c")
-        # Populate through the current layout, then flatten to v1 by hand.
-        c1 = run_cache.configure(d)
-        cold = run(cfg)
-        key = config_key(cfg)
-        os.replace(c1._path(key), os.path.join(d, f"{key}.json"))
-        os.rmdir(os.path.dirname(c1._path(key)))
-        # A fresh handle on the flat directory must hit, bit-identically.
-        c2 = run_cache.configure(d)
-        assert len(c2) == 1
-        warm = run(cfg)
-        assert c2.stats()["hits"] == 1
-        assert warm.elapsed_s == cold.elapsed_s
-        assert warm.phases == cold.phases
-        run_cache.configure(None)
-
-    def test_v1_entry_migrates_into_shard_on_hit(self, cfg, tmp_path):
-        d = str(tmp_path / "c")
-        c1 = run_cache.configure(d)
-        run(cfg)
-        key = config_key(cfg)
-        flat = os.path.join(d, f"{key}.json")
-        os.replace(c1._path(key), flat)
-        c2 = run_cache.configure(d)
-        assert run(cfg).elapsed_s > 0
-        assert c2.stats()["hits"] == 1
-        assert not os.path.exists(flat), "hit should migrate the v1 entry"
-        assert os.path.exists(c2._path(key))
-        run_cache.configure(None)
+    def test_len_counts_a_key_appended_twice_once(self, cfg, cache):
+        result = run(cfg)
+        assert cache.put(cfg, result)  # second line for the same key
+        assert len(_lines(cache, config_key(cfg))) == 2
+        assert len(cache) == 1
+        assert len(RunCache(cache.directory)) == 1
 
     def test_prune_covers_both_layouts(self, cfg, cache):
-        run(cfg)  # sharded, current version
-        flat_stale = os.path.join(cache.directory, "deadbeef.json")
-        with open(flat_stale, "w") as fh:
-            json.dump({"model_version": "pr0-ancient"}, fh)
-        sharded_stale = os.path.join(cache.directory, "ab")
-        os.makedirs(sharded_stale, exist_ok=True)
-        with open(os.path.join(sharded_stale, "ab123.json"), "w") as fh:
-            json.dump({"model_version": "pr0-ancient"}, fh)
+        kept = [cfg, cfg.with_(steps=3)]
+        for c in kept:
+            run(c)
+        cache.put(cfg, run(cfg))  # duplicate line: prune keeps one
+        stale = {"key": "ab" + "1" * 62, "model_version": "pr0-ancient"}
+        with open(os.path.join(cache.directory, "ab.jsonl"), "ab") as fh:
+            fh.write(_encode(stale))
+        # Leftovers of the one-file-per-entry layouts.
+        flat = os.path.join(cache.directory, "deadbeef.json")
+        shard_dir = os.path.join(cache.directory, "ab")
+        os.makedirs(shard_dir)
+        for path in (flat, os.path.join(shard_dir, "ab123.json")):
+            with open(path, "w") as fh:
+                json.dump({"model_version": MODEL_VERSION}, fh)
         assert len(cache) == 3
-        assert cache.prune() == 2
-        assert len(cache) == 1
+        assert cache.prune() == 3  # the stale line + two legacy files
+        assert len(cache) == 2
+        assert not os.path.exists(flat) and not os.path.exists(shard_dir)
+        for c in kept:
+            assert len(_lines(cache, config_key(c))) == 1
+        fresh = run_cache.configure(cache.directory)
+        for c in kept:
+            run(c)
+        assert fresh.stats()["hits"] == 2
+
+    def test_legacy_entries_are_misses(self, cfg, cache):
+        """Entries of the one-file-per-entry layouts are never read."""
+        cold = run(cfg)
+        key = config_key(cfg)
+        payload = json.loads(_lines(cache, key)[0])
+        os.unlink(_segment(cache, key))
+        os.makedirs(os.path.join(cache.directory, key[:2]))
+        for path in (os.path.join(cache.directory, f"{key}.json"),
+                     os.path.join(cache.directory, key[:2], f"{key}.json")):
+            with open(path, "w") as fh:
+                json.dump(payload, fh)
+        fresh = run_cache.configure(cache.directory)
+        assert not fresh.has_key(key)
+        assert _same_result(run(cfg), cold)
+        assert fresh.stats() == {"hits": 0, "misses": 1, "stores": 1,
+                                 "write_errors": 0}
 
     def test_probe_keys_counts_existence_without_counters(self, cfg, cache):
         run(cfg)
         key = config_key(cfg)
         run_cache.reset_stats()
         assert cache.probe_keys([key, "0" * 64]) == 1
-        assert cache.stats() == {"hits": 0, "misses": 0, "stores": 0}
+        assert cache.stats() == {"hits": 0, "misses": 0, "stores": 0,
+                                 "write_errors": 0}
 
 
-class TestHalfMigratedEntries:
-    """A key present in BOTH layouts is one entry, not two.
+class TestSegments:
+    def test_torn_trailing_line_loses_at_most_two_entries(self, cfg, cache):
+        """A writer died mid-line; later appends fuse with its torn bytes."""
+        a, b, c, d = _same_segment(cfg, 4)
+        seg = _segment(cache, config_key(a))
+        assert cache.put(a, _fake_result(a, 1))
+        line_b = _encode({"key": config_key(b), "elapsed_s": 1.0})
+        with open(seg, "ab") as fh:
+            fh.write(line_b[:-5])  # key intact, no newline
+        reader = RunCache(cache.directory)
+        assert reader.has_key(config_key(a))
+        assert not reader.has_key(config_key(b))  # torn bytes not consumed
+        assert cache.put(c, _fake_result(c, 3))  # fuses with b's bytes
+        assert cache.put(d, _fake_result(d, 4))
+        for handle in (reader, RunCache(cache.directory)):
+            assert _same_result(handle.get(a), _fake_result(a, 1))
+            assert handle.get(b) is None  # the torn entry
+            assert _same_result(handle.get(d), _fake_result(d, 4))
+        # Only c, the line the torn bytes fused with, is lost besides b.
+        assert RunCache(cache.directory).get(c) is None
 
-    A crash between the shard copy and the flat unlink of the v1
-    migration leaves the same key in both places.  The walk used to
-    report it twice (``len``/``stats``) and ``prune`` removed only one
-    copy of a stale pair; now entries are deduplicated by key — the
-    shard copy is authoritative — and prune retires a stale key's files
-    in both layouts at once.
-    """
 
-    def _duplicate_into_flat(self, cache, cfg):
-        """Forge the half-migrated state: shard copy + flat copy."""
-        key = config_key(cfg)
-        sharded = cache._path(key)
-        flat = os.path.join(cache.directory, f"{key}.json")
-        with open(sharded) as src, open(flat, "w") as dst:
-            dst.write(src.read())
-        return key, sharded, flat
+def _put_many(directory, first, count, go):
+    go.wait()
+    base = RunConfig(machine=JAGUARPF, implementation="bulk", cores=24,
+                     threads_per_task=6, steps=2)
+    handle = RunCache(directory)
+    for i in range(first, first + count):
+        c = base.with_(steps=i)
+        assert handle.put(c, _fake_result(c, i))
+    os._exit(0 if handle.stats()["write_errors"] == 0 else 1)
 
-    def test_duplicated_key_counts_once(self, cfg, cache):
-        run(cfg)
-        self._duplicate_into_flat(cache, cfg)
-        assert len(cache) == 1  # was 2: both layout walks reported it
 
-    def test_prune_keeps_current_version_but_drops_the_flat_copy(
-        self, cfg, cache
-    ):
-        run(cfg)
-        key, sharded, flat = self._duplicate_into_flat(cache, cfg)
-        assert cache.prune() == 0  # current version: nothing stale
-        assert os.path.exists(sharded)
-        assert not os.path.exists(flat)  # housekeeping: duplicate gone
-        run_cache.reset_stats()
-        run(cfg)
+def _put_one(directory, c, i):
+    os._exit(0 if RunCache(directory).put(c, _fake_result(c, i)) else 1)
+
+
+class TestConcurrentWriters:
+    def test_two_processes_append_to_one_directory(self, cfg, tmp_path):
+        d = str(tmp_path / "c")
+        RunCache(d)
+        ctx = multiprocessing.get_context("fork")
+        go = ctx.Event()
+        procs = [ctx.Process(target=_put_many, args=(d, 1 + 300 * k, 300, go))
+                 for k in range(2)]
+        for p in procs:
+            p.start()
+        go.set()
+        for p in procs:
+            p.join(60)
+            assert p.exitcode == 0
+        fresh = RunCache(d)
+        assert len(fresh) == 600
+        for i in range(1, 601):
+            c = cfg.with_(steps=i)
+            assert _same_result(fresh.get(c), _fake_result(c, i))
+        assert fresh.stats()["hits"] == 600
+        for name in os.listdir(d):
+            with open(os.path.join(d, name), "rb") as fh:
+                data = fh.read()
+            assert data.endswith(b"\n")
+            for line in data.splitlines():
+                assert json.loads(line)["model_version"] == MODEL_VERSION
+
+    def test_threads_share_one_handle(self, cfg, cache):
+        """Serve-daemon shape: threads storing and probing one handle."""
+        configs = [cfg.with_(steps=i) for i in range(1, 201)]
+        errors = []
+
+        def worker(k):
+            try:
+                for i in range(k, len(configs), 4):
+                    c = configs[i]
+                    assert cache.put(c, _fake_result(c, i))
+                    assert cache.has_key(config_key(c))
+                    for j in range(k + 1, len(configs), 8):  # peers' configs
+                        got = cache.get(configs[j], record_miss=False)
+                        assert got is None or _same_result(
+                            got, _fake_result(configs[j], j))
+            except BaseException as exc:  # reported below
+                errors.append(exc)
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(k,))
+                       for k in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(60)
+        finally:
+            sys.setswitchinterval(old)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
+        for handle in (cache, RunCache(cache.directory)):
+            assert len(handle) == len(configs)
+            for i, c in enumerate(configs):
+                assert _same_result(handle.get(c), _fake_result(c, i))
+
+    def test_open_handle_sees_later_appends_by_a_peer(self, cfg, cache):
+        """The scheduler parent's probe after its workers stored."""
+        a, b = _same_segment(cfg, 2)
+        cache.put(a, _fake_result(a, 1))
+        assert cache.get(b) is None  # segment loaded, b absent
+        ctx = multiprocessing.get_context("fork")
+        peer = ctx.Process(target=_put_one, args=(cache.directory, b, 2))
+        peer.start()
+        peer.join(60)
+        assert peer.exitcode == 0
+        assert cache.has_key(config_key(b))
+        assert _same_result(cache.get(b), _fake_result(b, 2))
+
+
+def _break(m, call, err, directory):
+    """Make the cache's ``os.open`` or ``os.write`` fail with ``err``."""
+    real = getattr(os, call)
+
+    def failing(target, *args, **kwargs):
+        if call == "write" or str(target).startswith(directory):
+            raise OSError(err, os.strerror(err))
+        return real(target, *args, **kwargs)
+
+    m.setattr(os, call, failing)
+
+
+class TestWriteFailures:
+    """A failed memo write never costs the caller its finished run."""
+
+    @pytest.mark.parametrize("call,err", [
+        ("write", errno.ENOSPC), ("write", errno.EIO), ("open", errno.EROFS),
+    ])
+    def test_failed_store_keeps_the_result(self, cfg, cache, monkeypatch,
+                                           caplog, call, err):
+        reference = _run_uncached(cfg)
+        with monkeypatch.context() as m:
+            _break(m, call, err, cache.directory)
+            first = run(cfg)
+            second = run(cfg)  # nothing was stored: a miss again
+        assert _same_result(first, reference)
+        assert _same_result(second, reference)
+        assert cache.stats() == {"hits": 0, "misses": 2, "stores": 0,
+                                 "write_errors": 2}
+        warnings = [r for r in caplog.records if r.name == "repro.cache"]
+        assert len(warnings) == 1  # once per handle
+        run(cfg)  # the disk recovered: stored, then a hit
+        assert _same_result(run(cfg), reference)
         assert cache.stats()["hits"] == 1
 
-    def test_prune_removes_both_copies_of_a_stale_key(self, cfg, cache):
-        run(cfg)
-        key, sharded, flat = self._duplicate_into_flat(cache, cfg)
-        for path in (sharded, flat):
-            with open(path) as fh:
-                payload = json.load(fh)
-            payload["model_version"] = "pr0-ancient"
-            with open(path, "w") as fh:
-                json.dump(payload, fh)
-        assert cache.prune() == 1  # one key retired, not two
-        assert not os.path.exists(sharded)  # was: only one copy removed
-        assert not os.path.exists(flat)
-        assert len(cache) == 0
+    def test_short_write_loses_only_its_entry(self, cfg, cache, monkeypatch):
+        a, b = _same_segment(cfg, 2)
+        real = os.write
+        calls = []
+
+        def short_once(fd, data):
+            calls.append(len(data))
+            if len(calls) == 1:
+                return real(fd, data[: len(data) // 2])
+            return real(fd, data)
+
+        with monkeypatch.context() as m:
+            m.setattr(os, "write", short_once)
+            assert not cache.put(a, _fake_result(a, 1))
+        assert calls[1] == 1  # the torn line was terminated
+        assert cache.put(b, _fake_result(b, 2))
+        fresh = RunCache(cache.directory)
+        assert fresh.get(a) is None
+        assert _same_result(fresh.get(b), _fake_result(b, 2))
+        assert cache.stats()["write_errors"] == 1
+
+    def test_counter_merges_and_resets(self, cache):
+        run_cache.merge_stats({"write_errors": 3, "stores": 1})
+        assert run_cache.stats()["write_errors"] == 3
+        run_cache.reset_stats()
+        assert run_cache.stats() == dict.fromkeys(
+            ("hits", "misses", "stores", "write_errors"), 0)
 
 
 class TestWorkloadKeys:

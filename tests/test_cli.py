@@ -133,6 +133,33 @@ class TestSweepModes:
         out = capsys.readouterr().out
         assert "cold=0" in out and "warm=0" not in out
 
+    def test_cache_line_names_write_errors_only_when_nonzero(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        import errno
+        import os
+
+        def cache_line():
+            out = capsys.readouterr().out
+            return next(l for l in out.splitlines() if l.startswith("run cache:"))
+
+        assert main(_sweep_args("--cache-dir", str(tmp_path / "ok"))) == 0
+        assert "write errors" not in cache_line()
+        full = str(tmp_path / "full")
+        real_open = os.open
+
+        def full_disk(path, *args, **kwargs):
+            if str(path).startswith(full):
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+            return real_open(path, *args, **kwargs)
+
+        monkeypatch.setattr(os, "open", full_disk)
+        assert main(_sweep_args("--cache-dir", full)) == 0
+        line = cache_line()
+        misses = line.split(" misses ")[0].rsplit(" ", 1)[1]
+        assert " 0 hits " in line
+        assert f" 0 stored, {misses} write errors -> " in line
+
     def test_fabric_table_matches_scheduled(self, tmp_path, capsys):
         assert main(_sweep_args("--no-cache")) == 0
         plain = [
