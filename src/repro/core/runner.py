@@ -7,12 +7,11 @@ paper's protocol: GPU sync and an MPI barrier immediately before reading
 the start and end times; setup (initial H2D, pipeline priming) and drain
 (final D2H for verification) are outside the measured window.
 
-Every run executes on the flat event core's float64 time base
-(docs/MODEL.md §12). The engine also offers an integer tick clock
-(``Environment(quantum=...)``), but the machine models charge delays that
-are arbitrary float quotients, so the runner pins float64 — the base every
-recorded experiment value was produced on — and bit-identity across
-engine refactors is enforced against the committed dump oracle
+Every run executes on the flat event core's float64 clock
+(docs/MODEL.md §12): the machine models charge delays that are arbitrary
+float quotients, and every recorded experiment value was produced on that
+clock. Bit-identity across engine refactors is enforced against the
+committed dump oracle
 (``tests/experiments/golden_dump_fast.json``).
 """
 

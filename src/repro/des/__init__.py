@@ -4,26 +4,22 @@ A small, dependency-free coroutine discrete-event engine in the style of
 SimPy, sized for what the simulated MPI (:mod:`repro.simmpi`) and simulated
 GPU (:mod:`repro.simgpu`) substrates need:
 
-* :class:`Environment` — the simulation clock and event queue.
+* :class:`Environment` — the simulation clock and event queue, plus bare
+  ``fn(arg)`` callback slots (``schedule`` / ``schedule_cancellable``).
 * :class:`Event`, :class:`Timeout`, :class:`Process` — awaitable primitives.
   Simulated activities are plain Python generators that ``yield`` events.
-* :class:`AllOf` / :class:`AnyOf` — barrier / race composition.
+* :class:`AllOf` — barrier over a fixed set of events.
 * :class:`~repro.des.resources.Resource` — counted exclusive resources
   (e.g. GPU copy engines).
 * :class:`~repro.des.resources.SharedBandwidth` — processor-sharing
   bandwidth (e.g. a NIC or PCIe link shared by concurrent transfers).
 
-Time is a ``float`` in seconds of *virtual* (simulated) machine time; it has
-no relation to wall-clock time of the simulation itself. Workloads whose
-delays are exact multiples of a power-of-two quantum can opt into an integer
-tick clock via ``Environment(quantum=...)``; :mod:`repro.des.timebase` has
-the evaluation helpers (the paper experiments stay on float64 — see
-docs/MODEL.md §12).
+Time is a float64 count of seconds of *virtual* (simulated) machine time;
+it has no relation to wall-clock time of the simulation itself.
 """
 
 from repro.des.engine import (
     AllOf,
-    AnyOf,
     Environment,
     Event,
     Process,
@@ -34,7 +30,6 @@ from repro.des.resources import Resource, SharedBandwidth
 
 __all__ = [
     "AllOf",
-    "AnyOf",
     "Environment",
     "Event",
     "Process",

@@ -1,4 +1,4 @@
-"""Core event loop: events, timeouts, processes, and condition events.
+"""Core event loop: events, timeouts, processes, and the AllOf barrier.
 
 The engine is deterministic: events scheduled for the same simulated time
 fire in scheduling order (FIFO), which makes simulation results exactly
@@ -36,13 +36,11 @@ hot path is built around flat slot storage instead of per-entry objects:
   the heap and the bucket are never touched (the Fellow-Simcraft-Ship
   ``Engine.cancel`` idiom). :class:`~repro.des.resources.SharedBandwidth`
   wakeups ride this instead of generation-counter invalidation.
-* **Evaluated time base.** Keys are float64 seconds by default — exactly
+* **Float64 time base.** Keys are float64 seconds produced by exactly
   the ``now + delay`` arithmetic of every previous engine, which is what
-  keeps all 20 experiments bit-identical to the pre-refactor dump oracle.
-  Passing ``quantum`` (a power of two) switches the clock to integer ticks
-  for workloads whose delays are exactly representable; non-representable
-  delays raise rather than silently skew. See docs/MODEL.md §12 for why
-  the machine models pin float64.
+  keeps every experiment bit-identical to the pre-refactor dump oracle.
+  Machine-model delays are arbitrary quotients (``bytes / rate``), so no
+  fixed-point clock could represent them (docs/MODEL.md §12).
 * **Callback slots / no relay events.** As before, internal machinery
   (bandwidth wakeups, wire completions, process bootstrap/resume)
   schedules a bare ``(fn, arg)`` pair via :meth:`Environment.schedule` /
@@ -65,7 +63,6 @@ __all__ = [
     "Timeout",
     "Process",
     "AllOf",
-    "AnyOf",
 ]
 
 
@@ -87,8 +84,6 @@ _CANCELLABLE = object()
 
 #: Exhausted cohort lists kept for reuse (bounds idle memory).
 _POOL_MAX = 64
-
-_EVENT_NEW = None  # bound to Event.__new__ below (Event not yet defined)
 
 
 class Event:
@@ -166,15 +161,6 @@ class Event:
             env._insert(env._now, _EVENT, self)
         return self
 
-    # -- engine internals ---------------------------------------------------
-    def _run_callbacks(self) -> None:
-        self._state = _PROCESSED
-        callbacks = self.callbacks
-        if callbacks:
-            self.callbacks = []
-            for cb in callbacks:
-                cb(self)
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         state = {_PENDING: "pending", _TRIGGERED: "triggered", _PROCESSED: "processed"}
         return f"<{type(self).__name__} {state[self._state]} at t={self.env.now:g}>"
@@ -186,43 +172,12 @@ _EVENT_NEW = Event.__new__
 class Timeout(Event):
     """An event that succeeds ``delay`` simulated seconds after creation.
 
-    The constructor inlines the Event field initialisation and the enqueue
-    (one bucket insert) because experiment programs create one of these per
-    timed cost charge — it is the single most allocated object in a run.
+    Built only by :meth:`Environment.timeout`, which fills the fields via
+    ``__new__`` and enqueues inline: experiment programs create one of
+    these per timed cost charge — it is the most allocated object in a run.
     """
 
     __slots__ = ()
-
-    def __init__(self, env: "Environment", delay: float, value: Any = None):
-        self.env = env
-        self.callbacks = []
-        self._state = _TRIGGERED
-        self._ok = True
-        self._value = value
-        if delay > 0:  # common case first; bucket insert inlined
-            if env._scale is None:
-                t = env._now + delay
-            else:
-                t = env._now + env._ticks(delay)
-        elif delay == 0:
-            cur = env._cur
-            if cur is not None:
-                cur.append(_EVENT)
-                cur.append(self)
-                return
-            t = env._now
-        else:
-            raise ValueError(f"negative timeout delay: {delay!r}")
-        buckets = env._buckets
-        try:
-            bucket = buckets[t]
-        except KeyError:
-            pool = env._pool
-            bucket = pool.pop() if pool else []
-            buckets[t] = bucket
-            _heappush(env._times, t)
-        bucket.append(_EVENT)
-        bucket.append(self)
 
 
 _TIMEOUT_NEW = Timeout.__new__
@@ -235,55 +190,10 @@ class Process(Event):
     each yielded event is processed and resumes with the event's value (or
     has the exception thrown in, for failed events). The process — itself an
     event — succeeds with the generator's return value, so processes can wait
-    on each other.
+    on each other. Built only by :meth:`Environment.process`.
     """
 
     __slots__ = ("_generator", "_send", "_name", "_resume_cb", "_resume_with_cb")
-
-    def __init__(
-        self,
-        env: "Environment",
-        generator: Generator[Event, Any, Any],
-        name: Optional[str] = None,
-    ):
-        if type(generator) is not _GeneratorType and (
-            not hasattr(generator, "send") or not hasattr(generator, "throw")
-        ):
-            raise TypeError(f"Process requires a generator, got {type(generator).__name__}")
-        self.env = env
-        self.callbacks = []
-        self._state = _PENDING
-        self._ok = True
-        self._value = None
-        self._generator = generator
-        self._name = name
-        # Bound methods used on every suspension are cached once (a fresh
-        # bound-method allocation per resume was measurable on the exchange
-        # hot path): the generator's send and our own resume callback. The
-        # slot-resume twin is built lazily (stale yields only); throw stays
-        # an attribute access (failure resumes are rare).
-        self._send = generator.send
-        self._resume_cb = self._resume
-        self._resume_with_cb = None
-        # Kick off at the current time via a bare resume slot calling the
-        # module-level _boot_process (fast path; the seed engine allocated a
-        # bootstrap Event here, and no bound method is needed).
-        cur = env._cur
-        if cur is not None:
-            cur.append(_boot_process)
-            cur.append(self)
-            return
-        t = env._now
-        buckets = env._buckets
-        try:
-            bucket = buckets[t]
-        except KeyError:
-            pool = env._pool
-            bucket = pool.pop() if pool else []
-            buckets[t] = bucket
-            _heappush(env._times, t)
-        bucket.append(_boot_process)
-        bucket.append(self)
 
     @property
     def name(self) -> str:
@@ -424,110 +334,48 @@ def _boot_process(p: Process) -> None:
     p._bad_yield(target)
 
 
-class _Condition(Event):
-    """Base for AllOf / AnyOf composition over a fixed set of events."""
-
-    __slots__ = ("_events", "_pending_count")
-
-    def __init__(self, env: "Environment", events: Iterable[Event]):
-        super().__init__(env)
-        self._events = list(events)
-        for ev in self._events:
-            if ev.env is not env:
-                raise SimulationError("condition mixes events from different Environments")
-        self._pending_count = 0
-        for ev in self._events:
-            if ev._state == _PROCESSED:
-                self._observe(ev)
-            else:
-                self._pending_count += 1
-                ev.callbacks.append(self._observe)
-        self._check_immediate()
-
-    def _check_immediate(self) -> None:
-        raise NotImplementedError
-
-    def _observe(self, ev: Event) -> None:
-        raise NotImplementedError
-
-    def _detach_losers(self) -> None:
-        """Drop our observer from still-pending constituents.
-
-        Once the condition has settled, the observers are dead weight: they
-        would fire as no-ops and keep the whole condition (and its captured
-        values) alive until every loser resolves. Detaching is the
-        callback-list analogue of tombstoning a queue slot.
-        """
-        observe = self._observe
-        for ev in self._events:
-            if ev._state == _PENDING:
-                try:
-                    ev.callbacks.remove(observe)
-                except ValueError:
-                    pass
-
-
-class AllOf(_Condition):
+class AllOf(Event):
     """Succeeds when every constituent event has succeeded.
 
     Value is the list of constituent values, in constructor order. Fails as
-    soon as any constituent fails (detaching from the still-pending rest).
+    soon as any constituent fails, detaching from the still-pending rest.
     """
 
-    __slots__ = ("_remaining",)
+    __slots__ = ("_events", "_remaining")
 
     def __init__(self, env: "Environment", events: Iterable[Event]):
-        self._remaining = 0  # set before super() since _observe may fire
-        events = list(events)
+        super().__init__(env)
+        self._events = events = list(events)
+        for ev in events:
+            if ev.env is not env:
+                raise SimulationError("condition mixes events from different Environments")
         self._remaining = len(events)
-        super().__init__(env, events)
-
-    def _check_immediate(self) -> None:
+        for ev in events:
+            if ev._state == _PROCESSED:
+                self._observe(ev)
+            else:
+                ev.callbacks.append(self._observe)
         if self._remaining == 0 and self._state == _PENDING:
-            self.succeed([ev._value for ev in self._events])
+            self.succeed([])
 
     def _observe(self, ev: Event) -> None:
         if self._state != _PENDING:
             return
         if not ev._ok:
             self.fail(ev._value)
-            self._detach_losers()
+            # Drop our observer from still-pending constituents: it would
+            # fire as a no-op and pin the barrier until every loser resolves.
+            observe = self._observe
+            for other in self._events:
+                if other._state == _PENDING:
+                    try:
+                        other.callbacks.remove(observe)
+                    except ValueError:
+                        pass
             return
         self._remaining -= 1
         if self._remaining == 0:
             self.succeed([ev._value for ev in self._events])
-
-
-class AnyOf(_Condition):
-    """Succeeds with the value of the first constituent event to succeed.
-
-    Fails only if *all* constituents fail (with the last failure). Losers
-    are detached as soon as the race settles, so a long-lived loser event
-    does not pin the condition (or its value) in memory.
-    """
-
-    __slots__ = ("_failures",)
-
-    def __init__(self, env: "Environment", events: Iterable[Event]):
-        events = list(events)
-        if not events:
-            raise ValueError("AnyOf requires at least one event")
-        self._failures = 0
-        super().__init__(env, events)
-
-    def _check_immediate(self) -> None:
-        pass  # handled via _observe on already-processed events
-
-    def _observe(self, ev: Event) -> None:
-        if self._state != _PENDING:
-            return
-        if ev._ok:
-            self.succeed(ev._value)
-            self._detach_losers()
-        else:
-            self._failures += 1
-            if self._failures == len(self._events):
-                self.fail(ev._value)
 
 
 class Environment:
@@ -540,25 +388,10 @@ class Environment:
     executing *cohort*), and drains it front to back; entries scheduled for
     "now" while a cohort executes are appended straight to ``_cur``.
     Exhausted bucket lists are recycled through ``_pool``.
-
-    ``quantum`` switches the clock from float64 seconds to integer ticks of
-    that size (pass a power of two, e.g. ``2**-30``); delays that are not
-    exact multiples raise :class:`SimulationError`. The default (``None``)
-    keeps the float64 time base whose arithmetic is bit-identical to every
-    previous engine generation.
     """
 
-    def __init__(self, initial_time: float = 0.0, *, quantum: Optional[float] = None):
-        if quantum is None:
-            self._quantum: Optional[float] = None
-            self._scale: Optional[float] = None
-            self._now: Any = float(initial_time)
-        else:
-            if quantum <= 0:
-                raise ValueError("quantum must be positive")
-            self._quantum = float(quantum)
-            self._scale = 1.0 / float(quantum)
-            self._now = self._ticks(float(initial_time))
+    def __init__(self, initial_time: float = 0.0):
+        self._now = float(initial_time)
         #: heap of pending bucket times; each distinct time appears once and
         #: the currently draining cohort's time is *not* in it.
         self._times: list = []
@@ -576,25 +409,7 @@ class Environment:
     @property
     def now(self) -> float:
         """Current simulated time in seconds."""
-        q = self._quantum
-        return self._now if q is None else self._now * q
-
-    @property
-    def quantum(self) -> Optional[float]:
-        """Tick size of the fixed-point time base, or None on float64."""
-        return self._quantum
-
-    def _ticks(self, delay: float) -> int:
-        """Exact tick count for ``delay`` seconds (fixed time base only)."""
-        ticks = delay * self._scale
-        i = int(ticks)
-        if i != ticks:
-            raise SimulationError(
-                f"delay {delay!r} is not representable on the fixed time base "
-                f"(quantum {self._quantum!r}); use the float64 time base for "
-                "non-quantized delays"
-            )
-        return i
+        return self._now
 
     # -- factories ----------------------------------------------------------
     def event(self) -> Event:
@@ -611,8 +426,8 @@ class Environment:
 
     def timeout(self, delay: float, value: Any = None) -> Timeout:
         """Create an event that fires ``delay`` seconds from now."""
-        # Timeout.__init__ body inlined via __new__ (one Timeout per cost
-        # charge — the hottest factory in the engine).
+        # Fields written via __new__ and the bucket insert inlined (one
+        # Timeout per cost charge — the hottest factory in the engine).
         to = _TIMEOUT_NEW(Timeout)
         to.env = self
         to.callbacks = []
@@ -620,10 +435,7 @@ class Environment:
         to._ok = True
         to._value = value
         if delay > 0:
-            if self._scale is None:
-                t = self._now + delay
-            else:
-                t = self._now + self._ticks(delay)
+            t = self._now + delay
         elif delay == 0:
             cur = self._cur
             if cur is not None:
@@ -649,8 +461,10 @@ class Environment:
         self, generator: Generator[Event, Any, Any], name: Optional[str] = None
     ) -> Process:
         """Start a process driving ``generator``; returns its Process event."""
-        # Process.__init__ body inlined via __new__ (one per exchange wait
-        # chain; keep in sync with the constructor).
+        # Fields written via __new__ (one process per exchange wait chain).
+        # The generator's send and our resume callback are bound once: a
+        # fresh bound method per resume was measurable on the exchange hot
+        # path. The slot-resume twin is bound lazily (stale yields only).
         if type(generator) is not _GeneratorType and (
             not hasattr(generator, "send") or not hasattr(generator, "throw")
         ):
@@ -688,10 +502,6 @@ class Environment:
         """Event that succeeds when all ``events`` succeed."""
         return AllOf(self, events)
 
-    def any_of(self, events: Iterable[Event]) -> AnyOf:
-        """Event that succeeds when the first of ``events`` succeeds."""
-        return AnyOf(self, events)
-
     # -- scheduling -----------------------------------------------------------
     def _insert(self, t, a, b) -> None:
         """Append slot pair ``(a, b)`` to the bucket at absolute time ``t``."""
@@ -706,23 +516,6 @@ class Environment:
         bucket.append(a)
         bucket.append(b)
 
-    def _enqueue(self, event: Event, delay: float = 0.0) -> None:
-        """Schedule ``event``'s callbacks to run ``delay`` seconds from now."""
-        if delay < 0:
-            raise ValueError(f"negative timeout delay: {delay!r}")
-        if delay == 0:
-            cur = self._cur
-            if cur is not None:
-                cur.append(_EVENT)
-                cur.append(event)
-                return
-            t = self._now
-        elif self._scale is None:
-            t = self._now + delay
-        else:
-            t = self._now + self._ticks(delay)
-        self._insert(t, _EVENT, event)
-
     def schedule(self, delay: float, fn: Callable[[Any], None], arg: Any = None) -> None:
         """Slot-based scheduling: run ``fn(arg)`` ``delay`` seconds from now.
 
@@ -733,10 +526,7 @@ class Environment:
         exactly what an equivalently scheduled event would see.
         """
         if delay > 0:  # common case first; bucket insert inlined
-            if self._scale is None:
-                t = self._now + delay
-            else:
-                t = self._now + self._ticks(delay)
+            t = self._now + delay
         elif delay == 0:
             cur = self._cur
             if cur is not None:
@@ -798,10 +588,8 @@ class Environment:
                 cur.append(h)
                 return h
             t = self._now
-        elif self._scale is None:
-            t = self._now + delay
         else:
-            t = self._now + self._ticks(delay)
+            t = self._now + delay
         self._insert(t, _CANCELLABLE, h)
         return h
 
@@ -823,94 +611,6 @@ class Environment:
     def _record_crash(self, process: Process, exc: BaseException) -> None:
         self._crashed.append((process, exc))
 
-    # -- queue inspection -------------------------------------------------------
-    def _open_cohort(self) -> Optional[list]:
-        """Position the engine at the next nonempty cohort, or return None.
-
-        This is the engine's *single* ordering implementation (shared by
-        :meth:`run` and :meth:`step`): the current cohort's remaining
-        entries come first; when it is exhausted its bucket is recycled and
-        the heap-minimum time opens the next cohort, advancing the clock.
-        The returned cohort may still lead with tombstoned pairs — skipping
-        those is the caller's (trivial, order-free) job.
-        """
-        cur = self._cur
-        while True:
-            if cur is not None:
-                if self._cur_i < len(cur):
-                    return cur
-                buckets = self._buckets
-                del buckets[self._now]
-                cur.clear()
-                pool = self._pool
-                if len(pool) < _POOL_MAX:
-                    pool.append(cur)
-                cur = self._cur = None
-                self._cur_i = 0
-            times = self._times
-            if not times:
-                return None
-            t = heapq.heappop(times)
-            self._now = t
-            cur = self._cur = self._buckets[t]
-            self._cur_i = 0
-
-    def peek(self) -> float:
-        """Time of the next scheduled entry, or ``inf`` if none.
-
-        Pure read: no clock movement, no queue mutation. Tombstoned entries
-        at the head of the *current* cohort are looked through; a future
-        bucket containing only tombstones still reports its time (it will
-        be drained as a no-op when reached).
-        """
-        cur = self._cur
-        if cur is not None:
-            i = self._cur_i
-            n = len(cur)
-            slot_fn = self._slot_fn
-            while i < n:
-                if cur[i] is _CANCELLABLE and slot_fn[cur[i + 1]] is None:
-                    i += 2
-                    continue
-                return self.now
-        times = self._times
-        if times:
-            t = times[0]
-            q = self._quantum
-            return t if q is None else t * q
-        return float("inf")
-
-    def step(self) -> None:
-        """Process exactly one live entry (event callbacks or a callback slot).
-
-        Tombstoned (cancelled) entries are skipped and recycled without
-        counting as the processed entry.
-        """
-        while True:
-            cur = self._open_cohort()
-            if cur is None:
-                raise SimulationError("step() on an empty event queue")
-            i = self._cur_i
-            a = cur[i]
-            b = cur[i + 1]
-            self._cur_i = i + 2
-            if a is _EVENT:
-                b._run_callbacks()
-                return
-            if a is _CANCELLABLE:
-                fn = self._slot_fn[b]
-                if fn is None:  # tombstone: skip, recycle the slot
-                    self._slot_free.append(b)
-                    continue
-                self._slot_fn[b] = None
-                arg = self._slot_arg[b]
-                self._slot_arg[b] = None
-                self._slot_free.append(b)
-                fn(arg)
-                return
-            a(b)
-            return
-
     def run(self, until: Optional[float | Event] = None) -> Any:
         """Run the simulation.
 
@@ -919,7 +619,8 @@ class Environment:
         * ``None`` — run until the event queue drains;
         * a ``float`` — run until simulated time reaches it;
         * an :class:`Event` — run until that event is processed, returning
-          its value (raising its exception if it failed).
+          its value (raising its exception if it failed). An event that was
+          already processed returns (or raises) at once, running nothing.
 
         If a process crashes and nothing was waiting on it, the first such
         crash is re-raised here so errors are never silently swallowed.
@@ -927,19 +628,19 @@ class Environment:
         stop_event: Optional[Event] = None
         stop_key = None
         if isinstance(until, Event):
+            if until._state == _PROCESSED:
+                if not until._ok:
+                    raise until._value
+                return until._value
             stop_event = until
         elif until is not None:
-            stop_time = float(until)
-            if self._scale is None:
-                stop_key = stop_time
-            else:
-                stop_key = self._ticks(stop_time)
+            stop_key = float(until)
             if stop_key < self._now:
                 raise ValueError("until is in the past")
 
         # Hot loop: heap consulted only at cohort boundaries; the cohort is
-        # drained inline (event callback execution unrolled — Event has no
-        # subclass overriding _run_callbacks) with everything in locals.
+        # drained inline (event callback execution unrolled) with everything
+        # in locals.
         times = self._times
         buckets = self._buckets
         pool = self._pool
@@ -973,7 +674,6 @@ class Environment:
                         b = cur[i + 1]
                         i += 2
                         if a is kind_event:
-                            # inlined Event._run_callbacks
                             b._state = _PROCESSED
                             callbacks = b.callbacks
                             if callbacks:
@@ -1027,7 +727,6 @@ class Environment:
                     b = cur[i + 1]
                     i += 2
                     if a is kind_event:
-                        # inlined Event._run_callbacks
                         b._state = _PROCESSED
                         callbacks = b.callbacks
                         if callbacks:

@@ -18,7 +18,10 @@ drain loops settle and before ``map()`` assembles return values, so a
 load, a truncated/corrupt trailing line (the torn tail of a batched
 write) is skipped, never fatal, and corruption is tallied by kind
 (``torn_lines`` / ``wrong_version_lines`` / ``ill_shaped_lines``) for
-the telemetry summary.  Floats round-trip exactly through JSON in
+the telemetry summary.  A commit that raises (``ENOSPC``, ``EIO``)
+keeps its records pending, and the next commit rewrites them after a
+newline, so a torn fragment of the failed write cannot swallow the first
+retried line.  Floats round-trip exactly through JSON in
 CPython, so a journal replay is bit-identical to the original
 simulation.
 
@@ -131,6 +134,8 @@ class Journal:
         self._load()
         self._fh = open(self.path, "a", encoding="utf-8")
         self._pending: List[str] = []
+        #: the last commit raised: its bytes may have landed torn
+        self._failed = False
         self._last_flush = time.monotonic()
         self._lock = threading.Lock()
 
@@ -228,10 +233,14 @@ class Journal:
         if not self._pending or self._fh.closed:
             return
         blob = "".join(self._pending)
-        self._pending = []
+        if self._failed:
+            blob = "\n" + blob  # end any torn fragment of the failed write
+        self._failed = True
         self._fh.write(blob)
         self._fh.flush()
         os.fsync(self._fh.fileno())
+        self._failed = False
+        self._pending = []
 
     def close(self) -> None:
         with self._lock:
@@ -249,7 +258,9 @@ class Journal:
 class _Shard:
     """One prefix's journal file: entries, pending lines, lazy handle."""
 
-    __slots__ = ("path", "entries", "pending", "tallies", "fh", "disk_size")
+    __slots__ = (
+        "path", "entries", "pending", "tallies", "fh", "disk_size", "failed",
+    )
 
     def __init__(self, path: str):
         self.path = path
@@ -260,6 +271,8 @@ class _Shard:
         self.fh = None
         #: bytes of the file consumed by the last (re)load
         self.disk_size = 0
+        #: the last commit raised: its bytes may have landed torn
+        self.failed = False
 
     def load(self) -> None:
         """(Re)read the whole shard file; overlay pending records.
@@ -459,10 +472,14 @@ class ShardedJournal:
             if shard.fh is None:
                 shard.fh = open(shard.path, "a", encoding="utf-8")
             blob = "".join(line for _, line in shard.pending)
-            shard.pending = []
+            if shard.failed:
+                blob = "\n" + blob  # end any torn fragment of the failed write
+            shard.failed = True
             shard.fh.write(blob)
             shard.fh.flush()
             os.fsync(shard.fh.fileno())
+            shard.failed = False
+            shard.pending = []
             shard.disk_size += len(blob.encode("utf-8"))
 
     def close(self) -> None:

@@ -3,7 +3,7 @@ crash-while-stopping, determinism, and the scheduling fast paths."""
 
 import pytest
 
-from repro.des import AllOf, AnyOf, Environment, Event, SimulationError, Timeout
+from repro.des import Environment
 
 
 @pytest.fixture
@@ -12,7 +12,7 @@ def env():
 
 
 class TestConditionsOverProcessedEvents:
-    """AllOf/AnyOf built after their constituents already ran."""
+    """AllOf built after its constituents already ran."""
 
     def test_allof_over_already_processed(self, env):
         a = env.timeout(1.0, "a")
@@ -22,13 +22,6 @@ class TestConditionsOverProcessedEvents:
         cond = env.all_of([a, b])
         env.run(until=cond)
         assert cond.value == ["a", "b"]
-
-    def test_anyof_over_already_processed(self, env):
-        a = env.timeout(1.0, "a")
-        env.run()
-        cond = env.any_of([a, env.event()])
-        env.run(until=cond)
-        assert cond.value == "a"
 
     def test_allof_over_already_failed(self, env):
         boom = RuntimeError("boom")
@@ -42,27 +35,14 @@ class TestConditionsOverProcessedEvents:
             env.run(until=cond)
         assert not cond.ok
 
-    def test_anyof_all_failed_including_processed(self, env):
-        e1, e2 = RuntimeError("first"), RuntimeError("second")
-        f1 = env.event()
-        f1.fail(e1)
-        f1.callbacks.append(lambda ev: None)
-        env.run()
-        f2 = env.event()
-        cond = env.any_of([f1, f2])
-        f2.fail(e2)
-        with pytest.raises(RuntimeError, match="second"):
+    def test_allof_failure_detaches_from_pending(self, env):
+        pending = env.event()
+        bad = env.event()
+        cond = env.all_of([pending, bad])
+        bad.fail(RuntimeError("bad"))
+        with pytest.raises(RuntimeError, match="bad"):
             env.run(until=cond)
-
-    def test_anyof_mixed_processed_failure_then_success(self, env):
-        f1 = env.event()
-        f1.fail(RuntimeError("ignored"))
-        f1.callbacks.append(lambda ev: None)
-        env.run()
-        winner = env.timeout(1.0, "late-win")
-        cond = env.any_of([f1, winner])
-        env.run(until=cond)
-        assert cond.ok and cond.value == "late-win"
+        assert pending.callbacks == []  # the settled barrier lets go
 
     def test_process_yield_already_processed_event_gets_value(self, env):
         """The relay-free resume path must carry (ok, value) faithfully."""
@@ -130,13 +110,28 @@ class TestRunUntilBoundaries:
         with pytest.raises(ValueError):
             env.run(until=1.0)
 
-    def test_peek_merges_ready_and_heap(self, env):
-        env.timeout(3.0)
-        assert env.peek() == 3.0
-        env.timeout(0.0)  # ready-deque fast path
-        assert env.peek() == 0.0
-        env.step()
-        assert env.peek() == 3.0
+    def test_until_processed_event_runs_nothing(self, env):
+        """A stop event that was already processed returns its value at
+        once: the clock and the queue are untouched, whatever is pending."""
+        done = env.timeout(2.0, "v")
+        env.run()
+        fired = []
+        env.timeout(0.5).callbacks.append(lambda ev: fired.append(env.now))
+        assert env.run(until=done) == "v"
+        assert env.now == 2.0 and fired == []
+        env.run()
+        assert env.now == 2.5 and fired == [2.5]
+        assert env.run(until=done) == "v"  # empty queue: same answer
+
+    def test_until_processed_failed_event_raises_at_once(self, env):
+        failed = env.event()
+        failed.fail(ValueError("stale"))
+        failed.callbacks.append(lambda ev: None)
+        env.run()
+        env.timeout(1.0)
+        with pytest.raises(ValueError, match="stale"):
+            env.run(until=failed)
+        assert env.now == 0.0
 
 
 class TestCrashPropagation:
@@ -231,17 +226,6 @@ class TestDeterminism:
         env.timeout(1.0).callbacks.append(lambda ev: order.append("event2"))
         env.run()
         assert order == ["event", "slot", "event2"]
-
-    def test_step_executes_slots(self, env):
-        hits = []
-        env.schedule_now(hits.append, "a")
-        env.schedule(2.0, hits.append, "b")
-        env.step()
-        assert hits == ["a"] and env.now == 0.0
-        env.step()
-        assert hits == ["a", "b"] and env.now == 2.0
-        with pytest.raises(SimulationError):
-            env.step()
 
     def test_negative_schedule_delay_raises(self, env):
         with pytest.raises(ValueError):

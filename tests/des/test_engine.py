@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.des import AllOf, AnyOf, Environment, Event, SimulationError, Timeout
+from repro.des import AllOf, Environment, Event, SimulationError, Timeout
 
 
 @pytest.fixture
@@ -234,38 +234,6 @@ class TestConditions:
         p = env.process(proc())
         assert env.run(until=p) == 0.0  # did not wait 10s
 
-    def test_any_of_first_wins(self, env):
-        def proc():
-            v = yield AnyOf(env, [env.timeout(5.0, "slow"), env.timeout(1.0, "fast")])
-            return (env.now, v)
-
-        p = env.process(proc())
-        assert env.run(until=p) == (1.0, "fast")
-
-    def test_any_of_empty_rejected(self, env):
-        with pytest.raises(ValueError):
-            AnyOf(env, [])
-
-    def test_any_of_all_fail(self, env):
-        e1 = env.event()
-        e2 = env.event()
-
-        def failer():
-            yield env.timeout(1.0)
-            e1.fail(ValueError("one"))
-            yield env.timeout(1.0)
-            e2.fail(ValueError("two"))
-
-        def proc():
-            try:
-                yield AnyOf(env, [e1, e2])
-            except ValueError as e:
-                return str(e)
-
-        env.process(failer())
-        p = env.process(proc())
-        assert env.run(until=p) == "two"
-
     def test_all_of_with_already_processed_events(self, env):
         done = env.event().succeed("x")
 
@@ -307,12 +275,3 @@ class TestRun:
         env.process(proc())
         with pytest.raises(SimulationError, match="deadlock"):
             env.run(until=env.process(proc()))
-
-    def test_peek(self, env):
-        assert env.peek() == float("inf")
-        env.timeout(2.0)
-        assert env.peek() == 2.0
-
-    def test_step_on_empty_raises(self, env):
-        with pytest.raises(SimulationError):
-            env.step()

@@ -1,5 +1,6 @@
 """Journal durability: roundtrip, corruption tolerance, SIGKILL resume."""
 
+import errno
 import json
 import os
 import signal
@@ -252,6 +253,65 @@ class TestShardedJournal:
         j2.close()
 
 
+class _TornWriteOnce:
+    """File proxy whose first write lands half its bytes, then fails."""
+
+    def __init__(self, fh):
+        self._fh = fh
+        self.failed = False
+
+    def write(self, blob):
+        if self.failed:
+            return self._fh.write(blob)
+        self.failed = True
+        self._fh.write(blob[: len(blob) // 2])
+        self._fh.flush()
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    def __getattr__(self, name):
+        return getattr(self._fh, name)
+
+
+class TestFailedCommit:
+    """A commit that raises keeps its records pending for the next one."""
+
+    def test_flat_journal_retries_after_failed_write(self, tmp_path):
+        p = str(tmp_path / "j.jsonl")
+        j = Journal(p, flush_max_records=100, flush_interval=3600.0)
+        j._fh = torn = _TornWriteOnce(j._fh)
+        j.record("k1", PAYLOAD)
+        with pytest.raises(OSError):
+            j.flush()
+        assert torn.failed and "k1" in j
+        assert j.counts()["pending"] == 1
+        j.flush()
+        assert j.counts()["pending"] == 0
+        j.close()
+        j2 = Journal(p)
+        assert j2.get("k1") == PAYLOAD
+        assert j2.torn_lines == 1  # the fragment, on a line of its own
+        j2.close()
+
+    def test_sharded_journal_retries_after_failed_write(self, tmp_path):
+        root = str(tmp_path / "j")
+        j = ShardedJournal(root, flush_max_records=100,
+                           flush_interval=3600.0)
+        j.record(K1, PAYLOAD)
+        shard = j._shard("00")
+        shard.fh = torn = _TornWriteOnce(open(shard.path, "a"))
+        with pytest.raises(OSError):
+            j.flush()
+        assert torn.failed and K1 in j
+        assert j.counts()["pending"] == 1
+        j.flush()
+        assert j.counts()["pending"] == 0
+        j.close()
+        j2 = ShardedJournal(root)
+        assert j2.get(K1) == PAYLOAD
+        assert j2.torn_lines == 1
+        j2.close()
+
+
 class TestOpenJournal:
     def test_jsonl_suffix_is_flat(self, tmp_path):
         j = open_journal(str(tmp_path / "j.jsonl"))
@@ -299,6 +359,14 @@ def _journal_lines(path):
         return 0
 
 
+def _reap_group(proc):
+    """Kill what is left of a killed child's session: its orphaned pool workers."""
+    try:
+        os.killpg(proc.pid, signal.SIGKILL)
+    except ProcessLookupError:
+        pass
+
+
 class TestSigkillResume:
     def test_resume_after_sigkill_mid_batch(self, tmp_path):
         """A SIGKILLed batch restarts from its journaled tasks."""
@@ -316,6 +384,7 @@ class TestSigkillResume:
         proc = subprocess.Popen(
             [sys.executable, str(driver), jp, cache_dir, str(n)],
             env=env, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL,
+            start_new_session=True,
         )
         # Kill as soon as a few results are durably journaled.
         deadline = time.monotonic() + 120.0
@@ -327,6 +396,7 @@ class TestSigkillResume:
         if killed:
             proc.send_signal(signal.SIGKILL)
         proc.wait()
+        _reap_group(proc)
         done_at_kill = _journal_lines(jp)
         assert done_at_kill >= 3, "driver finished nothing before the kill"
 
@@ -406,7 +476,7 @@ class TestSigkillBetweenFlushes:
         proc = subprocess.Popen(
             [sys.executable, str(driver), jp, "64"],
             env=env, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL,
-            text=True,
+            text=True, start_new_session=True,
         )
         acked = []
 
@@ -425,6 +495,7 @@ class TestSigkillBetweenFlushes:
         if proc.poll() is None:
             proc.send_signal(signal.SIGKILL)
         proc.wait()
+        _reap_group(proc)
         reader.join(timeout=10.0)
         assert len(acked) >= 8, "driver surfaced nothing before the kill"
 
