@@ -57,12 +57,22 @@ regeneration — and ``prune`` deletes them.
 
 Key memoization
 ---------------
-Hashing is memoized: :func:`config_key` caches the digest on the
-(frozen, hence immutable) :class:`RunConfig` instance, and the
-machine-spec canonical form — by far the largest part of the document —
-is cached on each (frozen) :class:`MachineSpec` and precomputed for the
-whole registry at catalog load via :func:`warm_machine_digests`. Probing
-a warm batch therefore hashes each config instance at most once.
+Hashing is memoized twice over. :func:`config_key` caches the digest on
+the (frozen, hence immutable) :class:`RunConfig` instance, so probing a
+warm batch hashes each config instance at most once. And every spec
+(:class:`KeyMemo` subclasses: machine, node, interconnect, GPU and noise
+specs) caches its canonical JSON *text* on the instance — the machine's
+is by far the largest part of the document, and it is precomputed for
+the whole registry at catalog load via :func:`warm_machine_digests`. A
+key then renders only the config's ~20 own fields, from a per-class
+field plan with an exact-type fast path for plain values, and splices
+the spec texts in; the bytes hashed are those of the generic
+:func:`_canonical` rendering encoded with ``json.dumps(doc,
+sort_keys=True, separators=(",", ":"))``.
+
+The memos are never pickled (:meth:`KeyMemo.__getstate__`): a scheduler
+task blob pickles its whole config, so a worker receives the config bare
+and adopts the key the parent derived (:func:`adopt_key`).
 """
 
 from __future__ import annotations
@@ -74,6 +84,7 @@ import glob
 import hashlib
 import json
 import logging
+import operator
 import os
 import tempfile
 import threading
@@ -85,12 +96,14 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
 __all__ = [
     "MODEL_VERSION",
     "DEFAULT_CACHE_DIR",
+    "KeyMemo",
     "SHARD_PREFIX_CHARS",
     "RunCache",
     "cacheable",
     "config_key",
     "configure",
     "active_cache",
+    "adopt_key",
     "stats",
     "merge_stats",
     "reset_stats",
@@ -111,6 +124,29 @@ DEFAULT_CACHE_DIR = ".repro-cache"
 SHARD_PREFIX_CHARS = 2
 
 
+#: Instance attributes holding key memos: a spec's canonical JSON text
+#: and a config's ``(model_version, key)``. Never pickled (see KeyMemo).
+_TEXT_MEMO = "_key_text"
+_KEY_MEMO = "_key_memo"
+_MEMOS = (_TEXT_MEMO, _KEY_MEMO)
+
+
+class KeyMemo:
+    """Mixin for frozen dataclasses whose cache-key renderings are memoized.
+
+    Subclassing it marks a class as immutable all the way down (scalars,
+    tuples, other KeyMemo specs), which is what makes memoizing its
+    canonical text on the instance safe. The memos stay out of pickled
+    state: a scheduler task blob pickles its whole ``RunConfig``, and a
+    memo there would only add bytes to every blob.
+    """
+
+    __slots__ = ()
+
+    def __getstate__(self):
+        return {k: v for k, v in self.__dict__.items() if k not in _MEMOS}
+
+
 def _canonical(obj: Any, path: str = "config") -> Any:
     """Recursively convert to JSON-stable primitives (sorted, tuple->list).
 
@@ -118,6 +154,11 @@ def _canonical(obj: Any, path: str = "config") -> Any:
     raises with its exact location (e.g. ``config.noise.knobs[2]``), not
     just the offending type.
     """
+    t = type(obj)
+    if t is str or t is int or t is bool or obj is None:
+        return obj
+    if t is float:
+        return repr(obj)
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
         # Spec classes may declare _KEY_OMIT_DEFAULTS: fields added after
         # entries already existed on disk are left out of the canonical
@@ -148,35 +189,107 @@ def _canonical(obj: Any, path: str = "config") -> Any:
     )
 
 
-def _machine_canonical(spec: Any) -> Any:
-    """Canonical form of a machine spec, memoized on the (frozen) instance.
+#: The key document's encoder: ``json.dumps(doc, sort_keys=True,
+#: separators=(",", ":"))``, built once.
+_encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
-    The spec dominates the canonical document (~50 calibrated constants
-    across node/interconnect/GPU), is immutable, and is shared by every
-    config of a sweep — so its rendering is computed once per instance and
-    cached via ``object.__setattr__`` (legal on frozen dataclasses). The
-    memo is never mutated afterwards, only serialized.
+
+def _seq_text(items) -> str:
+    return "[" + ",".join([_PLAIN[type(v)](v) for v in items]) + "]"
+
+
+#: JSON text of a *plain* value, by exact type: the bytes the encoder
+#: writes for its canonical form (a float's is its ``repr`` string).
+#: A tuple is plain when its items are; a non-plain item raises
+#: KeyError. Subclasses (``str`` enums, NumPy floats) miss and take the
+#: generic :func:`_canonical` path, which renders them as it always has.
+_PLAIN = {
+    str: json.encoder.encode_basestring_ascii,
+    int: int.__repr__,
+    bool: lambda v: "true" if v else "false",
+    float: lambda v: f'"{v!r}"',
+    type(None): lambda v: "null",
+    tuple: _seq_text,
+}
+
+#: Marks a field without an omitted default in a field plan.
+_KEEP = object()
+
+#: Per-class field plans, built once: a getter of every field value,
+#: and ``('"name":', name, omitted default or _KEEP)`` per field, both in
+#: the encoder's sorted key order.
+_PLANS: Dict[type, tuple] = {}
+
+
+def _field_plan(cls: type) -> tuple:
+    plan = _PLANS.get(cls)
+    if plan is None:
+        omit = getattr(cls, "_KEY_OMIT_DEFAULTS", None) or {}
+        names = sorted(f.name for f in dataclasses.fields(cls))
+        if len(names) > 1:
+            getter = operator.attrgetter(*names)
+        else:  # attrgetter of one name returns the bare value, not a tuple
+            getter = lambda o: tuple(getattr(o, n) for n in names)  # noqa: E731
+        plan = _PLANS[cls] = (getter, tuple(
+            (_encode(name) + ":", name, omit.get(name, _KEEP)) for name in names
+        ))
+    return plan
+
+
+def _fields_text(obj: Any, path: str, skip=()) -> str:
+    """Canonical JSON text of a dataclass's fields, less ``skip``.
+
+    Byte for byte ``_encode(_canonical(obj, path))``: fields in sorted
+    order, ``_KEY_OMIT_DEFAULTS`` honored, plain values rendered
+    directly, KeyMemo specs from their memo, anything else through
+    :func:`_canonical` (which keeps the error paths).
     """
-    memo = spec.__dict__.get("_canonical_memo")
-    if memo is None:
-        memo = _canonical(spec, "config.machine")
-        try:
-            object.__setattr__(spec, "_canonical_memo", memo)
-        except (AttributeError, TypeError):  # slotted/odd spec: skip memo
-            pass
-    return memo
+    parts = []
+    getter, fields = _field_plan(type(obj))
+    for (head, name, omit), value in zip(fields, getter(obj)):
+        if (omit is not _KEEP and value == omit) or name in skip:
+            continue
+        render = _PLAIN.get(type(value))
+        if render is not None:
+            try:
+                parts.append(head + render(value))
+                continue
+            except KeyError:  # a tuple holding a non-plain item
+                pass
+        if isinstance(value, KeyMemo):
+            parts.append(head + _spec_text(value, f"{path}.{name}"))
+        else:
+            parts.append(head + _encode(_canonical(value, f"{path}.{name}")))
+    return "{" + ",".join(parts) + "}"
+
+
+def _spec_text(spec: Any, path: str) -> str:
+    """Canonical JSON text of a spec, memoized on the (frozen) instance.
+
+    The machine spec dominates the key document (~50 calibrated constants
+    across node/interconnect/GPU), is immutable, and is shared by every
+    config of a sweep; nested specs that ``dataclasses.replace`` leaves
+    shared keep their memo too, so a derived machine renders only what
+    changed. The memo is set via ``object.__setattr__`` (legal on frozen
+    dataclasses) and never mutated afterwards.
+    """
+    text = spec.__dict__.get(_TEXT_MEMO)
+    if text is None:
+        text = _fields_text(spec, path)
+        object.__setattr__(spec, _TEXT_MEMO, text)
+    return text
 
 
 def warm_machine_digests(specs) -> None:
-    """Precompute canonical forms for a registry of machine specs.
+    """Precompute canonical texts for a registry of machine specs.
 
     Called at :mod:`repro.machines.catalog` import, so by the time any
-    sweep hashes its first config every registry machine's canonical form
-    is already cached and :func:`config_key` only renders the few scalar
+    sweep hashes its first config every registry machine's text is
+    already cached and :func:`config_key` only renders the few scalar
     config fields.
     """
     for spec in specs:
-        _machine_canonical(spec)
+        _spec_text(spec, "config.machine")
 
 
 def config_key(cfg: "RunConfig", model_version: Optional[str] = None) -> str:
@@ -195,34 +308,32 @@ def config_key(cfg: "RunConfig", model_version: Optional[str] = None) -> str:
     """
     if model_version is None:
         model_version = MODEL_VERSION  # dynamic lookup: bumps take effect
-    memo = cfg.__dict__.get("_key_memo") if hasattr(cfg, "__dict__") else None
+    memo = cfg.__dict__.get(_KEY_MEMO) if hasattr(cfg, "__dict__") else None
     if memo is not None and memo[0] == model_version:
         return memo[1]
-    canon = {}
-    # config_key renders the config's fields itself (to splice in the
-    # memoized machine canonical form), so the _KEY_OMIT_DEFAULTS
-    # contract honored by _canonical for nested specs must be honored
-    # here too: fields added after entries already existed on disk stay
-    # out of the canonical form while at their original defaults.
-    omit = getattr(type(cfg), "_KEY_OMIT_DEFAULTS", None) or {}
-    for f in dataclasses.fields(cfg):
-        if f.name in omit and getattr(cfg, f.name) == omit[f.name]:
-            continue
-        if f.name == "machine":
-            canon["machine"] = _machine_canonical(cfg.machine)
-        else:
-            canon[f.name] = _canonical(getattr(cfg, f.name), f"config.{f.name}")
-    if canon.get("seed") is None and canon.get("noise") is None:
-        canon.pop("seed", None)
-        canon.pop("noise", None)
-    doc = {"model_version": model_version, "config": canon}
-    blob = json.dumps(doc, sort_keys=True, separators=(",", ":"))
+    # The perturbation fields drop out together, and only when both are
+    # None (a null NoiseSpec still enters the key).
+    if getattr(cfg, "seed", None) is None and getattr(cfg, "noise", None) is None:
+        text = _fields_text(cfg, "config", ("seed", "noise"))
+    else:
+        text = _fields_text(cfg, "config")
+    blob = '{"config":' + text + ',"model_version":' + _encode(model_version) + "}"
     key = hashlib.sha256(blob.encode("utf-8")).hexdigest()
     try:
-        object.__setattr__(cfg, "_key_memo", (model_version, key))
+        object.__setattr__(cfg, _KEY_MEMO, (model_version, key))
     except (AttributeError, TypeError):  # non-dataclass stand-in: skip memo
         pass
     return key
+
+
+def adopt_key(cfg: "RunConfig", key: str) -> None:
+    """Memoize ``key``, derived for an equal config elsewhere, on ``cfg``.
+
+    Memos never travel in pickles, so a scheduler worker receives each
+    config bare with its key alongside; adopting the key spares the
+    worker rendering the config and its (unshared) machine again.
+    """
+    object.__setattr__(cfg, _KEY_MEMO, (MODEL_VERSION, key))
 
 
 def cacheable(cfg: "RunConfig") -> bool:

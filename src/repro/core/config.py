@@ -8,6 +8,7 @@ from typing import Any, ClassVar, Dict, Optional, Tuple
 
 import numpy as np
 
+from repro.cache import KeyMemo
 from repro.obs.tracer import Tracer
 from repro.machines.spec import MachineSpec
 from repro.perturb.spec import NoiseSpec
@@ -17,7 +18,7 @@ __all__ = ["RunConfig", "RunResult"]
 
 
 @dataclass(frozen=True)
-class RunConfig:
+class RunConfig(KeyMemo):
     """One benchmark configuration (a point in the paper's tuning space).
 
     Parameters

@@ -344,7 +344,7 @@ def get_machine(name: str) -> MachineSpec:
     return MACHINES[key]
 
 
-# Precompute cache-key canonical forms for the whole registry: a machine
+# Precompute cache-key canonical texts for the whole registry: a machine
 # spec is by far the largest part of a config's cache document, and every
 # sweep config references one of these four instances, so warming here
 # makes the first config_key of any sweep as cheap as the millionth.

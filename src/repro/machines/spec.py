@@ -11,6 +11,8 @@ import enum
 from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
+from repro.cache import KeyMemo
+
 __all__ = [
     "ProgressModel",
     "NodeSpec",
@@ -62,7 +64,7 @@ class ProgressModel(str, enum.Enum):
 
 
 @dataclass(frozen=True)
-class NodeSpec:
+class NodeSpec(KeyMemo):
     """One compute node's CPU side."""
 
     sockets: int  # Table II: AMD Opteron sockets per node
@@ -109,7 +111,7 @@ class NodeSpec:
 
 
 @dataclass(frozen=True)
-class InterconnectSpec:
+class InterconnectSpec(KeyMemo):
     """Parallel interconnect + MPI implementation behaviour."""
 
     name: str  # Table II: interconnect
@@ -206,7 +208,7 @@ class InterconnectSpec:
 
 
 @dataclass(frozen=True)
-class GpuSpec:
+class GpuSpec(KeyMemo):
     """One GPU plus its host link."""
 
     name: str  # Table II: NVIDIA Tesla GPU
@@ -294,7 +296,7 @@ class GpuSpec:
 
 
 @dataclass(frozen=True)
-class MachineSpec:
+class MachineSpec(KeyMemo):
     """A whole machine: nodes, interconnect, optional GPUs (Table II)."""
 
     name: str

@@ -33,6 +33,8 @@ import logging
 from dataclasses import dataclass, fields, replace
 from typing import Dict
 
+from repro.cache import KeyMemo
+
 __all__ = ["NoiseSpec", "PRESETS", "MACHINE_NOISE"]
 
 log = logging.getLogger("repro.perturb")
@@ -54,7 +56,7 @@ _PROB_FIELDS = ("straggler_prob", "stall_prob", "drop_prob")
 
 
 @dataclass(frozen=True)
-class NoiseSpec:
+class NoiseSpec(KeyMemo):
     """How much variability to inject (all knobs default to "off")."""
 
     # -- host ---------------------------------------------------------------

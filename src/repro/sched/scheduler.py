@@ -759,6 +759,7 @@ class Scheduler:
             payload.pop("key", None)
             rec.payload = payload
             rec.state = TaskState.DONE
+            rec.blob = None  # only crash retries reread it
             self._memo[rec.key] = rec
             self._inflight.pop(rec.key, None)
             self._counters["simulated"] += 1
@@ -777,6 +778,7 @@ class Scheduler:
                 return
             rec.error = exc
             rec.state = TaskState.FAILED
+            rec.blob = None
             self._memo[rec.key] = rec
             self._inflight.pop(rec.key, None)
             self._counters["failed"] += 1
@@ -790,6 +792,7 @@ class Scheduler:
         # the completion hooks once it has released the lock).
         rec.error = PoisonedConfigError(rec.cfg, rec.attempts)
         rec.state = TaskState.POISONED
+        rec.blob = None
         self._memo[rec.key] = rec
         self._inflight.pop(rec.key, None)
         self._counters["poisoned"] += 1

@@ -78,7 +78,8 @@ class TaskRecord:
         self.future = None
         self.t_submit: Optional[float] = None
         #: task payload pickled exactly once (reused across crash retries,
-        #: shipped inside size-tuned chunks; see Scheduler._submit_chunk)
+        #: shipped inside size-tuned chunks; see Scheduler._submit_chunk);
+        #: dropped once the record settles
         self.blob: Optional[bytes] = None
 
     # -- results --------------------------------------------------------------

@@ -47,9 +47,11 @@ def _execute_one(payload: Dict[str, Any]) -> Dict[str, Any]:
     from repro import cache
     from repro.core.runner import run
 
+    cfg = payload["cfg"]
+    cache.adopt_key(cfg, payload["key"])
     before = cache.stats()
     t0 = time.perf_counter()
-    result = run(payload["cfg"])
+    result = run(cfg)
     wall_s = time.perf_counter() - t0
     after = cache.stats()
     return {

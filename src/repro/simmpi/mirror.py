@@ -106,7 +106,7 @@ def _node0_scan(task_grid: Tuple[int, int, int], ntasks: int, tpn: int):
 
 class _MirrorXfer:
     __slots__ = ("tag", "nbytes", "send_posted", "recv_posted", "bg_done", "fg_done",
-                 "fg_started", "eager", "local")
+                 "bg_started", "fg_started", "eager", "local")
 
     def __init__(self, tag: int, env: Environment):
         self.tag = tag
@@ -115,6 +115,7 @@ class _MirrorXfer:
         self.recv_posted = False
         self.bg_done: Event = env.event()
         self.fg_done: Optional[Event] = None
+        self.bg_started = False
         self.fg_started = False
         self.eager = False
         self.local = False
@@ -133,7 +134,9 @@ class MirrorComm(RankComm):
         self.profile = profile
         self.rank = profile.representative_rank
         self.nranks = profile.nranks
-        self._open: Dict[int, deque] = {}  # tag -> xfers awaiting a send/recv claim
+        #: side -> tag -> FIFO of half-posted xfers still awaiting that
+        #: side's claim; a paired xfer is popped, so nothing accumulates.
+        self._awaiting: Dict[str, Dict[int, deque]] = {"send": {}, "recv": {}}
         #: optional repro.obs tracer: transfer intervals on the "mpi" lane
         #: plus isend/irecv marks (matched per tag by the invariant checker).
         self.tracer = None
@@ -180,8 +183,9 @@ class MirrorComm(RankComm):
             ready = xfer.send_posted and xfer.recv_posted
             frac = ic.background_fraction(eager=False)
             lat = 2.0 * ic.latency_s
-        if not ready or xfer.bg_done.triggered:
-            return
+        if not ready or xfer.bg_started:
+            return  # an eager/local send started it before its recv posted
+        xfer.bg_started = True
         wire_mult = 1.0
         perturb = self.perturb
         if perturb is not None and not xfer.local:
@@ -286,14 +290,17 @@ class MirrorComm(RankComm):
         return Request("recv", self.rank, src, tag, nbytes, _xfer=xfer)
 
     def _claim(self, tag: int, side: str) -> _MirrorXfer:
-        """Get the next unclaimed xfer for ``tag`` on ``side`` (FIFO pairing)."""
-        q = self._open.setdefault(tag, deque())
-        attr = "send_posted" if side == "send" else "recv_posted"
-        for xfer in q:
-            if not getattr(xfer, attr):
-                return xfer
+        """Get the next unclaimed xfer for ``tag`` on ``side`` (FIFO pairing).
+
+        The oldest xfer the other side opened and this side has not yet
+        claimed, else a new one, queued for the other side's claim.
+        """
+        q = self._awaiting[side].get(tag)
+        if q:
+            return q.popleft()
         xfer = _MirrorXfer(tag, self.env)
-        q.append(xfer)
+        other = "recv" if side == "send" else "send"
+        self._awaiting[other].setdefault(tag, deque()).append(xfer)
         return xfer
 
     def wait(self, request: Request):

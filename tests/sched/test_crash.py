@@ -65,6 +65,18 @@ class TestCrashRetry:
         assert poisoned_log[0]["cores"] == 4
         assert poisoned_log[0]["state"] == "poisoned"
 
+    def test_records_settled_after_crashes_drop_their_blob(self, tmp_path):
+        cfgs = _cfgs(4)
+        with Scheduler(jobs=2, cache_dir=str(tmp_path / "c"),
+                       max_retries=1) as sched:
+            sched.fault_injector = lambda cfg, attempts: (
+                cfg.cores == 4 or (cfg.cores == 2 and attempts == 0))
+            sched.map(cfgs, return_exceptions=True)
+            records = list(sched._memo.values())
+            assert sched.stats()["poisoned"] == 1
+        assert len(records) == 4
+        assert all(r.blob is None for r in records)
+
     def test_poisoned_raises_by_default(self, tmp_path):
         cfgs = _cfgs(2)
         with Scheduler(jobs=2, cache_dir=str(tmp_path / "c"),

@@ -193,6 +193,18 @@ class TestErrors:
             assert out[0].elapsed_s > 0
             assert sched.stats()["failed"] == 1  # memoized, not re-failed
 
+    def test_settled_records_drop_their_blob(self, tmp_path):
+        """The pickled payload exists for crash retries only."""
+        infeasible = RunConfig(machine=YONA, implementation="hybrid_overlap",
+                               cores=192, threads_per_task=2,
+                               box_thickness=200)
+        with Scheduler(jobs=2, cache_dir=str(tmp_path / "c")) as sched:
+            out = sched.map(_cfgs(3) + [infeasible], return_exceptions=True)
+            assert isinstance(out[-1], ValueError)
+            records = list(sched._memo.values())
+            assert {r.state.value for r in records} == {"done", "failed"}
+            assert all(r.blob is None for r in records)
+
     def test_closed_scheduler_rejects_work(self):
         sched = Scheduler(jobs=1)
         sched.close()

@@ -149,6 +149,48 @@ class TestMirrorComm:
         deltas = [b - a for a, b in zip(times, times[1:])]
         assert all(d == pytest.approx(deltas[0], rel=1e-6) for d in deltas)
 
+    def test_same_tag_posts_pair_fifo_and_are_not_retained(self):
+        """Sends and receives of one tag pair oldest-first; paired ones go."""
+        env, comm, _ = make_comm()
+        t = halo_tag(1, 1)
+        sizes = (100_000, 200_000, 300_000)  # rendezvous: both sides post
+
+        def prog():
+            sends, recvs = [], []
+            for n in sizes:
+                sends.append((yield from comm.isend(8, t, n)))
+            assert [len(q) for q in comm._awaiting["recv"].values()] == [3]
+            for n in sizes:
+                recvs.append((yield from comm.irecv(7, t, n)))
+            for s, r in zip(sends, recvs):
+                assert r._xfer is s._xfer and r._xfer.nbytes == r.nbytes
+            recv_first = yield from comm.irecv(7, t, 400_000)
+            send_after = yield from comm.isend(8, t, 400_000)
+            assert send_after._xfer is recv_first._xfer
+            for req in sends + recvs + [recv_first, send_after]:
+                yield from comm.wait(req)
+
+        env.process(prog())
+        env.run()
+        for side in ("send", "recv"):
+            assert all(not q for q in comm._awaiting[side].values())
+
+    @pytest.mark.parametrize("dim", [0, 1])  # on-node and off-node
+    def test_eager_send_before_its_recv_starts_once(self, dim):
+        """A send that needs no recv to start must not start again on it."""
+        env, comm, prof = make_comm(64, 4)
+        t = halo_tag(dim, -1)
+        assert prof.is_offnode(t) == bool(dim)
+
+        def prog():
+            sreq = yield from comm.isend(8, t, 1_000)
+            rreq = yield from comm.irecv(7, t, 1_000)
+            yield from comm.wait(sreq)
+            yield from comm.wait(rreq)
+            return env.now
+
+        assert env.run(until=env.process(prog())) > 0
+
     def test_onnode_cheaper_than_offnode(self):
         env, comm, prof = make_comm(64, 4)
         durations = {}

@@ -640,16 +640,206 @@ class TestKeyMemoization:
 
     def test_machine_canonical_memoized_at_catalog_load(self):
         # warm_machine_digests ran at repro.machines import, so every
-        # registry spec already carries its canonical form.
+        # registry spec already carries its canonical text.
         from repro.machines import MACHINES
 
         for spec in MACHINES.values():
-            assert "_canonical_memo" in spec.__dict__
+            assert "_key_text" in spec.__dict__
 
     def test_memo_does_not_leak_into_equality_or_repr(self, cfg):
         config_key(cfg)
         assert cfg == cfg.with_()
         assert "_key_memo" not in repr(cfg)
+
+
+class TestMemosStayOutOfPickles:
+    """Key memos never ride along in pickles (scheduler task blobs)."""
+
+    @staticmethod
+    def _bare(cfg):
+        """An equal config built without touching any memo."""
+        import dataclasses
+
+        m = cfg.machine
+        machine = dataclasses.replace(
+            m, node=dataclasses.replace(m.node),
+            interconnect=dataclasses.replace(m.interconnect),
+            gpu=m.gpu and dataclasses.replace(m.gpu),
+        )
+        noise = cfg.noise and dataclasses.replace(cfg.noise)
+        return dataclasses.replace(cfg, machine=machine, noise=noise)
+
+    @pytest.mark.parametrize("machine", [JAGUARPF, YONA])
+    def test_memoized_config_pickles_like_a_bare_one(self, machine):
+        import pickle
+
+        from repro.perturb import NoiseSpec
+
+        cfg = RunConfig(machine=machine, implementation="bulk", cores=12,
+                        threads_per_task=6, seed=3,
+                        noise=NoiseSpec.preset("low"))
+        bare = self._bare(cfg)
+        assert "_key_text" not in bare.machine.__dict__
+        key = config_key(cfg)
+        assert "_key_memo" in cfg.__dict__
+        assert "_key_text" in cfg.machine.__dict__
+        assert "_key_text" in cfg.noise.__dict__
+        blob = pickle.dumps(cfg, protocol=pickle.HIGHEST_PROTOCOL)
+        assert blob == pickle.dumps(bare, protocol=pickle.HIGHEST_PROTOCOL)
+        back = pickle.loads(blob)
+        assert back == cfg
+        assert "_key_memo" not in back.__dict__
+        assert "_key_text" not in back.machine.__dict__
+        assert config_key(back) == key
+
+    def test_adopted_key_is_the_derived_key(self, cfg):
+        import pickle
+
+        key = config_key(cfg)
+        back = pickle.loads(pickle.dumps(cfg))
+        run_cache.adopt_key(back, key)
+        assert back.__dict__["_key_memo"] == (MODEL_VERSION, key)
+        assert config_key(back) == key
+
+
+def _reference_canonical(obj):
+    """The generic canonical form: the key renderer's specification."""
+    import dataclasses
+    import enum
+
+    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        omit = getattr(type(obj), "_KEY_OMIT_DEFAULTS", None) or {}
+        return {
+            f.name: _reference_canonical(getattr(obj, f.name))
+            for f in dataclasses.fields(obj)
+            if not (f.name in omit and getattr(obj, f.name) == omit[f.name])
+        }
+    if isinstance(obj, dict):
+        return {str(k): _reference_canonical(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_reference_canonical(v) for v in obj]
+    if isinstance(obj, enum.Enum):
+        return _reference_canonical(obj.value)
+    if isinstance(obj, (str, int, bool)) or obj is None:
+        return obj
+    if isinstance(obj, float):
+        return repr(obj)
+    raise TypeError(type(obj).__name__)
+
+
+def _reference_key(cfg):
+    import hashlib
+
+    canon = _reference_canonical(cfg)
+    if canon.get("seed") is None and canon.get("noise") is None:
+        canon.pop("seed", None)
+        canon.pop("noise", None)
+    doc = {"model_version": MODEL_VERSION, "config": canon}
+    blob = json.dumps(doc, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+
+
+def _configs():
+    """Valid configs over the key's whole input space."""
+    import dataclasses
+
+    import numpy as np
+    from hypothesis import strategies as st
+
+    from repro.machines import MACHINES
+    from repro.machines.spec import ProgressModel
+    from repro.perturb import PRESETS
+
+    def derived(m, progress, nics, gpudirect):
+        ic = dataclasses.replace(m.interconnect, progress=progress,
+                                 nics_per_node=nics, gpudirect=gpudirect)
+        return dataclasses.replace(m, interconnect=ic)
+
+    catalog = st.sampled_from(sorted(MACHINES.values(), key=lambda m: m.name))
+    machines = catalog | st.builds(
+        derived, catalog, st.sampled_from(list(ProgressModel)),
+        st.integers(1, 4), st.booleans(),
+    )
+    # Exact floats, ints where a float is declared, and a float subclass
+    # (rendered by its repr, like any non-plain value).
+    reals = (st.floats() | st.integers(-10, 10)
+             | st.floats(allow_nan=False).map(np.float64))
+    scalars = st.integers() | st.floats() | st.text(max_size=6) | st.booleans()
+    # A null spec without a seed still enters the key (only None drops).
+    noises = st.sampled_from(sorted(PRESETS)).flatmap(
+        lambda name: st.sampled_from(
+            [PRESETS[name], PRESETS[name].scaled(0.5), PRESETS[name].scaled(0)]))
+
+    @st.composite
+    def config(draw):
+        machine = draw(machines)
+        nc = machine.node.cores
+        threads = draw(st.sampled_from(
+            [t for t in range(1, nc + 1) if nc % t == 0]))
+        cores = draw(st.sampled_from(range(threads, nc + 1, threads))
+                     | st.integers(1, 64).map(lambda n: n * nc))
+        noise = draw(st.none() | noises)
+        seed = draw(st.none() | st.integers(0, 2**40))
+        if seed is None and noise is not None and not noise.is_null:
+            seed = draw(st.integers(0, 2**40))  # noise needs a seed
+        spmv = draw(st.booleans())
+        params = draw(st.dictionaries(
+            st.sampled_from(["band", "rows", "density", "tag"]), scalars,
+            max_size=3)) if spmv else {}
+        return RunConfig(
+            machine=machine,
+            implementation=draw(st.text(max_size=12)),
+            cores=cores,
+            threads_per_task=threads,
+            steps=draw(st.integers(1, 10**6)),
+            domain=draw(st.tuples(*[st.integers(1, 4096)] * 3)),
+            velocity=draw(st.tuples(reals, reals, reals)),
+            nu_fraction=draw(reals),
+            sigma=draw(reals),
+            block=draw(st.none() | st.tuples(st.integers(1, 1024),
+                                             st.integers(1, 1024))),
+            box_thickness=draw(st.integers(0, 50)),
+            trace=draw(st.booleans()),
+            seed=seed,
+            noise=noise,
+            disable_stream_overlap=draw(st.booleans()),
+            disable_mpi_overlap=draw(st.booleans()),
+            workload="spmv" if spmv else "advection",
+            workload_params=tuple(params.items()),
+        )
+
+    return config()
+
+
+class TestKeyRenderer:
+    """The memoized text renderer hashes exactly the generic rendering."""
+
+    def test_matches_the_generic_rendering(self):
+        from hypothesis import given, settings
+
+        @settings(max_examples=300, deadline=None)
+        @given(_configs())
+        def check(cfg):
+            assert config_key(cfg) == _reference_key(cfg)
+
+        check()
+
+    def test_pinned_configs_match_the_generic_rendering(self):
+        from repro.machines import get_machine
+
+        for kwargs, expect in TestWorkloadKeys.PINS:
+            cfg = RunConfig(**dict(kwargs, machine=get_machine(kwargs["machine"])))
+            assert _reference_key(cfg) == expect
+
+    def test_non_plain_item_keeps_its_error_path(self):
+        import dataclasses
+
+        bad = dataclasses.replace(
+            JAGUARPF, thread_options=(1, 2, object()))
+        cfg = RunConfig(machine=bad, implementation="bulk", cores=24,
+                        threads_per_task=6)
+        with pytest.raises(TypeError, match=r"config\.machine\.thread_options\[2\]"):
+            config_key(cfg)
 
 
 class TestSeedNoiseKeys:
