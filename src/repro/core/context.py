@@ -21,6 +21,7 @@ from typing import Callable, Dict, Optional, Sequence, Tuple
 
 from repro.core.config import RunConfig
 from repro.core.data import RankData
+from repro.decomp.halo import face_message_bytes
 from repro.decomp.partition import Decomposition, Subdomain
 from repro.des import Environment, Event
 from repro.machines.cpu_model import (
@@ -83,6 +84,8 @@ class RankContext:
         self.perturb = None
         #: free-form per-implementation state (device arrays, streams, ...)
         self.state: Dict[str, object] = {}
+        self._neighbors: Dict[Tuple[int, int], int] = {}
+        self._face_bytes: Dict[int, int] = {}
         #: host-compute slowdown charged for a software MPI progress thread
         #: (ProgressModel.PROGRESS_THREAD only; 0.0 — and therefore one
         #: falsy check per charge — under manual poll and hardware offload).
@@ -355,12 +358,19 @@ class RankContext:
         return done
 
     # -- topology helpers --------------------------------------------------------
+    # Both are asked once per message of every step; only successful
+    # lookups are memoized, so bad arguments still raise each time.
     def neighbor(self, dim: int, side: int) -> int:
         """Face-neighbor rank."""
-        return self.decomp.neighbor(self.sub.rank, dim, side)
+        key = (dim, side)
+        rank = self._neighbors.get(key)
+        if rank is None:
+            rank = self._neighbors[key] = self.decomp.neighbor(self.sub.rank, dim, side)
+        return rank
 
     def face_bytes(self, dim: int) -> int:
         """Bytes of one halo face message in ``dim``."""
-        from repro.decomp.halo import face_message_bytes
-
-        return face_message_bytes(self.sub.shape, dim)
+        nbytes = self._face_bytes.get(dim)
+        if nbytes is None:
+            nbytes = self._face_bytes[dim] = face_message_bytes(self.sub.shape, dim)
+        return nbytes

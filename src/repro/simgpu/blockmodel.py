@@ -31,6 +31,7 @@ calibrated ``stencil_gflops_best``.
 from __future__ import annotations
 
 import math
+from array import array
 from functools import lru_cache
 from typing import Iterator, Sequence, Tuple
 
@@ -99,6 +100,18 @@ def _sweet_spot(gpu: GpuSpec, by: int) -> float:
     )
 
 
+def _shape_free(gpu: GpuSpec, bx: int, by: int) -> float:
+    """``coal * warp * halo * occ**0.35``: the factors of a block's
+    efficiency that no tile extent enters (0.0 at zero occupancy)."""
+    occ = _occupancy(gpu, bx, by)
+    if occ == 0.0:
+        return 0.0
+    threads = bx * by
+    warp_util = threads / (math.ceil(threads / gpu.warp_size) * gpu.warp_size)
+    halo_util = threads / ((bx + 2) * (by + 2))
+    return _coalesce_factor(gpu, bx) * warp_util * halo_util * (occ**0.35)
+
+
 def block_efficiency(
     gpu: GpuSpec, block: Tuple[int, int], shape: Sequence[int] = (420, 420, 420)
 ) -> float:
@@ -110,32 +123,46 @@ def block_efficiency(
     nx, ny = int(shape[0]), int(shape[1])
     if bx * by > gpu.max_threads_per_block or bx < 1 or by < 1:
         return 0.0
-    occ = _occupancy(gpu, bx, by)
-    if occ == 0.0:
+    head = _shape_free(gpu, bx, by)
+    if head == 0.0:
         return 0.0
-    threads = bx * by
-    warp_util = threads / (math.ceil(threads / gpu.warp_size) * gpu.warp_size)
-    halo_util = threads / ((bx + 2) * (by + 2))
     cover_x = nx / (math.ceil(nx / bx) * bx)
     cover_y = ny / (math.ceil(ny / by) * by)
-    return (
-        _coalesce_factor(gpu, bx)
-        * warp_util
-        * halo_util
-        * (occ**0.35)
-        * cover_x
-        * cover_y
-        * _sweet_spot(gpu, by)
-    )
+    return head * cover_x * cover_y * _sweet_spot(gpu, by)
+
+
+@lru_cache(maxsize=64)
+def _block_table(gpu: GpuSpec) -> Tuple[array, array, array, array]:
+    """Parallel ``bx``, ``by``, ``_shape_free`` and ``_sweet_spot`` arrays
+    over the scoring admissible blocks, in sweep order.
+
+    Built once per device: only the coverage factors depend on the tile.
+    Blocks with zero occupancy are left out (0.0 never wins the strict
+    argmax). Finishing each product left to right as in
+    :func:`block_efficiency` keeps every efficiency bit for bit. Arrays
+    hold the doubles exactly at a fifth of the memory of row tuples.
+    """
+    bxs, bys, heads, sweets = array("i"), array("i"), array("d"), array("d")
+    for bx, by in admissible_blocks(gpu):
+        head = _shape_free(gpu, bx, by)
+        if head != 0.0:
+            bxs.append(bx)
+            bys.append(by)
+            heads.append(head)
+            sweets.append(_sweet_spot(gpu, by))
+    return bxs, bys, heads, sweets
 
 
 @lru_cache(maxsize=256)
 def _best_block_cached(gpu: GpuSpec, shape: Tuple[int, int, int]) -> Tuple[Tuple[int, int], float]:
+    nx, ny = shape[0], shape[1]
     best, best_eff = None, 0.0
-    for blk in admissible_blocks(gpu):
-        eff = block_efficiency(gpu, blk, shape)
+    for bx, by, head, sweet in zip(*_block_table(gpu)):
+        cover_x = nx / (math.ceil(nx / bx) * bx)
+        cover_y = ny / (math.ceil(ny / by) * by)
+        eff = head * cover_x * cover_y * sweet
         if eff > best_eff:
-            best, best_eff = blk, eff
+            best, best_eff = (bx, by), eff
     if best is None:
         raise ValueError(f"no admissible block for {gpu.name}")
     return best, best_eff

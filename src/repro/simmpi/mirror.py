@@ -148,25 +148,44 @@ class MirrorComm(RankComm):
         self.bytes_sent = 0
         self.messages_received = 0
         self.bytes_received = 0
+        # Run-invariant message constants, derived once with the same
+        # expressions the per-message paths used, so every float is equal.
+        ic = profile.interconnect
+        self._overhead_s = ic.per_message_cpu_us * 1e-6
+        self._eager_max = ic.eager_threshold_bytes
+        self._latency_s = ic.latency_s
+        self._rendezvous_latency_s = 2.0 * ic.latency_s
+        #: background_fraction(eager) indexed by ``eager``.
+        self._bg_frac = (ic.background_fraction(False), ic.background_fraction(True))
+        self._local_rate = profile.node.memcpy_bandwidth_gbs * 1e9
+        #: tag -> stays on-node / NIC wire rate (filled on first use).
+        self._local_by_tag: Dict[int, bool] = {}
+        self._nic_rate_by_tag: Dict[int, float] = {}
 
     # -- helpers --------------------------------------------------------------
-    def _overhead(self):
-        return self.env.timeout(self.profile.interconnect.per_message_cpu_us * 1e-6)
-
     def _wire_rate(self, xfer: _MirrorXfer) -> float:
         if xfer.local:
-            return self.profile.node.memcpy_bandwidth_gbs * 1e9
-        share = self.profile.nic_share(xfer.tag)
-        npn = self.profile.interconnect.nics_per_node
-        if npn > 1:
-            # Multi-rail nodes spread the contending senders across their
-            # NICs (round-robin striping, as in the full backend); a rail
-            # still serves at least its own sender.
-            share = max(1.0, share / npn)
-        return self.profile.interconnect.bandwidth_bps / share
+            return self._local_rate
+        rate = self._nic_rate_by_tag.get(xfer.tag)
+        if rate is None:
+            share = self.profile.nic_share(xfer.tag)
+            npn = self.profile.interconnect.nics_per_node
+            if npn > 1:
+                # Multi-rail nodes spread the contending senders across
+                # their NICs (round-robin striping, as in the full backend);
+                # a rail still serves at least its own sender.
+                share = max(1.0, share / npn)
+            rate = self.profile.interconnect.bandwidth_bps / share
+            self._nic_rate_by_tag[xfer.tag] = rate
+        return rate
+
+    def _is_local(self, tag: int) -> bool:
+        local = self._local_by_tag.get(tag)
+        if local is None:
+            local = self._local_by_tag[tag] = not self.profile.is_offnode(tag)
+        return local
 
     def _maybe_start_background(self, xfer: _MirrorXfer) -> None:
-        ic = self.profile.interconnect
         if xfer.local:
             ready = xfer.send_posted
             frac = 1.0
@@ -177,12 +196,12 @@ class MirrorComm(RankComm):
             # (manual-poll: nothing — paper ref [1] — a progress engine
             # drains the unexpected queue on its own).
             ready = xfer.send_posted
-            frac = ic.background_fraction(eager=True)
-            lat = ic.latency_s
+            frac = self._bg_frac[True]
+            lat = self._latency_s
         else:
             ready = xfer.send_posted and xfer.recv_posted
-            frac = ic.background_fraction(eager=False)
-            lat = 2.0 * ic.latency_s
+            frac = self._bg_frac[False]
+            lat = self._rendezvous_latency_s
         if not ready or xfer.bg_started:
             return  # an eager/local send started it before its recv posted
         xfer.bg_started = True
@@ -198,7 +217,8 @@ class MirrorComm(RankComm):
             start = self.env.now
             lane = (
                 "mpi"
-                if xfer.local or ic.progress is ProgressModel.MANUAL_POLL
+                if xfer.local
+                or self.profile.interconnect.progress is ProgressModel.MANUAL_POLL
                 else "progress"
             )
             xfer.bg_done.callbacks.append(
@@ -230,7 +250,7 @@ class MirrorComm(RankComm):
             xfer.fg_done = self.env.event()
         if not xfer.fg_started:
             xfer.fg_started = True
-            bg_frac = self.profile.interconnect.background_fraction(xfer.eager)
+            bg_frac = self._bg_frac[xfer.eager]
             remainder = (1.0 - bg_frac) * xfer.nbytes
             if self.perturb is not None and not xfer.local and remainder > 0:
                 remainder *= self.perturb.wire_factor(self.rank)
@@ -257,7 +277,7 @@ class MirrorComm(RankComm):
         """Post the representative rank's send; mirrors the matching recv."""
         if payload is not None:
             raise ValueError("mirror backend cannot carry functional payloads")
-        yield self._overhead()
+        yield self.env.timeout(self._overhead_s)
         xfer = self._claim(tag, "send")
         self.messages_sent += 1
         self.bytes_sent += nbytes
@@ -267,15 +287,15 @@ class MirrorComm(RankComm):
                 args={"tag": tag, "nbytes": nbytes},
             )
         xfer.nbytes = nbytes
-        xfer.eager = nbytes <= self.profile.interconnect.eager_threshold_bytes
-        xfer.local = not self.profile.is_offnode(tag)
+        xfer.eager = nbytes <= self._eager_max
+        xfer.local = self._is_local(tag)
         xfer.send_posted = True
         self._maybe_start_background(xfer)
         return Request("send", self.rank, dst, tag, nbytes, _xfer=xfer)
 
     def irecv(self, src: int, tag: int, nbytes: int):
         """Post a receive; pairs with this rank's own send of ``tag``."""
-        yield self._overhead()
+        yield self.env.timeout(self._overhead_s)
         xfer = self._claim(tag, "recv")
         self.messages_received += 1
         self.bytes_received += nbytes
@@ -316,8 +336,7 @@ class MirrorComm(RankComm):
         if not xfer.local:
             yield self._ensure_foreground(xfer)
         if (xfer.local or xfer.eager) and request.kind == "recv":
-            rate = self.profile.node.memcpy_bandwidth_gbs * 1e9
-            yield self.env.timeout(xfer.nbytes / rate)
+            yield self.env.timeout(xfer.nbytes / self._local_rate)
         request.completed = True
         return None
 

@@ -176,6 +176,15 @@ class TestTopologyHelpers:
         ctx = make_ctx(machine=JAGUARPF, gpu=False, cores=12, threads_per_task=2)
         assert ctx.neighbor(2, 1) == ctx.decomp.neighbor(0, 2, 1)
 
+    def test_memoized_neighbor_still_rejects_bad_sides(self):
+        ctx = make_ctx(machine=JAGUARPF, gpu=False, cores=12, threads_per_task=2)
+        for _ in range(2):  # the second pass reads the memo
+            for dim in range(3):
+                for side in (-1, 1):
+                    assert ctx.neighbor(dim, side) == ctx.decomp.neighbor(0, dim, side)
+            with pytest.raises(ValueError, match="side"):
+                ctx.neighbor(0, 0)
+
     def test_face_bytes(self):
         ctx = make_ctx(machine=JAGUARPF, gpu=False)
         from repro.decomp.halo import face_message_bytes

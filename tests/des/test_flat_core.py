@@ -10,6 +10,11 @@ that bucket-FIFO draining is observably identical to a global
   zero-delay bursts, nested so that entries are scheduled both up front and
   from inside running cohorts — on the real engine and on an oracle-simple
   reference executor, and requires the exact same firing order;
+* a second property drives generator processes that yield Timeouts (lone,
+  tied, zero-delay, shared by several waiters, watched by extra callbacks)
+  through ``run()``, ``run(until=float)`` and ``run(until=event)``, and
+  requires the same firing order and the same ``env.now`` at every firing
+  as a reference executor without the engine's Timeout hop;
 * deterministic stress tests hammer tombstone cancellation (cancel-heavy
   queues, handle recycling, cancel/fire error contract);
 * a tracemalloc smoke check pins the allocation-free steady state.
@@ -164,6 +169,190 @@ class TestOrderEquivalence:
         env.schedule(1.0, order.append, "sibling")
         env.run()
         assert order == ["spawn", "sibling", "child", "child-ev"]
+
+
+# ---------------------------------------------------------------------------
+# Processes and the Timeout hop
+#
+# A process program is a list of steps, each (op, arg):
+#   ("timeout", d)  yield env.timeout(d)
+#   ("wait", k)     yield shared event k (several processes may wait on it,
+#                   and it may already be processed: the stale-resume path)
+#   ("slot", d)     env.schedule(d, record) — a bare slot, to tie or fill
+#                   cohorts around the process's own timeouts
+#   ("observe", k)  append a recording callback to shared event k behind
+#                   whatever waiters it already has (a tracer's shape)
+# Every firing logs (label, env.now); both executors run the same
+# generator code, so labels agree independently of execution order.
+# ---------------------------------------------------------------------------
+
+_N_SHARED = 3
+
+
+class _RefEvent:
+    __slots__ = ("callbacks", "processed", "value")
+
+    def __init__(self, value=None):
+        self.callbacks = []
+        self.processed = False
+        self.value = value
+
+
+class _RefEnv:
+    """Oracle: one ``(time, counter)`` heap, no cohorts, no hop."""
+
+    def __init__(self):
+        self.now = 0.0
+        self._heap = []
+        self._n = 0
+
+    def _push(self, t, fn, arg):
+        heapq.heappush(self._heap, (t, self._n, fn, arg))
+        self._n += 1
+
+    def _fire(self, ev):
+        ev.processed = True
+        callbacks, ev.callbacks = ev.callbacks, []
+        for cb in callbacks:
+            cb(ev)
+
+    def timeout(self, delay, value=None):
+        ev = _RefEvent(value)
+        self._push(self.now + delay, self._fire, ev)
+        return ev
+
+    def schedule(self, delay, fn, arg=None):
+        self._push(self.now + delay, fn, arg)
+
+    def process(self, gen):
+        def resume(ev):
+            try:
+                target = gen.send(None if ev is None else ev.value)
+            except StopIteration:
+                return
+            if target.processed:
+                self._push(self.now, resume, target)
+            else:
+                target.callbacks.append(resume)
+
+        self._push(self.now, resume, None)
+
+    def _step(self):
+        t, _, fn, arg = heapq.heappop(self._heap)
+        self.now = t
+        fn(arg)
+
+    def run(self, until=None):
+        heap = self._heap
+        if until is None:
+            while heap:
+                self._step()
+        elif isinstance(until, _RefEvent):
+            while not until.processed:
+                self._step()
+        else:
+            while heap and heap[0][0] <= until:
+                self._step()
+            if heap:
+                self.now = until
+
+
+def _process_program(env, pid, steps, shared, log):
+    for j, (op, arg) in enumerate(steps):
+        if op == "timeout":
+            yield env.timeout(arg)
+        elif op == "wait":
+            yield shared[arg]
+        elif op == "slot":
+            env.schedule(arg, lambda _a, lbl=("slot", pid, j): log.append((lbl, env.now)))
+        elif not shared[arg].processed:  # "observe"
+            shared[arg].callbacks.append(
+                lambda _ev, lbl=("observe", pid, j): log.append((lbl, env.now))
+            )
+        log.append(((pid, j), env.now))
+
+
+def run_processes(env, shared_delays, procs, stops):
+    """Run one process program on ``env``; returns the firing log."""
+    log = []
+    shared = [env.timeout(d, k) for k, d in enumerate(shared_delays)]
+    for k, ev in enumerate(shared):
+        ev.callbacks.append(lambda _ev, lbl=("shared", k): log.append((lbl, env.now)))
+    for pid, steps in enumerate(procs):
+        env.process(_process_program(env, pid, steps, shared, log))
+    for stop in stops:
+        if isinstance(stop, int):  # run(until=shared event)
+            env.run(until=shared[stop])
+        elif stop >= env.now:
+            env.run(until=stop)
+        log.append((("stop", stop), env.now))
+    env.run()
+    log.append((("end",), env.now))
+    return log
+
+
+_STEPS = st.one_of(
+    st.tuples(st.just("timeout"), st.sampled_from(_DELAYS)),
+    st.tuples(st.just("timeout"), st.sampled_from([0.25, 0.5, 1.0, 0.75])),
+    st.tuples(st.just("wait"), st.integers(0, _N_SHARED - 1)),
+    st.tuples(st.just("slot"), st.sampled_from(_DELAYS)),
+    st.tuples(st.just("observe"), st.integers(0, _N_SHARED - 1)),
+)
+_STOPS = st.one_of(
+    st.sampled_from([0.25, 0.5, 1.0, 2.5]),
+    st.integers(0, _N_SHARED - 1),
+)
+
+
+class TestTimeoutHop:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(st.sampled_from(_DELAYS), min_size=_N_SHARED, max_size=_N_SHARED),
+        st.lists(st.lists(_STEPS, max_size=8), min_size=1, max_size=4),
+        st.lists(_STOPS, max_size=2),
+    )
+    def test_processes_match_reference(self, shared_delays, procs, stops):
+        got = run_processes(Environment(), shared_delays, procs, stops)
+        want = run_processes(_RefEnv(), shared_delays, procs, stops)
+        assert got == want
+
+    def test_later_callback_sees_the_event_time(self):
+        """An event's first callback resumes a process that yields a lone
+        Timeout; the second callback must still run at the event's time,
+        so the resume may not advance the clock past it."""
+        env = Environment()
+        seen = []
+        ev = env.timeout(1.0)
+
+        def proc():
+            yield ev
+            seen.append(("proc", env.now))
+            yield env.timeout(1.0)  # sole entry of the earliest bucket
+            seen.append(("proc", env.now))
+
+        env.process(proc())
+        env.schedule(
+            0.5,
+            lambda _a: ev.callbacks.append(lambda _e: seen.append(("tracer", env.now))),
+        )
+        env.run()
+        assert seen == [("proc", 1.0), ("tracer", 1.0), ("proc", 2.0)]
+
+    def test_lone_timeout_chain_advances_the_clock(self):
+        """A process alone in the queue hops through its Timeouts with the
+        same ``now + delay`` arithmetic the loop would have used."""
+        env = Environment()
+        stamps = []
+
+        def proc():
+            for d in (0.1, 0.2, 0.3):
+                value = yield env.timeout(d, d)
+                stamps.append((value, env.now))
+
+        env.process(proc())
+        env.run()
+        assert stamps == [(0.1, 0.1), (0.2, 0.1 + 0.2), (0.3, 0.1 + 0.2 + 0.3)]
+        assert env._buckets == {} and env._times == []
 
 
 class TestCancellation:

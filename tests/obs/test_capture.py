@@ -5,7 +5,7 @@ import pytest
 from repro.core.runner import run
 from repro.obs.capture import active_capture, capture_traces
 
-from conftest import tiny_config
+from obs_configs import tiny_config
 
 
 class TestBitIdentical:

@@ -17,7 +17,7 @@ import pytest
 
 from repro.core.runner import run
 
-from conftest import golden_config, golden_keys, golden_summary
+from obs_configs import golden_config, golden_keys, golden_summary
 
 GOLDEN_PATH = Path(__file__).parent / "golden_traces.json"
 

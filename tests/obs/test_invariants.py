@@ -13,7 +13,7 @@ from repro.obs.invariants import (
 )
 from repro.obs.tracer import GPU_GROUP_BASE, Tracer
 
-from conftest import tiny_config
+from obs_configs import tiny_config
 
 
 def _violations(t: Tracer):

@@ -20,7 +20,7 @@ REPO = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO / "src"))
 sys.path.insert(0, str(REPO / "tests" / "obs"))
 
-from conftest import golden_config, golden_keys, golden_summary  # noqa: E402
+from obs_configs import golden_config, golden_keys, golden_summary  # noqa: E402
 from repro.core.runner import run  # noqa: E402
 
 OUT = REPO / "tests" / "obs" / "golden_traces.json"
