@@ -13,12 +13,17 @@ regresses below the PR acceptance floor (2.5x the dense seed).
 
 import numpy as np
 
+from repro.core.config import RunConfig
+from repro.core.data import RankData
+from repro.decomp.partition import Subdomain
+from repro.machines import LENS
 from repro.stencil.arena import ScratchArena
 from repro.stencil.coefficients import tensor_product_coefficients
 from repro.stencil.grid import allocate_field
 from repro.stencil.kernels import (
     advance,
     apply_stencil,
+    apply_stencil_block,
     apply_stencil_dense,
     fill_periodic_halo,
     interior,
@@ -84,3 +89,28 @@ def test_bench_advance_throughput_floor(benchmark):
         f"separable advance ran at {mpts:.1f} Mpts/s, below the "
         f"{FLOOR_MPTS:.0f} Mpts/s floor (2.5x the dense seed)"
     )
+
+
+def test_bench_overlap_tiling(benchmark):
+    """One nonblocking step's blocks (three z-thirds + six thickness-1
+    slabs) on a 48^3 rank: the partitioned shapes the overlap programs
+    sweep, reported in Mpts/s for comparison with the whole-field apply."""
+    rank_shape = (48, 48, 48)
+    cfg = RunConfig(machine=LENS, implementation="nonblocking", cores=16,
+                    domain=rank_shape)
+    rank = RankData(cfg, Subdomain(0, (0, 0, 0), (0, 0, 0), rank_shape))
+    blocks = rank.core_thirds() + rank.boundary_slabs()
+    u = _field(rank_shape[0])
+    fill_periodic_halo(u)
+    out = np.zeros_like(u)
+    arena = ScratchArena()
+
+    def tiled():
+        for lo, hi in blocks:
+            apply_stencil_block(u, COEFFS, out, lo, hi, arena=arena)
+
+    tiled()  # warm the arena
+    benchmark(tiled)
+    if getattr(benchmark, "stats", None):  # None under --benchmark-disable
+        mpts = rank_shape[0] ** 3 / benchmark.stats.stats.min / 1e6
+        benchmark.extra_info["mpts_per_s"] = round(mpts, 1)

@@ -1,17 +1,20 @@
 """Reusable scratch-buffer arena for the separable stencil engine.
 
-The separable execution path in :mod:`repro.stencil.kernels` runs three 1-D
-sweeps per step and needs intermediate full-field buffers (``t1``, ``t2``)
-plus one tap buffer for in-place fused multiply-accumulate emulation
-(``np.multiply(..., out=tap)`` followed by ``np.add(acc, tap, out=acc)``).
-Allocating those per call would dominate the runtime of the functional
-kernels (a 256^3 haloed double field is ~137 MB), so all scratch space is
-leased from a :class:`ScratchArena`: buffers are keyed by ``(name, shape,
-dtype)`` and reused verbatim on every subsequent request, making the
-steady-state time step allocation-free.
+The separable execution path in :mod:`repro.stencil.kernels` sweeps each
+block in compact scratch: two ping-pong buffers (source → second
+intermediate, first intermediate → result) plus one tap buffer for in-place
+fused multiply-accumulate emulation (``np.multiply(..., out=tap)`` followed
+by ``np.add(acc, tap, out=acc)``). Allocating those per call would dominate
+the runtime of the functional kernels (a 256^3 haloed double field is
+~137 MB), so all scratch space is leased from a :class:`ScratchArena`.
 
-Buffers are handed out *uninitialized* (contents are whatever the previous
-lease left behind); callers must fully overwrite the region they read back.
+Each name owns one flat, grow-only buffer. A lease carves the requested
+shape out of its front, so blocks of many shapes share one allocation per
+name and the steady-state time step allocates nothing once the largest
+block has been seen. Buffers are handed out *uninitialized* (contents are
+whatever the previous lease left behind); callers must fully overwrite the
+region they read back, and a new lease under a name invalidates the
+previous one.
 
 A process-wide default arena (:func:`default_arena`) backs the public kernel
 entry points when no explicit arena is passed. The simulator executes rank
@@ -25,6 +28,7 @@ implementations) can carry its own arena instance.
 
 from __future__ import annotations
 
+from math import prod
 from typing import Dict, Hashable, Tuple
 
 import numpy as np
@@ -33,20 +37,25 @@ __all__ = ["ScratchArena", "default_arena", "reset_default_arena"]
 
 
 class ScratchArena:
-    """A cache of named, shaped scratch arrays with zero steady-state allocation.
+    """Named, grow-only flat buffers carved into shaped scratch arrays.
 
-    ``get(name, shape)`` returns the same array object every time it is
-    called with the same ``(name, shape, dtype)`` triple; a request for the
-    same name with a *different* shape or dtype retires the old buffer and
-    allocates a fresh one (fields of several shapes can coexist under
-    different names, e.g. per-block keys).
+    ``get(name, shape)`` returns a C-contiguous array carved from the front
+    of ``name``'s flat buffer. Asking again with the shape and dtype of the
+    previous lease returns that same array object; any other request that
+    fits is carved from the existing buffer, and only a request larger
+    than the buffer allocates (the buffer grows to the new size and the
+    old one is released). ``misses`` counts those allocations, ``hits``
+    every lease served without one.
     """
 
-    __slots__ = ("_buffers", "hits", "misses")
+    __slots__ = ("_flat", "_last", "hits", "misses")
 
     def __init__(self) -> None:
-        self._buffers: Dict[Hashable, np.ndarray] = {}
-        #: number of get() calls served from cache / requiring allocation
+        #: name -> flat byte buffer
+        self._flat: Dict[Hashable, np.ndarray] = {}
+        #: name -> the most recent lease carved from it
+        self._last: Dict[Hashable, np.ndarray] = {}
+        #: number of get() calls served from capacity / requiring allocation
         self.hits = 0
         self.misses = 0
 
@@ -56,42 +65,36 @@ class ScratchArena:
         shape: Tuple[int, ...],
         dtype: np.dtype = np.float64,
     ) -> np.ndarray:
-        """Lease the scratch buffer ``name`` with ``shape`` (uninitialized)."""
-        shape = tuple(int(s) for s in shape)
-        buf = self._buffers.get(name)
-        if buf is not None and buf.shape == shape and buf.dtype == dtype:
+        """Lease ``shape`` from the scratch buffer ``name`` (uninitialized)."""
+        last = self._last.get(name)
+        if last is not None and last.shape == shape and last.dtype == dtype:
             self.hits += 1
-            return buf
-        self.misses += 1
-        buf = np.empty(shape, dtype=dtype)
-        self._buffers[name] = buf
-        return buf
-
-    def zeros(
-        self,
-        name: Hashable,
-        shape: Tuple[int, ...],
-        dtype: np.dtype = np.float64,
-    ) -> np.ndarray:
-        """Like :meth:`get`, but the returned buffer is zero-filled."""
-        buf = self.get(name, shape, dtype)
-        buf.fill(0.0)
+            return last
+        shape = tuple(map(int, shape))
+        dtype = np.dtype(dtype)
+        size = prod(shape) * dtype.itemsize
+        flat = self._flat.get(name)
+        if flat is not None and flat.size >= size:
+            self.hits += 1
+        else:
+            self.misses += 1
+            flat = self._flat[name] = np.empty(size, dtype=np.uint8)
+        buf = np.ndarray(shape, dtype, buffer=flat)
+        self._last[name] = buf
         return buf
 
     def __len__(self) -> int:
-        return len(self._buffers)
-
-    def __contains__(self, name: Hashable) -> bool:
-        return name in self._buffers
+        return len(self._flat)
 
     @property
     def nbytes(self) -> int:
         """Total bytes currently held by the arena."""
-        return sum(b.nbytes for b in self._buffers.values())
+        return sum(b.nbytes for b in self._flat.values())
 
     def clear(self) -> None:
         """Release every buffer (and reset the hit/miss counters)."""
-        self._buffers.clear()
+        self._flat.clear()
+        self._last.clear()
         self.hits = 0
         self.misses = 0
 

@@ -35,21 +35,36 @@ The **dense 27-point kernel** (:func:`apply_stencil_dense`,
 reference and as the execution path for non-separable coefficient tensors
 (``coeffs.factors is None``).
 
-Sub-box index algebra: a 1-D sweep over an interior block ``[lo, hi)``
-needs intermediate values one layer beyond the block in the dimensions not
-yet swept. With interior coordinates ``lo=(x0,y0,z0)``, ``hi=(x1,y1,z1)``
-and haloed-array coordinates shifted by +1:
+Sub-box index algebra: a block ``[lo, hi)`` of extents ``(bx, by, bz)``
+(interior coordinates ``lo=(x0,y0,z0)``, ``hi=(x1,y1,z1)``; haloed-array
+coordinates are shifted by +1) reads ``u[x0:x1+2, y0:y1+2, z0:z1+2]``, the
+block plus its one-point halo, which is always in bounds for a block inside
+the interior. That box is copied once into compact scratch ``S`` of shape
+``(bx+2, by+2, bz+2)`` and the sweeps shrink it one axis at a time, each
+needing intermediate values one layer beyond the block in the dimensions
+not yet swept:
 
-* x sweep writes ``t1`` on ``x:[1+x0,1+x1), y:[y0,y1+2), z:[z0,z1+2)``
-  (y/z extended one layer each side, down into the halo planes), reading
-  ``u`` on ``x:[x0,x1+2)`` — always in bounds for a block inside the
-  interior;
-* y sweep writes ``t2`` on ``x:[1+x0,1+x1), y:[1+y0,1+y1), z:[z0,z1+2)``;
-* z sweep writes ``out`` on the block itself.
+* x sweep: ``S -> t1`` of shape ``(bx, by+2, bz+2)``;
+* y sweep: ``t1 -> t2`` of shape ``(bx, by, bz+2)``;
+* z sweep: ``t2 -> r`` of shape ``(bx, by, bz)``, copied into ``out`` on
+  the block.
 
-Because every intermediate point is computed with the identical in-place
-ufunc sequence regardless of the block bounds, the block path is
-*bit-identical* to the full-field path (the property tests assert this),
+In every sweep, tap ``d`` (0, 1, 2 for offsets -1, 0, +1) reads the source
+at index ``d`` to ``d + n`` along the swept axis, ``n`` the destination's
+extent there. ``S``/``t2`` and ``t1``/``r`` are ping-pong leases of two
+arena buffers, so scratch never exceeds three haloed fields.
+
+Memory-order rule: all scratch of one block is stored with its axes
+ordered by block extent, longest innermost (ties keep x, y, z order, so a
+cube stays C-ordered). A thin slab or a z-third is then swept with long
+contiguous inner loops instead of one short NumPy loop per row.
+
+Every point still sees the identical ufunc sequence whatever the block
+bounds and the scratch memory order: the first nonzero tap multiplied into
+the accumulator, each further tap multiplied into the tap buffer and
+added, zero taps skipped. The block path is therefore *bit-identical* to
+the full-field path (the property tests assert this, and
+``tests/stencil/test_kernel_digests.py`` pins the fields across commits),
 which preserves the repo's cross-implementation bit-exactness oracle.
 """
 
@@ -104,44 +119,38 @@ def fill_periodic_halo(field: np.ndarray, dims: Sequence[int] = (0, 1, 2)) -> No
 # ---------------------------------------------------------------------------
 
 
-def _sweep_axis(
+def _sweep(
     src: np.ndarray,
     dst: np.ndarray,
     taps: np.ndarray,
     axis: int,
-    lo: Tuple[int, int, int],
-    hi: Tuple[int, int, int],
-    tap_buf: np.ndarray,
+    tap: np.ndarray,
 ) -> None:
-    """One 3-tap 1-D sweep: ``dst[R] = sum_d taps[d+1] * src[R shifted d]``.
+    """One 3-tap 1-D sweep: ``dst = sum_d taps[d] * src[shifted d along axis]``.
 
-    ``lo``/``hi`` bound the destination region ``R`` in *array* (haloed)
-    coordinates. ``tap_buf`` is a scratch array of the same shape as ``dst``
-    used to emulate a fused multiply-add without temporaries:
-    ``np.multiply(src_shifted, c, out=tap); np.add(acc, tap, out=acc)``.
+    ``src`` is ``dst`` grown by one point on each side of ``axis``. ``tap``
+    is scratch shaped like ``dst`` used to emulate a fused multiply-add
+    without temporaries: ``np.multiply(src_shifted, c, out=tap);
+    np.add(dst, tap, out=dst)``.
 
     Zero taps are skipped (exactly like the dense kernel skips zero
     coefficients), which keeps the unit-CFL exact-shift oracle bit-exact.
     """
-    base = tuple(slice(l, h) for l, h in zip(lo, hi))
-    acc = dst[base]
-    nonzero = [(d, float(c)) for d, c in zip((-1, 0, 1), taps) if c != 0.0]
+    nonzero = [(d, c) for d, c in enumerate(taps.tolist()) if c != 0.0]
     if not nonzero:
-        acc.fill(0.0)
+        dst.fill(0.0)
         return
+    n = dst.shape[axis]
+    lead = (slice(None),) * axis
 
     def shifted(d: int) -> np.ndarray:
-        sl = list(base)
-        sl[axis] = slice(lo[axis] + d, hi[axis] + d)
-        return src[tuple(sl)]
+        return src[lead + (slice(d, d + n),)]
 
     d0, c0 = nonzero[0]
-    np.multiply(shifted(d0), c0, out=acc)
-    if len(nonzero) > 1:
-        tap = tap_buf[base]
-        for d, c in nonzero[1:]:
-            np.multiply(shifted(d), c, out=tap)
-            np.add(acc, tap, out=acc)
+    np.multiply(shifted(d0), c0, out=dst)
+    for d, c in nonzero[1:]:
+        np.multiply(shifted(d), c, out=tap)
+        np.add(dst, tap, out=dst)
 
 
 def _apply_separable_block(
@@ -154,23 +163,37 @@ def _apply_separable_block(
 ) -> None:
     """Three 1-D sweeps (x, y, z) over the interior sub-box ``[lo, hi)``.
 
-    See the module docstring for the extended-region index algebra. The
-    scratch buffers are full-field shaped so the same cached buffers serve
-    every block of a partition (the overlap implementations call this with
-    many different boxes per step).
+    The block and its one-point halo are copied once into compact scratch
+    stored with the block's longest axis innermost, swept there on
+    contiguous operands, and the result is copied into ``out`` once (see
+    the module docstring). Two ping-pong buffers and one tap buffer are
+    leased from ``arena``, so every block of a partition shares the same
+    three allocations.
     """
     (x0, y0, z0), (x1, y1, z1) = lo, hi
+    ext = (x1 - x0, y1 - y0, z1 - z0)
+    # Memory order, outermost first: extents ascending, ties in x, y, z order.
+    order = sorted(range(3), key=lambda a: (ext[a], a))
+    axes = (order.index(0), order.index(1), order.index(2))
+
+    def lease(name: str, shape: Tuple[int, int, int]) -> np.ndarray:
+        stored = (shape[order[0]], shape[order[1]], shape[order[2]])
+        return arena.get(name, stored).transpose(axes)
+
     ax, ay, az = factors
-    shape = u.shape
-    t1 = arena.get("sep.t1", shape)
-    t2 = arena.get("sep.t2", shape)
-    tap = arena.get("sep.tap", shape)
-    # x sweep: y/z extended one layer each side (into the halo planes).
-    _sweep_axis(u, t1, ax, 0, (1 + x0, y0, z0), (1 + x1, y1 + 2, z1 + 2), tap)
-    # y sweep: z still extended.
-    _sweep_axis(t1, t2, ay, 1, (1 + x0, 1 + y0, z0), (1 + x1, 1 + y1, z1 + 2), tap)
-    # z sweep: lands exactly on the output block.
-    _sweep_axis(t2, out, az, 2, (1 + x0, 1 + y0, 1 + z0), (1 + x1, 1 + y1, 1 + z1), tap)
+    bx, by, bz = ext
+    src = lease("sep.a", (bx + 2, by + 2, bz + 2))
+    src[...] = u[x0 : x1 + 2, y0 : y1 + 2, z0 : z1 + 2]
+    # x sweep: y/z still carry their halo layers.
+    t1 = lease("sep.b", (bx, by + 2, bz + 2))
+    _sweep(src, t1, ax, 0, lease("sep.tap", t1.shape))
+    # y sweep: z still carries its halo layers.
+    t2 = lease("sep.a", (bx, by, bz + 2))
+    _sweep(t1, t2, ay, 1, lease("sep.tap", t2.shape))
+    # z sweep: lands exactly on the block.
+    res = lease("sep.b", ext)
+    _sweep(t2, res, az, 2, lease("sep.tap", ext))
+    out[1 + x0 : 1 + x1, 1 + y0 : 1 + y1, 1 + z0 : 1 + z1] = res
 
 
 # ---------------------------------------------------------------------------
@@ -256,6 +279,15 @@ def _use_separable(coeffs: StencilCoefficients, method: str) -> bool:
     raise ValueError(f"unknown method {method!r}; use auto|separable|dense")
 
 
+def _check_like(u: np.ndarray, arr: np.ndarray, name: str) -> None:
+    """Reject an ``out``/``scratch`` array that differs from ``u``."""
+    if arr.shape != u.shape or arr.dtype != u.dtype:
+        raise ValueError(
+            f"{name} has shape {arr.shape} and dtype {arr.dtype}; it must "
+            f"match u ({u.shape}, {u.dtype})"
+        )
+
+
 def apply_stencil(
     u: np.ndarray,
     coeffs: StencilCoefficients,
@@ -268,7 +300,8 @@ def apply_stencil(
 
     Reads the full haloed field ``u`` and writes new *interior* values into
     the interior of ``out`` (allocated if ``None``; halo of ``out`` is left
-    untouched). Returns ``out``.
+    untouched). Returns ``out``. An ``out`` whose shape or dtype differs
+    from ``u`` raises :class:`ValueError`.
 
     Dispatches to the separable three-sweep engine when ``coeffs`` carries
     factor triples (the default for tensor-product-built coefficients), and
@@ -302,8 +335,9 @@ def apply_stencil_block(
     decomposition of Fig. 1. Dispatch rules match :func:`apply_stencil`;
     the separable block path is bit-identical to the separable full-field
     path, so partitioned implementations stay bit-exact against the
-    single-domain reference.
+    single-domain reference. ``out`` must match ``u`` in shape and dtype.
     """
+    _check_like(u, out, "out")
     if _check_block(u, lo, hi):
         return
     if _use_separable(coeffs, method):
@@ -333,10 +367,11 @@ def advance(
     final write-back avoids copying the whole field (~130 MB at 256^3) just
     to honor an aliasing convention.
 
-    ``scratch`` may be passed explicitly (it must be shaped like ``u``) to
-    make repeated calls allocation-free; otherwise one flip buffer is
-    allocated per call (never per step — the in-step path is zero-allocation
-    through ``arena``). A per-call buffer rather than an arena lease keeps
+    ``scratch`` may be passed explicitly to make repeated calls
+    allocation-free (it must match ``u`` in shape and dtype, else
+    :class:`ValueError`); otherwise one flip buffer is allocated per call
+    (never per step — the in-step path is zero-allocation through
+    ``arena``). A per-call buffer rather than an arena lease keeps
     results of interleaved ``advance`` calls on same-shaped fields from
     aliasing each other. Intended for verification and single-domain
     reference runs.
@@ -345,6 +380,8 @@ def advance(
         arena = default_arena()
     if scratch is None or scratch is u:
         scratch = np.zeros_like(u)
+    else:
+        _check_like(u, scratch, "scratch")
     cur, nxt = u, scratch
     for _ in range(steps):
         fill_periodic_halo(cur)

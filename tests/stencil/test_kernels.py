@@ -173,3 +173,41 @@ class TestAdvance:
         ref = advance(u.copy(), coeffs, steps=2)
         out = advance(u, coeffs, steps=2, scratch=u)
         assert np.array_equal(interior(out), interior(ref))
+
+
+class TestMismatchedBuffers:
+    """``out`` and ``scratch`` must match ``u``; a mismatch used to write at
+    the wrong offsets, return the wrong shape or change the dtype."""
+
+    COEFFS = tensor_product_coefficients((1.0, 0.9, 0.8), 0.5)
+
+    @pytest.mark.parametrize("shape,dtype", [
+        ((12, 10, 10), np.float64),
+        ((10, 10, 11), np.float64),
+        ((10, 10, 10), np.float32),
+    ])
+    def test_apply_stencil_rejects_out(self, shape, dtype):
+        u = make_field(8, seed=1)
+        with pytest.raises(ValueError, match="out"):
+            apply_stencil(u, self.COEFFS, out=np.zeros(shape, dtype))
+
+    @pytest.mark.parametrize("method", ["separable", "dense"])
+    def test_apply_stencil_block_rejects_out(self, method):
+        u = make_field(8, seed=2)
+        with pytest.raises(ValueError, match="out"):
+            apply_stencil_block(u, self.COEFFS, np.zeros((12, 12, 12)),
+                                (0, 0, 0), (4, 4, 4), method=method)
+        with pytest.raises(ValueError, match="out"):
+            apply_stencil_block(u, self.COEFFS, np.zeros(u.shape, np.float32),
+                                (0, 0, 0), (4, 4, 4), method=method)
+
+    def test_advance_rejects_larger_scratch(self):
+        u = make_field(8, seed=3)
+        with pytest.raises(ValueError, match="scratch"):
+            advance(u, self.COEFFS, steps=1, scratch=np.zeros((12, 12, 12)))
+
+    def test_advance_rejects_float32_scratch(self):
+        u = make_field(8, seed=4)
+        with pytest.raises(ValueError, match="scratch"):
+            advance(u, self.COEFFS, steps=1,
+                    scratch=np.zeros(u.shape, dtype=np.float32))

@@ -12,6 +12,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.config import RunConfig
+from repro.core.data import RankData
+from repro.decomp.boxdecomp import BoxDecomposition
+from repro.decomp.partition import Subdomain
+from repro.machines import LENS
 from repro.stencil.arena import ScratchArena
 from repro.stencil.coefficients import (
     StencilCoefficients,
@@ -233,6 +238,26 @@ class TestFactorization:
             )
 
 
+_RANK = (48, 48, 48)
+
+
+def _rank_tilings():
+    """The nonblocking and thickness-2 hybrid block tilings of a 48^3 rank."""
+    cfg = RunConfig(machine=LENS, implementation="nonblocking", cores=16,
+                    domain=_RANK)
+    rank = RankData(cfg, Subdomain(0, (0, 0, 0), (0, 0, 0), _RANK))
+    box = BoxDecomposition(_RANK, 2)
+    return (
+        rank.core_thirds()
+        + rank.boundary_slabs()
+        + [box.wall_interior_box(w) for w in box.walls()]
+        + [(box.block_lo, box.block_hi)]
+    )
+
+
+_RANK_TILINGS = _rank_tilings()
+
+
 class TestArenaZeroAllocation:
     def test_steady_state_is_allocation_free(self):
         """After the first step warms the arena, repeated applications lease
@@ -268,3 +293,29 @@ class TestArenaZeroAllocation:
         c = arena.get("t", (5, 5, 5))
         assert c is not a and c.shape == (5, 5, 5)
         assert len(arena) == 1
+
+    def test_smaller_lease_carves_without_allocating(self):
+        arena = ScratchArena()
+        arena.get("t", (5, 5, 5))
+        small = arena.get("t", (2, 3, 4))
+        assert small.shape == (2, 3, 4) and small.flags.c_contiguous
+        assert arena.misses == 1 and arena.hits == 1
+        assert arena.nbytes == 5 * 5 * 5 * 8
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.permutations(range(len(_RANK_TILINGS))))
+    def test_mixed_block_shapes_add_no_misses(self, order):
+        """After one warm pass over the nonblocking and hybrid tilings of a
+        48^3 rank, their blocks in any order lease without allocating, and
+        the arena never holds more than three haloed fields."""
+        arena = ScratchArena()
+        coeffs = tensor_product_coefficients((0.9, -0.6, 0.4), 0.5)
+        u = make_field(_RANK, seed=12)
+        out = np.zeros_like(u)
+        for lo, hi in _RANK_TILINGS:
+            apply_stencil_block(u, coeffs, out, lo, hi, arena=arena)
+        warm = arena.misses
+        for i in order:
+            apply_stencil_block(u, coeffs, out, *_RANK_TILINGS[i], arena=arena)
+        assert arena.misses == warm
+        assert arena.nbytes <= 3 * u.nbytes
