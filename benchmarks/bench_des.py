@@ -1,206 +1,58 @@
-"""DES engine throughput: flat-core scheduler vs the pre-PR legacy engine.
+"""DES engine throughput on the flat event core.
 
 The sweep engine pumps millions of events through ``repro.des`` per
-report regeneration, so its hot path has been rebuilt twice: PR 2
-introduced bare callback slots and callback-chained transfers, and the
-flat event core (docs/MODEL.md §12) replaced the merged heap+deque with
-time-bucket cohorts, tombstone cancellation, and allocation-free
-steady-state scheduling. This benchmark simulates the same
-halo-transfer workload both ways — the seed idiom on a faithful copy
-of the seed engine, the callback-slot idiom on the production engine —
-and asserts the new stack moves at least :data:`MIN_SPEEDUP` times as
-many events per second, plus an *absolute* events/s floor recorded in
-``BENCH_PR6.json`` (gated by ``tools/perf_smoke.py --check``).
+report regeneration. Its hot path uses bare callback slots and
+callback-chained transfers on time-bucket cohorts with tombstone
+cancellation and allocation-free steady-state scheduling
+(docs/MODEL.md §12). The transfer workload below simulates halo
+transfers the way ``World._wire`` moves bytes and is gated at an
+absolute events/s floor, :data:`FLOOR_EVENTS_PER_S`. Host-speed drift
+between runs is tracked by the performance ledger's host reference
+(``benchmarks/ledger/hostref.py``), not by a second engine.
 
-Two auxiliary workloads exercise the flat core's new machinery where
-the transfer shape does not: a cancellation-heavy workload (bandwidth-
+Two auxiliary workloads exercise the flat core's machinery where the
+transfer shape does not: a cancellation-heavy workload (bandwidth-
 style wakeup reschedules, ~90% of entries tombstoned before firing)
 and a same-time-burst workload (wide cohorts drained with the heap
 touched once per distinct time).
-
-The *legacy* engine below is a trimmed copy of the seed scheduler
-(single heapq for everything, a bootstrap Event per process, and a
-fresh relay Event allocated whenever a process yields an
-already-processed event). It exists only as the comparison baseline;
-the production engine lives in :mod:`repro.des.engine`.
 """
 
 from __future__ import annotations
 
-import heapq
 import time
 import tracemalloc
-from typing import Any, Callable, Generator, Optional
 
 from repro.des import Environment
 
-#: Acceptance floor: new engine events/s over legacy events/s.
-MIN_SPEEDUP = 2.0
+#: Absolute floor on the transfer workload, best of 3 x 3 passes. The
+#: flat event core measured ~1.35M ev/s on a 2-vCPU container; the floor
+#: sits well under that so machine variance does not flake the gate,
+#: while a real engine regression still trips it.
+FLOOR_EVENTS_PER_S = 900_000
 
 #: Workload shape (kept moderate so the benchmark suite stays quick).
 N_TRANSFERS = 20_000
 
 #: Nominal scheduler operations per simulated transfer (hops + triggers
-#: + waiter resumes), used to express throughput in events/s. The same
-#: constant applies to both engines, so the *ratio* is exact regardless
-#: of this nominal value.
+#: + waiter resumes), used to express throughput in events/s.
 OPS_PER_TRANSFER = 8
-
-
-# --------------------------------------------------------------------------
-# Legacy engine (seed behaviour): one heap, relay events, bootstrap events.
-# --------------------------------------------------------------------------
-
-_PENDING, _TRIGGERED, _PROCESSED = 0, 1, 2
-
-
-class _LegacyEvent:
-    __slots__ = ("env", "callbacks", "_state", "_ok", "_value")
-
-    def __init__(self, env: "_LegacyEnvironment"):
-        self.env = env
-        self.callbacks: list[Callable[["_LegacyEvent"], None]] = []
-        self._state = _PENDING
-        self._ok = True
-        self._value: Any = None
-
-    @property
-    def processed(self) -> bool:
-        return self._state == _PROCESSED
-
-    def succeed(self, value: Any = None) -> "_LegacyEvent":
-        if self._state != _PENDING:
-            raise RuntimeError("event already triggered")
-        self._state = _TRIGGERED
-        self._ok = True
-        self._value = value
-        self.env._enqueue(self)
-        return self
-
-    def _run_callbacks(self) -> None:
-        self._state = _PROCESSED
-        callbacks, self.callbacks = self.callbacks, []
-        for cb in callbacks:
-            cb(self)
-
-
-class _LegacyTimeout(_LegacyEvent):
-    __slots__ = ()
-
-    def __init__(self, env: "_LegacyEnvironment", delay: float, value: Any = None):
-        super().__init__(env)
-        self._state = _TRIGGERED
-        self._value = value
-        env._enqueue(self, delay)
-
-
-class _LegacyProcess(_LegacyEvent):
-    __slots__ = ("_generator",)
-
-    def __init__(self, env: "_LegacyEnvironment", generator: Generator):
-        super().__init__(env)
-        self._generator = generator
-        bootstrap = _LegacyEvent(env)  # per-process bootstrap allocation
-        bootstrap._state = _TRIGGERED
-        bootstrap.callbacks.append(self._resume)
-        env._enqueue(bootstrap)
-
-    def _resume(self, trigger: "_LegacyEvent") -> None:
-        try:
-            if trigger._ok:
-                target = self._generator.send(trigger._value)
-            else:
-                target = self._generator.throw(trigger._value)
-        except StopIteration as stop:
-            self.succeed(stop.value)
-            return
-        if target._state == _PROCESSED:
-            # Seed behaviour: allocate a fresh relay event per stale yield.
-            relay = _LegacyEvent(self.env)
-            relay._state = _TRIGGERED
-            relay._ok = target._ok
-            relay._value = target._value
-            relay.callbacks.append(self._resume)
-            self.env._enqueue(relay)
-        else:
-            target.callbacks.append(self._resume)
-
-
-class _LegacyEnvironment:
-    """Seed scheduler: every occurrence is an Event pushed on one heap."""
-
-    def __init__(self) -> None:
-        self._now = 0.0
-        self._queue: list[tuple[float, int, _LegacyEvent]] = []
-        self._counter = 0
-
-    @property
-    def now(self) -> float:
-        return self._now
-
-    def event(self) -> _LegacyEvent:
-        return _LegacyEvent(self)
-
-    def timeout(self, delay: float, value: Any = None) -> _LegacyTimeout:
-        return _LegacyTimeout(self, delay, value)
-
-    def process(self, generator: Generator) -> _LegacyProcess:
-        return _LegacyProcess(self, generator)
-
-    def _enqueue(self, event: _LegacyEvent, delay: float = 0.0) -> None:
-        heapq.heappush(self._queue, (self._now + delay, self._counter, event))
-        self._counter += 1
-
-    def run(self) -> None:
-        queue = self._queue
-        while queue:
-            when, _, event = heapq.heappop(queue)
-            self._now = when
-            event._run_callbacks()
 
 
 # --------------------------------------------------------------------------
 # Workload: N simulated halo transfers (the exchange machinery's shape)
 # --------------------------------------------------------------------------
 
-#: Per-hop constants of the simulated transfer (values are irrelevant to
-#: the comparison; both engines advance the same simulated clock).
+#: Per-hop latency and wire time of the simulated transfer.
 _LAT, _WIRE = 1e-6, 3e-6
 
 
-def _drive_legacy(env: "_LegacyEnvironment", n: int = N_TRANSFERS) -> int:
-    """Seed idiom: one generator process (``mover``) per transfer.
+def _drive_transfers(env: Environment, n: int = N_TRANSFERS) -> int:
+    """Callback-chained transfers, no mover process.
 
-    This is exactly how the pre-PR ``World._wire`` moved bytes: spawn a
-    process, yield a latency timeout, yield a wire timeout, trigger the
-    completion event. Each transfer costs a Process + bootstrap Event +
-    two Timeouts + generator resumes, all through one heap.
-    """
-
-    def mover(done):
-        yield env.timeout(_LAT)
-        yield env.timeout(_WIRE)
-        done.succeed()
-
-    def waiter(done):
-        yield done
-        yield env.timeout(0.0)  # zero-delay turnaround after completion
-
-    for _ in range(n):
-        done = env.event()
-        env.process(mover(done))
-        env.process(waiter(done))
-    env.run()
-    return n * OPS_PER_TRANSFER
-
-
-def _drive_fast(env: Environment, n: int = N_TRANSFERS) -> int:
-    """Post-PR idiom: callback-chained slots, no mover process.
-
-    Matches the rewritten ``World._wire``/``_start_background``: the
-    latency hop is a bare ``schedule`` slot whose callback schedules the
-    wire hop, which triggers the completion event — no generator, no
-    bootstrap, and the zero-delay turnaround joins the live cohort.
+    Matches ``World._wire``/``_start_background``: the latency hop is a
+    bare ``schedule`` slot whose callback schedules the wire hop, which
+    triggers the completion event; a waiter process resumes on it and
+    takes a zero-delay turnaround that joins the live cohort.
     """
 
     def waiter(done):
@@ -229,14 +81,9 @@ def _events_per_second(env_factory, drive, repeats: int = 3) -> float:
     return best
 
 
-def legacy_events_per_second() -> float:
-    """Throughput of the embedded seed-era engine + seed transfer idiom."""
-    return _events_per_second(_LegacyEnvironment, _drive_legacy)
-
-
 def engine_events_per_second() -> float:
     """Throughput of :mod:`repro.des` + the callback-slot transfer idiom."""
-    return _events_per_second(Environment, _drive_fast)
+    return _events_per_second(Environment, _drive_transfers)
 
 
 # --------------------------------------------------------------------------
@@ -307,32 +154,19 @@ def burst_events_per_second() -> float:
 # --------------------------------------------------------------------------
 
 
-def test_engines_agree_on_final_time():
-    """Same workload, same simulated clock on both engines (sanity)."""
-    legacy, new = _LegacyEnvironment(), Environment()
-    _drive_legacy(legacy, n=500)
-    _drive_fast(new, n=500)
-    assert legacy.now == new.now == _LAT + _WIRE
+def test_transfers_end_at_latency_plus_wire():
+    """Every transfer completes at the same simulated time (sanity)."""
+    env = Environment()
+    _drive_transfers(env, n=500)
+    assert env.now == _LAT + _WIRE
 
 
-def test_bench_des_event_throughput(benchmark):
-    """Fast-path engine ≥2x the legacy engine on the transfer workload."""
-    legacy = legacy_events_per_second()
-
-    def regenerate():
-        return _drive_fast(Environment())
-
-    ops = benchmark(regenerate)
-    if getattr(benchmark, "stats", None):
-        new = ops / benchmark.stats.stats.min
-    else:  # --benchmark-disable: fall back to a direct measurement
-        new = engine_events_per_second()
-    benchmark.extra_info["legacy_events_per_s"] = round(legacy)
-    benchmark.extra_info["engine_events_per_s"] = round(new)
-    benchmark.extra_info["speedup"] = round(new / legacy, 2)
-    assert new >= MIN_SPEEDUP * legacy, (
-        f"engine throughput regressed: {new:.0f} ev/s vs legacy "
-        f"{legacy:.0f} ev/s ({new / legacy:.2f}x < {MIN_SPEEDUP}x)"
+def test_bench_des_event_throughput():
+    """Transfer workload at or above the absolute events/s floor."""
+    evps = max(engine_events_per_second() for _ in range(3))
+    assert evps >= FLOOR_EVENTS_PER_S, (
+        f"engine throughput {evps:,.0f} ev/s < "
+        f"{FLOOR_EVENTS_PER_S:,} ev/s absolute floor"
     )
 
 

@@ -6,10 +6,11 @@ separable engine — three 1-D 3-tap passes through a scratch arena — and
 must sustain tens of millions of points per second; the dense 27-point
 reference is benchmarked alongside it so the speedup stays visible, and
 ``test_bench_advance_throughput_floor`` asserts the separable path never
-regresses below the PR acceptance floor (2.5x the dense seed).
-
-``tools/perf_smoke.py`` records the same measurements in ``BENCH_PR1.json``.
+regresses below the acceptance floor (2.5x the dense seed). The 256^3
+acceptance measurement lives in ``tests/perf/test_kernel_throughput.py``.
 """
+
+import time
 
 import numpy as np
 
@@ -76,15 +77,18 @@ def test_bench_full_step(benchmark):
     benchmark(advance, u, COEFFS, 1, scratch, arena=arena)
 
 
-def test_bench_advance_throughput_floor(benchmark):
-    """Benchmark the steady-state step AND gate it at the acceptance floor."""
+def test_bench_advance_throughput_floor():
+    """Gate the steady-state step at the acceptance floor, best of 5."""
     u = _field()
     scratch = np.zeros_like(u)
     arena = ScratchArena()
     advance(u, COEFFS, steps=1, scratch=scratch, arena=arena)  # warm
-    benchmark(advance, u, COEFFS, 1, scratch, arena=arena)
-    mpts = N**3 / benchmark.stats.stats.min / 1e6
-    benchmark.extra_info["mpts_per_s"] = round(mpts, 1)
+    best = float("inf")
+    for _ in range(5):
+        t0 = time.perf_counter()
+        advance(u, COEFFS, 1, scratch, arena=arena)
+        best = min(best, time.perf_counter() - t0)
+    mpts = N**3 / best / 1e6
     assert mpts >= FLOOR_MPTS, (
         f"separable advance ran at {mpts:.1f} Mpts/s, below the "
         f"{FLOOR_MPTS:.0f} Mpts/s floor (2.5x the dense seed)"

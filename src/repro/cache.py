@@ -581,6 +581,12 @@ class RunCache:
         """Hit/miss/store/write-error counters since construction."""
         return {name: getattr(self, name) for name in _COUNTERS}
 
+    def merge_stats(self, extra: Dict[str, int]) -> None:
+        """Fold another handle's counters into this one's (process pools)."""
+        with self._lock:  # several scheduler drain threads may merge at once
+            for name in _COUNTERS:
+                setattr(self, name, getattr(self, name) + int(extra.get(name, 0)))
+
 
 #: The process-wide cache consulted by :func:`repro.core.runner.run`.
 _active: Optional[RunCache] = None
@@ -607,10 +613,8 @@ def stats() -> Dict[str, int]:
 
 def merge_stats(extra: Dict[str, int]) -> None:
     """Fold a worker's counters into the active cache's (process pools)."""
-    if _active is None:
-        return
-    for name in _COUNTERS:
-        setattr(_active, name, getattr(_active, name) + int(extra.get(name, 0)))
+    if _active is not None:
+        _active.merge_stats(extra)
 
 
 def reset_stats() -> None:

@@ -7,7 +7,7 @@ tracer is: ``component.perturb`` defaults to ``None`` and every hook site
 guards with one ``if perturb is not None`` check, so the noiseless path
 (``seed=None``) stays bit-identical to the pre-perturbation simulator and
 its cost is one pointer comparison per site (gated ≤ 3% by
-``tools/perf_smoke.py``).
+``benchmarks/bench_guards.py``).
 
 Draws come from :mod:`repro.perturb.rng` counter streams keyed by
 ``(seed, group, lane)`` with a per-stream event index, so a component's

@@ -38,8 +38,8 @@ set of independent tasks and handed to one shared
 * **Telemetry** — submitted / coalesced / cache-hit / journal-hit /
   simulated / failed / poisoned / retry counters, journal corruption
   tallies (torn / wrong-version / ill-shaped lines), per-task wall times
-  and a straggler log, consumed by ``tools/perf_smoke.py`` and the
-  ``advection-repro sweep`` CLI.
+  and a straggler log; the counters feed the ``advection-repro sweep``
+  CLI's stats line.
 
 Results are **bit-identical** to the serial path: workers run the same
 deterministic simulator, results travel back as exact floats, and the

@@ -160,7 +160,7 @@ class Scheduler:
         else:
             self.journal = journal  # already-open Journal/ShardedJournal
         #: parent-side cache handle for probing/storing when no ambient
-        #: cache is installed (lazy; see _probe_cache)
+        #: cache is installed (lazy; see the cache property)
         self._cache: Optional[Any] = None
         #: test/CI hook: ``(cfg, attempt) -> bool`` — True crashes the worker
         #: assigned to this config on this attempt (see repro.sched.worker).
@@ -413,7 +413,7 @@ class Scheduler:
         waiting: List[TaskRecord] = []  # records owned by someone else
         fresh_done: List[TaskRecord] = []  # warm short-circuits (hooks fire)
 
-        cache = self._probe_cache()
+        cache = self.cache
         with self._lock:
             for i, cfg in enumerate(cfgs):
                 self._counters["submitted"] += 1
@@ -525,7 +525,8 @@ class Scheduler:
             raise first_error
         return out
 
-    def _probe_cache(self):
+    @property
+    def cache(self):
         """Parent-side run cache: the ambient one, else a private handle.
 
         The ambient cache (:func:`repro.cache.active_cache`) wins when
@@ -562,7 +563,7 @@ class Scheduler:
             # installed; with only a private ``cache_dir`` handle, mirror
             # the worker protocol here (authoritative miss, then store) so
             # jobs=1 leaves the same on-disk artifacts a pool would.
-            cache = self._probe_cache()
+            cache = self.cache
             if cache is not None and cache is not active_cache():
                 if cache.get(rec.cfg) is None:
                     cache.put(rec.cfg, result)
@@ -745,11 +746,9 @@ class Scheduler:
 
     # -- completion bookkeeping ----------------------------------------------
     def _merge_cache_delta(self, delta: Optional[Dict[str, int]]) -> None:
-        if not delta:
-            return
-        from repro.cache import merge_stats
-
-        merge_stats(delta)
+        cache = self.cache
+        if delta and cache is not None:
+            cache.merge_stats(delta)
 
     def _finish_success(self, rec: TaskRecord, payload: Dict[str, Any]) -> None:
         with self._lock:

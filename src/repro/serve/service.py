@@ -40,7 +40,7 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from typing import Any, Awaitable, Callable, Dict, List, Optional, Set, Tuple
 
-from repro.cache import RunCache, config_key
+from repro.cache import config_key
 from repro.core.config import RunConfig, RunResult
 from repro.sched import PoisonedConfigError, Scheduler, SchedulerError
 from repro.sched.task import TaskRecord
@@ -80,7 +80,6 @@ class SimulationService:
         self.sched = scheduler or Scheduler(
             jobs=jobs, cache_dir=cache_dir, journal=journal
         )
-        self.cache = RunCache(cache_dir) if cache_dir is not None else None
         self.max_inflight = int(max_inflight)
         self.default_timeout_s = default_timeout_s
         self.metrics = ServiceMetrics()
@@ -200,8 +199,9 @@ class SimulationService:
         if body is not None:
             self.metrics.inc("warm_memo_hits")
             return body, "memo"
-        if self.cache is not None:
-            cached = self.cache.get(cfg, record_miss=False)
+        cache = self.sched.cache
+        if cache is not None:
+            cached = cache.get(cfg, record_miss=False)
             if cached is not None:
                 body = self._result_body(cfg, cached)
                 self._memo[key] = body
@@ -621,6 +621,10 @@ class SimulationService:
                 get_task.cancel()
 
     # -- telemetry ------------------------------------------------------------
+    def _cache_stats(self) -> Optional[Dict[str, int]]:
+        cache = self.sched.cache
+        return cache.stats() if cache is not None else None
+
     def stats_body(self) -> Dict[str, Any]:
         """The ``stats`` verb / ``GET /stats`` document."""
         snap = self.sched.snapshot()
@@ -629,7 +633,7 @@ class SimulationService:
             "draining": self._draining,
             "service": self.metrics.to_dict(),
             "scheduler": snap,
-            "cache": self.cache.stats() if self.cache is not None else None,
+            "cache": self._cache_stats(),
             "memo_entries": len(self._memo),
         }
 
@@ -640,5 +644,5 @@ class SimulationService:
         return render_prometheus(
             self.metrics.to_dict(),
             scheduler=self.sched.snapshot(),
-            cache=self.cache.stats() if self.cache is not None else None,
+            cache=self._cache_stats(),
         )

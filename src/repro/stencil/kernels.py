@@ -28,7 +28,8 @@ each a 3-tap 1-D stencil applied with in-place ufuncs through a
 :class:`~repro.stencil.arena.ScratchArena`, performing zero array
 allocations in steady state. That turns 27 strided reads plus 27 temporary
 allocations per point into 9 contiguous-ish passes, a >3x throughput win at
-256^3 (see ``benchmarks/bench_kernels.py`` and ``BENCH_PR1.json``).
+256^3 (see ``benchmarks/bench_kernels.py`` and
+``tests/perf/test_kernel_throughput.py``).
 
 The **dense 27-point kernel** (:func:`apply_stencil_dense`,
 :func:`apply_stencil_block_dense`) is retained as the cross-checked

@@ -4,8 +4,7 @@ The issue for this PR requires ``advance`` at 256^3 to run at >= 2.5x the
 seed's dense throughput (~5.6 Mpts/s on the reference container, i.e. a
 floor of 14 Mpts/s) while agreeing with the dense 27-point kernel within
 ``rtol=1e-12``. This module is the test that pins both halves of that
-claim; ``tools/perf_smoke.py`` records the same measurement in
-``BENCH_PR1.json``.
+claim; ``benchmarks/bench_kernels.py`` gates the same floor at 64^3.
 
 Timing tests are inherently machine-sensitive; the floor here is set at
 half the acceptance threshold observed on the reference container (which

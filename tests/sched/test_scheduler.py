@@ -112,6 +112,17 @@ class TestCacheShortCircuit:
         assert cache.misses == 3
         assert cache.stores == 3
 
+    def test_private_handle_counts_worker_stores(self, tmp_path):
+        """Without an ambient cache, worker counters land on the
+        scheduler's own handle."""
+        cache_dir = str(tmp_path / "c")
+        with Scheduler(jobs=2, cache_dir=cache_dir) as sched:
+            sched.map(_cfgs(3))
+            stats = sched.cache.stats()
+        assert stats == {"hits": 0, "misses": 3, "stores": 3,
+                         "write_errors": 0}
+        assert len(RunCache(cache_dir)) == 3
+
 
 class TestBitIdentity:
     @pytest.mark.parametrize("jobs", [1, 2, 4])

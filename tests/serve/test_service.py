@@ -325,6 +325,19 @@ class TestDrainInProcess:
             >= stats["service"]["latency"]["warm"]["count"]
         )
 
+    def test_cache_counters_come_from_the_storing_handle(self, service):
+        """A cold query's miss and store show up in stats and /metrics."""
+        async def scenario():
+            await service.handle(_doc(1))
+            return await service.handle({"verb": "stats", "id": 2})
+
+        stats = _run(scenario())
+        assert stats["cache"]["misses"] == 1
+        assert stats["cache"]["stores"] == 1
+        text = service.render_metrics()
+        assert "repro_cache_misses_total 1" in text
+        assert "repro_cache_stores_total 1" in text
+
     def test_metrics_render_parses_as_prometheus_text(self, service):
         _run(service.handle(_doc(1)))
         text = service.render_metrics()

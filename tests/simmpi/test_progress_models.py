@@ -80,6 +80,21 @@ class TestBackgroundFraction:
         assert ic.background_fraction(eager=True) == 0.0
         assert ic.background_fraction(eager=False) == ic.overlap_fraction
 
+    def test_explicit_manual_poll_run_matches_default(self):
+        from repro.core.config import RunConfig
+        from repro.core.runner import run
+
+        explicit = replace(YONA, interconnect=with_progress(
+            YONA.interconnect, ProgressModel.MANUAL_POLL))
+
+        def result(machine):
+            r = run(RunConfig(machine=machine, implementation="hybrid_overlap",
+                              cores=12, threads_per_task=6, box_thickness=3,
+                              network="full"))
+            return r.elapsed_s, r.phases, r.comm_stats
+
+        assert result(explicit) == result(YONA)
+
     def test_progress_thread(self):
         ic = with_progress(
             JAGUARPF.interconnect, ProgressModel.PROGRESS_THREAD,

@@ -599,6 +599,13 @@ class TestWorkloadKeys:
             cfg.with_(workload="advection", workload_params=())
         )
 
+    def test_explicit_default_workload_runs_identically(self):
+        cfg = RunConfig(machine=YONA, implementation="hybrid_overlap",
+                        cores=12, threads_per_task=6, box_thickness=3)
+        explicit = cfg.with_(workload="advection", workload_params=())
+        assert config_key(explicit) == config_key(cfg)
+        assert _same_result(run(explicit), run(cfg))
+
     def test_non_default_workload_enters_the_key(self, cfg):
         spmv = cfg.with_(workload="spmv")
         assert config_key(spmv) != config_key(cfg)
