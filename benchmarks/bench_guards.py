@@ -11,6 +11,11 @@ micro-benchmark prices one check (loop overhead included, so the bound
 is conservative), and the product over a plain run's wall time must
 stay under each layer's ceiling.
 
+The enabled perturbation layer is priced directly instead: a sample of
+the ledger's sweep space runs seeded with ``noise="low"`` and noiseless,
+interleaved in one process and timed by ``process_time``, and the seeded
+runs may cost at most 1.45x the noiseless ones.
+
 Run from the repository root::
 
     python -m pytest benchmarks/bench_guards.py -q --benchmark-disable
@@ -18,7 +23,9 @@ Run from the repository root::
 
 from __future__ import annotations
 
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -113,4 +120,39 @@ def test_disabled_cost_under_ceiling(layer):
     assert bound <= ceiling, (
         f"disabled {layer} bound {100 * bound:.2f}% > "
         f"{100 * ceiling:.0f}% ceiling"
+    )
+
+
+#: Ceiling on seeded-``low`` over noiseless CPU time for the same configs.
+SEEDED_CEILING = 1.45
+
+
+def _sweep_sample():
+    """The ledger's ``--quick`` sweep space (every 16th config), as pairs."""
+    sys.path.insert(0, str(Path(__file__).resolve().parent / "ledger"))
+    try:
+        from workloads import config_space
+    finally:
+        sys.path.pop(0)
+    from repro.serve.protocol import config_from_dict
+
+    docs = config_space(True)
+    seeded = [config_from_dict(dict(d, seed=i + 1, noise="low"))
+              for i, d in enumerate(docs)]
+    return seeded, [c.with_(seed=None, noise=None) for c in seeded]
+
+
+def test_enabled_noise_cost_under_ceiling():
+    seeded, plain = _sweep_sample()
+    cpu = {"seeded": 0.0, "plain": 0.0}
+    for _ in range(5):
+        for name, cfgs in (("seeded", seeded), ("plain", plain)):
+            t0 = time.process_time()
+            for cfg in cfgs:
+                run(cfg)
+            cpu[name] += time.process_time() - t0
+    ratio = cpu["seeded"] / cpu["plain"]
+    assert ratio <= SEEDED_CEILING, (
+        f"seeded low noise costs {ratio:.3f}x noiseless over {len(plain)} "
+        f"sweep configs > {SEEDED_CEILING}x ceiling"
     )

@@ -15,6 +15,11 @@ applied over the key words, which passes the usual avalanche criteria
 component draws from its own :class:`Stream` — a ``(seed, group, lane)``
 triple with a private ``index`` counter — so streams never interfere.
 
+The key words are absorbed in order, so a stream's state after
+``(seed, group, lane)`` is the same for every draw. :class:`Stream`
+computes that state once at construction and mixes in only the index per
+draw; :func:`counter_u64` stays the reference it must equal bit for bit.
+
 Pure-Python on purpose: draws happen at most a few times per simulated
 event, the engine is Python too, and avoiding NumPy keeps per-draw
 allocation at zero.
@@ -103,21 +108,32 @@ class Stream:
     are independent of any *other* stream's activity — the
     order-independence the simulator needs to stay deterministic across
     backends, worker counts and scheduling refactors.
+
+    The mixed state after ``(seed, group, lane)`` is computed once here, so
+    a draw costs one finalizer instead of four; draw ``i`` equals
+    ``counter_u64(seed, group, lane, i)`` exactly.
     """
 
-    __slots__ = ("seed", "group", "lane", "index")
+    __slots__ = ("seed", "group", "lane", "index", "_key")
 
     def __init__(self, seed: int, group: int, lane: int):
         self.seed = seed
         self.group = group
         self.lane = lane
         self.index = 0
+        z = _mix((seed + _GOLDEN) & _MASK64)
+        z = _mix(z ^ ((group + 2 * _GOLDEN) & _MASK64))
+        self._key = _mix(z ^ ((lane + 3 * _GOLDEN) & _MASK64))
 
     def uniform(self) -> float:
         """Next uniform draw in ``[0, 1)``."""
         i = self.index
         self.index = i + 1
-        return (counter_u64(self.seed, self.group, self.lane, i) >> 11) * _INV_2_53
+        # counter_u64's last absorption, with _mix written inline.
+        z = self._key ^ ((i + 5 * _GOLDEN) & _MASK64)
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+        return ((z ^ (z >> 31)) >> 11) * _INV_2_53
 
     def normal(self) -> float:
         """Next standard-normal draw (Box–Muller over two keyed uniforms)."""

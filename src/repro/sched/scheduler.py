@@ -37,10 +37,10 @@ plus one solo crash; the rest of the batch always completes.
 
 from __future__ import annotations
 
+import bisect
 import logging
 import os
 import pickle
-import statistics
 import threading
 import time
 from concurrent.futures import BrokenExecutor, Future, ProcessPoolExecutor
@@ -189,6 +189,8 @@ class Scheduler:
         self._hooks: List[Callable[[TaskRecord], None]] = []
         #: wall seconds of every *simulated* task, in completion order
         self.wall_times: List[float] = []
+        #: the same wall times kept sorted, for the running straggler median
+        self._sorted_walls: List[float] = []
         #: telemetry dicts of detected stragglers (see TaskRecord.describe)
         self.straggler_log: List[Dict[str, Any]] = []
         #: telemetry dicts of poisoned configs
@@ -619,18 +621,15 @@ class Scheduler:
         """
         pending = [rec for rec in owned if not rec.done.is_set()]
         while pending:
-            ready: List[Future] = []
             with self._cond:
                 self._pump()
                 pending = [r for r in pending if not r.done.is_set()]
                 if not pending:
                     return
-                seen = set()
-                for rec in pending:
-                    fut = rec.future
-                    if fut is not None and fut.done() and id(fut) not in seen:
-                        seen.add(id(fut))
-                        ready.append(fut)
+                # One done() per distinct chunk future, not per record.
+                futs = dict.fromkeys(rec.future for rec in pending)
+                futs.pop(None, None)
+                ready = [fut for fut in futs if fut.done()]
                 if not ready:
                     self._cond.wait(timeout=0.05)
                     continue
@@ -764,6 +763,7 @@ class Scheduler:
             self._counters["simulated"] += 1
             if rec.wall_s is not None:
                 self.wall_times.append(rec.wall_s)
+                bisect.insort(self._sorted_walls, rec.wall_s)
                 self._note_straggler(rec)
             if self.journal is not None:
                 self.journal.record(rec.key, payload)
@@ -801,10 +801,17 @@ class Scheduler:
         self._cond.notify_all()
 
     def _note_straggler(self, rec: TaskRecord) -> None:
-        """Log tasks whose wall time dwarfs the running median."""
-        if len(self.wall_times) < 4 or rec.wall_s is None:
+        """Log tasks whose wall time dwarfs the running median.
+
+        The median is read off the sorted copy with
+        ``statistics.median``'s rule, so no completion re-sorts the list.
+        """
+        walls = self._sorted_walls
+        n = len(walls)
+        if n < 4 or rec.wall_s is None:
             return
-        median = statistics.median(self.wall_times)
+        mid = n // 2
+        median = walls[mid] if n % 2 else (walls[mid - 1] + walls[mid]) / 2
         if median > 0 and rec.wall_s > self.straggler_factor * median:
             entry = rec.describe()
             entry["median_s"] = median

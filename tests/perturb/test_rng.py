@@ -2,6 +2,10 @@
 
 import math
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.obs.tracer import GPU_GROUP_BASE
 from repro.perturb.rng import (
     LANE_COMPUTE,
     LANE_STALL,
@@ -122,6 +126,84 @@ class TestStream:
         s.bernoulli(0.0)
         s.bernoulli(1.0)
         assert s.index == 0
+
+
+_INV_2_53 = 1.0 / (1 << 53)
+
+
+def _ref_uniform(key, i):
+    return counter_uniform(*key, i)
+
+
+def _ref_normal(key, i):
+    u1, u2 = _ref_uniform(key, i), _ref_uniform(key, i + 1)
+    return math.sqrt(-2.0 * math.log(u1 + _INV_2_53)) * math.cos(
+        2.0 * math.pi * u2
+    )
+
+
+def _reference(key, op, arg, i):
+    """``(value, draws consumed)`` of one Stream call starting at index i."""
+    if op == "uniform":
+        return _ref_uniform(key, i), 1
+    if op == "normal":
+        return _ref_normal(key, i), 2
+    if op == "lognormal_factor":
+        if arg <= 0.0:
+            return 1.0, 0
+        return math.exp(arg * _ref_normal(key, i) - 0.5 * arg * arg), 2
+    if op == "exponential":
+        if arg <= 0.0:
+            return 0.0, 0
+        return -arg * math.log(1.0 - _ref_uniform(key, i) + _INV_2_53), 1
+    assert op == "bernoulli"
+    if arg <= 0.0:
+        return False, 0
+    if arg >= 1.0:
+        return True, 0
+    return _ref_uniform(key, i) < arg, 1
+
+
+_seeds = st.one_of(
+    st.just(0),
+    st.integers(-(2**70), -1),
+    st.integers(0, 2**64 - 1),
+    st.integers(2**64, 2**72),
+)
+_groups = st.one_of(
+    st.integers(0, 64),
+    st.integers(0, 15).map(lambda i: GPU_GROUP_BASE + i),
+    st.integers(-(2**40), -1),
+)
+_calls = st.lists(
+    st.tuples(
+        st.sampled_from(
+            ("uniform", "normal", "lognormal_factor", "exponential", "bernoulli")
+        ),
+        st.one_of(st.sampled_from((0.0, 1.0)), st.floats(0.0, 2.0)),
+    ),
+    max_size=24,
+)
+
+
+class TestStreamMatchesReference:
+    """Every Stream draw equals counter_u64 at the index it consumes."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(seed=_seeds, group=_groups, lane=st.integers(0, 8), calls=_calls)
+    def test_interleaved_calls(self, seed, group, lane, calls):
+        key = (seed, group, lane)
+        s = Stream(*key)
+        i = 0
+        for op, arg in calls:
+            got = getattr(s, op)() if op in ("uniform", "normal") else getattr(
+                s, op
+            )(arg)
+            want, used = _reference(key, op, arg, i)
+            assert got == want, (op, arg, i)
+            i += used
+            assert s.index == i
+        assert (s.seed, s.group, s.lane) == key
 
 
 class TestDeriveSeed:

@@ -291,3 +291,33 @@ class TestCacheWriteFailure:
         assert cache.stats()["write_errors"] == 3  # merged from workers
         assert cache.stats()["stores"] == 0
         assert len(RunCache(cache_dir)) == 0
+
+
+class TestStragglerLog:
+    #: odd and even counts, ties, and two completions exactly at
+    #: 3x the running median (9.0 over 3.0, 7.5 over 2.5), which must
+    #: not be logged: the rule is strictly greater.
+    WALLS = (1.0, 4.0, 2.0, 3.0, 9.0, 2.0, 10.0, 2.0, 0.5, 7.5, 7.0, 20.0,
+             2.0)
+
+    def test_log_matches_prefix_median_reference(self):
+        import statistics
+
+        from repro.sched.task import TaskRecord
+
+        cfg = _cfgs(1)[0]
+        want = []
+        for n, wall in enumerate(self.WALLS, start=1):
+            median = statistics.median(self.WALLS[:n])
+            if n >= 4 and wall > 3.0 * median:
+                want.append((f"task{n:02d}", wall, median))
+        assert [w[0] for w in want] == ["task07", "task12"]
+        with Scheduler(jobs=1, straggler_factor=3.0) as sched:
+            for n, wall in enumerate(self.WALLS, start=1):
+                rec = TaskRecord(f"task{n:02d}", cfg)
+                sched._finish_success(rec, {"wall_s": wall, "elapsed_s": 1.0,
+                                            "phases": {}, "comm_stats": {}})
+            got = [(e["key"], e["wall_s"], e["median_s"])
+                   for e in sched.straggler_log]
+            assert sched.wall_times == list(self.WALLS)
+        assert got == want
