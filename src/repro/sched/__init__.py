@@ -15,6 +15,12 @@ set of independent tasks and handed to one shared
   key (:func:`repro.cache.config_key`), so each distinct config is
   simulated at most once per session; concurrent requesters of an
   in-flight config wait on the same task instead of resubmitting it.
+* **One intake ladder, three doors** — ``map`` is the non-blocking
+  ``submit`` (keying, memo → in-flight → journal → cache lookup,
+  registration, dispatch) followed by the blocking ``collect`` (inline
+  runs, drain, journal flush, results); ``probe`` runs the same lookup
+  for one config without creating a record for a cold one.  The serve
+  daemon answers, coalesces and admits through these three alone.
 * **Cache short-circuit** — warm entries of the run cache
   (:mod:`repro.cache`) are replayed in the parent without occupying a
   worker slot.
@@ -24,7 +30,8 @@ set of independent tasks and handed to one shared
   and reported instead of retried forever.
 * **Resumable journal** — completed task results are appended to a JSONL
   journal (:mod:`repro.sched.journal`) under *group commit* (one
-  flush+fsync per drain cycle, never surfacing an undurable result); a
+  flush+fsync per drain cycle, never surfacing an undurable result; a
+  failed commit keeps its lines pending and never strands a task); a
   ``SIGKILL``-interrupted batch restarted against the same journal
   replays finished configs instead of re-simulating them.  At sweep
   scale the journal shards into per-key-prefix files
@@ -50,6 +57,7 @@ from repro.sched.fabric import FabricResult, run_fabric, shard_of
 from repro.sched.journal import Journal, ShardedJournal, open_journal
 from repro.sched.lease import ShardLeases
 from repro.sched.scheduler import (
+    Batch,
     PoisonedConfigError,
     Scheduler,
     SchedulerError,
@@ -61,6 +69,7 @@ from repro.sched.task import TaskRecord, TaskState
 from repro.sched.validate import validate_config
 
 __all__ = [
+    "Batch",
     "FabricResult",
     "Journal",
     "PoisonedConfigError",

@@ -9,7 +9,12 @@ bounded crash retry with poisoning, resumable journal, telemetry).
 Execution model
 ---------------
 ``map(configs)`` is synchronous: it returns results in request order,
-bit-identical to a serial ``[run(c) for c in configs]``.  Internally each
+bit-identical to a serial ``[run(c) for c in configs]``.  It is two
+halves that callers on an event loop use apart: the non-blocking
+``submit`` (keying, the intake ladder, registration, pool dispatch) and
+the blocking ``collect`` (inline execution, drain, journal flush,
+results).  ``probe(cfg)`` runs the same intake ladder for one config
+without creating a record for a cold one.  Internally each
 distinct config key owns one :class:`~repro.sched.task.TaskRecord`;
 requesters of an already-known key — within the batch, across batches, or
 from concurrent threads — coalesce onto the existing record and wait on
@@ -45,7 +50,9 @@ import threading
 import time
 from concurrent.futures import BrokenExecutor, Future, ProcessPoolExecutor
 from contextlib import contextmanager
-from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Union
+from typing import (
+    Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union,
+)
 
 from repro.core.config import RunConfig, RunResult
 from repro.sched.journal import Journal, open_journal
@@ -53,6 +60,7 @@ from repro.sched.task import TaskRecord, TaskState
 from repro.sched.worker import execute_chunk, init_worker
 
 __all__ = [
+    "Batch",
     "Scheduler",
     "SchedulerError",
     "PoisonedConfigError",
@@ -93,6 +101,21 @@ class PoisonedConfigError(SchedulerError):
             f"threads={cfg.threads_per_task} T={cfg.box_thickness} crashed its "
             f"worker {attempts} times and is poisoned (bound: retries exhausted)"
         )
+
+
+class Batch:
+    """One submitted batch: the records :meth:`Scheduler.collect` finishes."""
+
+    __slots__ = ("cfgs", "records", "owned", "waiting")
+
+    def __init__(self, cfgs: List[RunConfig]):
+        self.cfgs = cfgs
+        #: per-slot record; ``None`` marks a config ``collect`` runs inline
+        self.records: List[Optional[TaskRecord]] = [None] * len(cfgs)
+        #: records this batch created (``collect`` executes or drains them)
+        self.owned: List[TaskRecord] = []
+        #: every record not yet terminal at submit, as an ordered set
+        self.waiting: Dict[TaskRecord, None] = {}
 
 
 class Scheduler:
@@ -298,10 +321,6 @@ class Scheduler:
         self._chunk_records[fut] = list(recs)
         fut.add_done_callback(self._wake)
 
-    def _submit_record(self, rec: TaskRecord) -> None:
-        """Dispatch one record solo (quarantine confirmation runs)."""
-        self._submit_chunk([rec])
-
     def _submit_records(self, recs: Sequence[TaskRecord]) -> None:
         """Dispatch a batch in size-tuned chunks (caller holds the lock).
 
@@ -378,10 +397,61 @@ class Scheduler:
     ) -> List[Union[RunResult, BaseException]]:
         """Execute a batch; results come back in request order.
 
-        With ``return_exceptions=False`` (default) the first failed or
-        poisoned task raises (after the whole batch settled, so sibling
-        results are journaled/cached).  With ``return_exceptions=True``
-        failures are returned in-slot as the exception object.
+        :meth:`submit` followed by :meth:`collect`.  With
+        ``return_exceptions=False`` (default) the first failed or poisoned
+        task raises (after the whole batch settled, so sibling results
+        are journaled/cached).  With ``return_exceptions=True`` failures
+        are returned in-slot as the exception object.
+        """
+        return self.collect(self.submit(configs), return_exceptions)
+
+    def probe(
+        self, cfg: RunConfig
+    ) -> Tuple[Optional[TaskRecord], Optional[str]]:
+        """Resolve one config through the intake ladder, dispatching nothing.
+
+        The same lookup :meth:`submit` runs — memo, then in-flight, then
+        journal replay, then cache replay — for one config.  Returns
+        ``(record, tier)`` with ``tier`` one of ``"memo"``,
+        ``"inflight"``, ``"journal"`` or ``"cache"``; the record is
+        terminal except for ``"inflight"``.  A cold config, or one that
+        cannot travel through the pool, gives ``(None, None)`` and no
+        record is created.  A hit counts as a submission, exactly as in
+        ``map``; a miss counts nothing, so the ``submit`` that follows
+        counts the config once.
+        """
+        if self._closed:
+            raise SchedulerError("scheduler is closed")
+        from repro.cache import config_key
+
+        cfg = self._forced(cfg)
+        if not self._poolable(cfg):
+            return None, None
+        key = config_key(cfg)
+        cache = self.cache
+        fresh: List[TaskRecord] = []
+        with self._lock:
+            rec, tier = self._lookup(key, cfg, cache, fresh)
+            if rec is not None:
+                self._counters["submitted"] += 1
+        self._fire_hooks(fresh)
+        return rec, tier
+
+    def submit(
+        self,
+        configs: Iterable[RunConfig],
+        probed: Optional[Sequence[Optional[TaskRecord]]] = None,
+    ) -> Batch:
+        """Key, deduplicate and dispatch a batch without blocking.
+
+        Every config passes the intake ladder (see :meth:`probe`); a cold
+        one gets a fresh record, registered in-flight before this returns
+        so any later requester coalesces onto it, and — with ``jobs > 1``
+        — is already on its way to the pool.  ``probed`` carries the
+        records a :meth:`probe` of the same configs just returned, slot by
+        slot: a record is reused as is (the probe counted it) and a
+        ``None`` slot skips the journal and cache lookups the probe just
+        made.  Hand the returned :class:`Batch` to :meth:`collect`.
         """
         if self._closed:
             raise SchedulerError("scheduler is closed")
@@ -408,98 +478,71 @@ class Scheduler:
             config_key(c) if not capturing and cacheable(c) else None
             for c in cfgs
         ]
-        slots: List[Optional[TaskRecord]] = [None] * len(cfgs)
-        inline: List[int] = []  # indices executed in the parent
-        owned: List[TaskRecord] = []  # records this call submitted
+        batch = Batch(cfgs)
         to_submit: List[TaskRecord] = []  # new records, chunked below
-        waiting: List[TaskRecord] = []  # records owned by someone else
-        fresh_done: List[TaskRecord] = []  # warm short-circuits (hooks fire)
+        fresh: List[TaskRecord] = []  # warm short-circuits (hooks fire)
 
         cache = self.cache
         with self._lock:
             for i, cfg in enumerate(cfgs):
-                self._counters["submitted"] += 1
-                key = keys[i]
-                if key is None:  # functional/traced/captured: not poolable
-                    inline.append(i)
-                    continue
-                rec = self._memo.get(key)
-                if rec is not None:  # session dedup (results and failures)
-                    self._counters["coalesced"] += 1
-                    slots[i] = rec
-                    continue
-                rec = self._inflight.get(key)
-                if rec is not None:  # in-flight coalescing
-                    self._counters["coalesced"] += 1
-                    slots[i] = rec
-                    if rec not in waiting and rec not in owned:
-                        waiting.append(rec)
-                    continue
-                rec = TaskRecord(key, cfg)
-                slots[i] = rec
-                # Warm journal entry: replay, no worker occupied.
-                if self.journal is not None and key in self.journal:
-                    rec.payload = self.journal.get(key)
-                    rec.state = TaskState.JOURNALED
-                    rec.done.set()
-                    self._memo[key] = rec
-                    self._counters["journal_hits"] += 1
-                    fresh_done.append(rec)
-                    continue
-                # Warm cache entry: replay, no worker occupied.  Misses are
-                # not charged here — the worker that simulates the config
-                # performs (and counts) the authoritative lookup.
-                if cache is not None:
-                    cached = cache.get(cfg, record_miss=False)
-                    if cached is not None:
-                        rec.payload = {
-                            "elapsed_s": cached.elapsed_s,
-                            "phases": dict(cached.phases),
-                            "comm_stats": dict(cached.comm_stats),
-                        }
-                        rec.state = TaskState.CACHED
-                        rec.done.set()
-                        self._memo[key] = rec
-                        self._counters["cache_hits"] += 1
-                        fresh_done.append(rec)
-                        if self.journal is not None:
-                            self.journal.record(key, rec.payload)
+                rec = probed[i] if probed is not None else None
+                if rec is None:
+                    self._counters["submitted"] += 1
+                    key = keys[i]
+                    if key is None:  # functional/traced/captured: inline
                         continue
-                self._inflight[key] = rec
-                if self.jobs == 1:
-                    owned.append(rec)  # executed inline below, memoized
-                else:
-                    if self._quarantining():
-                        self._parked.append(rec)  # resumes after quarantine
-                    else:
-                        to_submit.append(rec)
-                    owned.append(rec)
+                    rec, tier = self._lookup(
+                        key, cfg, cache, fresh, replay=probed is None
+                    )
+                    if rec is None:
+                        rec = TaskRecord(key, cfg)
+                        self._inflight[key] = rec
+                        batch.owned.append(rec)
+                        if self.jobs > 1:
+                            if self._quarantining():
+                                self._parked.append(rec)  # after quarantine
+                            else:
+                                to_submit.append(rec)
+                batch.records[i] = rec
+                if not rec.done.is_set():
+                    batch.waiting[rec] = None
             # One chunked dispatch for the whole batch's fresh records.
             self._submit_records(to_submit)
         # Warm short-circuits went terminal during intake; notify hooks
         # now that the lock is released.
-        self._fire_hooks(fresh_done)
+        self._fire_hooks(fresh)
+        return batch
 
+    def collect(
+        self, batch: Batch, return_exceptions: bool = False
+    ) -> List[Union[RunResult, BaseException]]:
+        """Finish a submitted batch; results come back in request order.
+
+        Runs the inline configs (and, with ``jobs=1``, every owned record)
+        in this thread, drains the pool, waits for records other callers
+        own, and flushes the journal before anything is returned, so
+        nothing unjournaled is ever surfaced.
+        """
         # Inline execution (functional/traced/captured runs): serial order,
         # exactly the code path the unscheduled pipeline takes.
         from repro.core.runner import run
 
-        inline_results: Dict[int, Union[RunResult, BaseException]] = {}
-        for i in inline:
+        inline: Dict[int, Union[RunResult, BaseException]] = {}
+        for i, rec in enumerate(batch.records):
+            if rec is not None:
+                continue
             with self._lock:
                 self._counters["inline"] += 1
             try:
-                inline_results[i] = run(cfgs[i])
-            except BaseException as exc:
-                if not return_exceptions:
-                    raise
-                inline_results[i] = exc
+                inline[i] = run(batch.cfgs[i])
+            except BaseException as exc:  # raised once the batch settled
+                inline[i] = exc
 
         if self.jobs == 1:
-            self._drain_inline(owned)
+            self._drain_inline(batch.owned)
         else:
-            self._drain_pool(owned)
-        for rec in waiting:
+            self._drain_pool(batch.owned)
+        for rec in batch.waiting:
             rec.done.wait()
 
         # Durability invariant: group-committed journal records covering
@@ -508,24 +551,70 @@ class Scheduler:
         if self.journal is not None:
             self.journal.flush()
 
-        out: List[Union[RunResult, BaseException]] = []
-        first_error: Optional[BaseException] = None
-        for i, cfg in enumerate(cfgs):
-            rec = slots[i]
-            if rec is None:
-                out.append(inline_results[i])
-                continue
-            rec.done.wait()
-            if rec.ok:
-                out.append(rec.result(cfg))
-            else:
-                err = rec.error or SchedulerError(f"task {rec.key} lost")
-                if first_error is None:
-                    first_error = err
-                out.append(err)
-        if first_error is not None and not return_exceptions:
-            raise first_error
+        out = [
+            inline[i] if rec is None else rec.outcome(cfg)
+            for i, (cfg, rec) in enumerate(zip(batch.cfgs, batch.records))
+        ]
+        if not return_exceptions:
+            for item in out:
+                if isinstance(item, BaseException):
+                    raise item
         return out
+
+    def _lookup(
+        self,
+        key: str,
+        cfg: RunConfig,
+        cache: Any,
+        fresh: List[TaskRecord],
+        replay: bool = True,
+    ) -> Tuple[Optional[TaskRecord], Optional[str]]:
+        """The intake ladder for one key (caller holds the lock).
+
+        Memo, then in-flight, then (with ``replay``) journal and cache
+        replay, counting the tier that answered; replayed records are
+        appended to ``fresh`` for the completion hooks.  Returns
+        ``(record, tier)``, or ``(None, None)`` when the key is cold.
+        """
+        rec = self._memo.get(key)
+        if rec is not None:  # session dedup (results and failures)
+            self._counters["coalesced"] += 1
+            return rec, "memo"
+        rec = self._inflight.get(key)
+        if rec is not None:  # in-flight coalescing
+            self._counters["coalesced"] += 1
+            return rec, "inflight"
+        if not replay:
+            return None, None
+        payload = None
+        # Warm journal entry: replay, no worker occupied.
+        if self.journal is not None and key in self.journal:
+            payload, state, tier = (
+                self.journal.get(key), TaskState.JOURNALED, "journal"
+            )
+        # Warm cache entry: replay, no worker occupied.  Misses are not
+        # charged here — the worker that simulates the config performs
+        # (and counts) the authoritative lookup.
+        elif cache is not None:
+            cached = cache.get(cfg, record_miss=False)
+            if cached is not None:
+                payload, state, tier = {
+                    "elapsed_s": cached.elapsed_s,
+                    "phases": dict(cached.phases),
+                    "comm_stats": dict(cached.comm_stats),
+                }, TaskState.CACHED, "cache"
+                if self.journal is not None:
+                    self._journal(key, payload)
+        if payload is None:
+            return None, None
+        rec = TaskRecord(key, cfg)
+        rec.payload = payload
+        rec.state = state
+        rec.done.set()
+        self._memo[key] = rec
+        self._counters[f"{tier}_hits"] += 1
+        fresh.append(rec)
+        return rec, tier
 
     @property
     def cache(self):
@@ -598,7 +687,7 @@ class Scheduler:
             rec = self._quarantine.pop(0)
             if rec.done.is_set():
                 continue
-            self._submit_record(rec)
+            self._submit_chunk([rec])  # solo confirmation run
             self._qactive = rec
             return
         if self._parked:
@@ -766,10 +855,23 @@ class Scheduler:
                 bisect.insort(self._sorted_walls, rec.wall_s)
                 self._note_straggler(rec)
             if self.journal is not None:
-                self.journal.record(rec.key, payload)
+                self._journal(rec.key, payload)
             rec.done.set()
             self._cond.notify_all()
         self._fire_hooks([rec])
+
+    def _journal(self, key: str, payload: Dict[str, Any]) -> None:
+        """Buffer one journal line (caller holds the lock).
+
+        A group commit that fails here (``ENOSPC``, ``EIO``) leaves the
+        line pending and must not leave its record unsettled: the error
+        resurfaces from the flush :meth:`collect` runs before it returns
+        results, so nothing unjournaled is ever surfaced.
+        """
+        try:
+            self.journal.record(key, payload)
+        except OSError as exc:
+            log.warning("journal commit failed, line kept pending: %s", exc)
 
     def _finish_failure(self, rec: TaskRecord, exc: BaseException) -> None:
         with self._lock:

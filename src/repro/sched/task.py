@@ -108,6 +108,14 @@ class TaskRecord:
             comm_stats=dict(p["comm_stats"]),
         )
 
+    def outcome(self, cfg: "RunConfig"):
+        """:meth:`result` for a successful record, else its exception."""
+        if self.ok:
+            return self.result(cfg)
+        from repro.sched.scheduler import SchedulerError
+
+        return self.error or SchedulerError(f"task {self.key} lost")
+
     def describe(self) -> Dict[str, Any]:
         """Telemetry-friendly summary (key prefix, config, state, timing)."""
         c = self.cfg

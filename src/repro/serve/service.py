@@ -1,40 +1,43 @@
-"""The simulation service: cache tiers, coalescing, admission, drain.
+"""The simulation service: a protocol adapter over the Scheduler's ladder.
 
 One :class:`SimulationService` sits between the listeners
-(:mod:`repro.serve.server`) and the batch machinery (PR 5's
-:class:`~repro.sched.Scheduler` over PR 2's content-addressed
-:class:`~repro.cache.RunCache`).  Every query resolves through a fixed
-ladder, cheapest tier first:
+(:mod:`repro.serve.server`) and one :class:`~repro.sched.Scheduler` over
+the content-addressed :class:`~repro.cache.RunCache`.  A query is a list
+of configs — a run has one, a replicated run ``R`` derived-seed configs,
+a sweep its own list — and resolves cheapest first:
 
-1. **Request-signature memo** — the canonicalized wire config of an
-   already-answered query maps straight to its response body: no
+1. **Signature memo** — the canonicalized wire config of an
+   already-answered run maps straight to its response body: no
    ``RunConfig`` construction, no hashing.  This is the 10k+/s warm path.
-2. **Key memo** — a different spelling of a known config (alias fields,
-   equivalent defaults) hits the in-memory body memo by content key.
-3. **Run cache / journal probe** — warm on-disk entries
-   (:meth:`RunCache.get` / a journal ``get``) are replayed without
-   touching a worker and promoted into the memo tiers.
-4. **Coalesced wait** — a query whose key is already simulating awaits
-   the in-flight job; N connections asking for the same cold config
-   cause exactly one scheduler task.
-5. **Admitted simulation** — a genuinely cold query takes one of
-   ``max_inflight`` admission slots and runs ``Scheduler.map`` on a
-   worker thread off the event loop.  When every slot is busy the query
-   is *rejected* with a structured ``busy`` error (HTTP 429) instead of
-   queueing unboundedly — a cold-miss storm degrades into fast failures
-   while warm traffic keeps flowing.
+2. **Scheduler probe** — :meth:`Scheduler.probe` walks the scheduler's
+   one intake ladder for each config (memo, in-flight, journal replay,
+   cache replay) without a worker.  When every record is terminal the
+   answer is built from the records.
+3. **Coalesced wait** — a run whose every config is known but some are
+   still in flight awaits those records through the scheduler's
+   completion hooks: no admission slot, no second task.
+4. **Admitted job** — otherwise the query takes one of ``max_inflight``
+   admission slots and :meth:`Scheduler.submit` registers its batch on
+   the event loop, so an identical query arriving next coalesces onto it;
+   :meth:`Scheduler.collect` then runs on a worker thread.  When every
+   slot is busy the query is *rejected* with a structured ``busy`` error
+   (HTTP 429) instead of queueing unboundedly — a cold-miss storm
+   degrades into fast failures while warm traffic keeps flowing.
 
-Robustness contract: per-request timeouts detach the requester (the
-simulation itself keeps running and lands in cache/journal for the next
-asker), ``begin_drain`` flips the service into refuse-new/finish-
-in-flight mode (SIGTERM), and simulator/scheduler failures — including
-:class:`~repro.sched.PoisonedConfigError` — come back as structured
-error payloads on a healthy connection.
+The service itself keeps only what is protocol: the signature memo, body
+encoding, admission slots, progress streaming and drain.  Robustness
+contract: per-request timeouts detach the requester (the simulation
+itself keeps running and lands in cache/journal for the next asker),
+``begin_drain`` flips the service into refuse-new/finish-in-flight mode
+(SIGTERM), and simulator, scheduler and journal failures — including
+:class:`~repro.sched.PoisonedConfigError` — come back as structured error
+payloads on a healthy connection.
 """
 
 from __future__ import annotations
 
 import asyncio
+import logging
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -42,13 +45,15 @@ from typing import Any, Awaitable, Callable, Dict, List, Optional, Set, Tuple
 
 from repro.cache import config_key
 from repro.core.config import RunConfig, RunResult
-from repro.sched import PoisonedConfigError, Scheduler, SchedulerError
+from repro.sched import Batch, PoisonedConfigError, Scheduler, SchedulerError
 from repro.sched.task import TaskRecord
 from repro.serve import protocol
 from repro.serve.metrics import ServiceMetrics
 from repro.serve.protocol import ProtocolError, Request
 
 __all__ = ["SimulationService"]
+
+log = logging.getLogger("repro.serve")
 
 #: Emit callback type: writes one progress document to the client.
 Emitter = Callable[[Dict[str, Any]], Awaitable[None]]
@@ -83,13 +88,9 @@ class SimulationService:
         self.max_inflight = int(max_inflight)
         self.default_timeout_s = default_timeout_s
         self.metrics = ServiceMetrics()
-        #: request-signature -> result body (tier 1)
+        #: request-signature -> result body of an answered run
         self._sig_memo: Dict[Any, Dict[str, Any]] = {}
-        #: content key / job key -> result body (tier 2)
-        self._memo: Dict[str, Dict[str, Any]] = {}
-        #: job key -> in-flight asyncio task (coalescing target, tier 4)
-        self._inflight: Dict[str, "asyncio.Task"] = {}
-        #: admission slots currently held by cold jobs (tier 5)
+        #: admission slots currently held by cold jobs
         self._cold_jobs = 0
         #: every live cold-job task, awaited by drain()
         self._jobs: Set["asyncio.Task"] = set()
@@ -99,9 +100,9 @@ class SimulationService:
         )
         self._draining = False
         self._closed = False
-        #: content key -> [(loop, queue)]: progress listeners fed by the
-        #: scheduler completion hook (foreign threads), guarded by a
-        #: plain lock because the hook never re-enters the service.
+        #: content key -> [(loop, queue)]: listeners fed by the scheduler
+        #: completion hook (foreign threads), guarded by a plain lock
+        #: because the hook never re-enters the service.
         self._listeners: Dict[str, List[Tuple[Any, "asyncio.Queue"]]] = {}
         self._hook_lock = threading.Lock()
         self.sched.add_completion_hook(self._on_task_done)
@@ -174,52 +175,72 @@ class SimulationService:
                     del self._listeners[key]
 
     # -- result bodies --------------------------------------------------------
-    def _result_body(self, cfg: RunConfig, result: RunResult) -> Dict[str, Any]:
+    @staticmethod
+    def _result_body(result: RunResult) -> Dict[str, Any]:
         body = protocol.result_to_dict(result)
         body["gflops"] = result.gflops
         body["seconds_per_step"] = result.seconds_per_step
         return body
 
-    def _body_from_payload(
-        self, cfg: RunConfig, payload: Dict[str, Any]
+    def _respond(
+        self,
+        req: Request,
+        results: List[Any],
+        source: str,
+        sig: Any,
+        warm: int = 0,
     ) -> Dict[str, Any]:
-        """A result body from a journal payload (exact floats)."""
-        result = RunResult(
-            config=cfg,
-            elapsed_s=float(payload["elapsed_s"]),
-            phases={k: float(v) for k, v in payload["phases"].items()},
-            comm_stats={k: int(v) for k, v in payload["comm_stats"].items()},
-        )
-        return self._result_body(cfg, result)
+        """The response document for settled per-config results.
 
-    # -- the query ladder -----------------------------------------------------
-    def _probe_warm(self, key: str, cfg: RunConfig) -> Optional[Tuple[Dict[str, Any], str]]:
-        """Tiers 2-3: memo, then run cache, then journal. No worker."""
-        body = self._memo.get(key)
-        if body is not None:
-            self.metrics.inc("warm_memo_hits")
-            return body, "memo"
-        cache = self.sched.cache
-        if cache is not None:
-            cached = cache.get(cfg, record_miss=False)
-            if cached is not None:
-                body = self._result_body(cfg, cached)
-                self._memo[key] = body
-                self.metrics.inc("warm_cache_hits")
-                return body, "cache"
-        journal = self.sched.journal
-        if journal is not None:
-            payload = journal.get(key) if key in journal else None
-            if payload is not None:
-                try:
-                    body = self._body_from_payload(cfg, payload)
-                except (KeyError, TypeError, ValueError):
-                    return None  # ill-shaped journal payload: simulate
-                self._memo[key] = body
-                self.metrics.inc("warm_cache_hits")
-                return body, "journal"
-        return None
+        A run raises its first failure (``handle`` maps it to a
+        structured error); a replicated run reproduces
+        :func:`repro.core.runner.run_replicated` bit-for-bit (replica 0's
+        result, stats over every replica's ``elapsed_s``).  A sweep
+        reports failures in-slot.
+        """
+        if req.verb == "run":
+            for item in results:
+                if isinstance(item, BaseException):
+                    raise item
+            body = self._result_body(results[0])
+            if req.replicas > 1:
+                from repro.perturb.stats import replication_stats
 
+                body["stats"] = dict(
+                    replication_stats([r.elapsed_s for r in results])
+                )
+                body["replicas"] = req.replicas
+            self._sig_memo[sig] = body
+            return protocol.ok_response(
+                req.id, {"result": body, "source": source}
+            )
+        out: List[Dict[str, Any]] = []
+        errors = 0
+        for item in results:
+            if isinstance(item, BaseException):
+                errors += 1
+                kind = (
+                    "poisoned" if isinstance(item, PoisonedConfigError)
+                    else "invalid-config"
+                    if isinstance(item, (ValueError, KeyError))
+                    else "failed"
+                )
+                out.append({"ok": False, "error": protocol.error_body(
+                    kind, str(item))})
+            else:
+                out.append(self._result_body(item))
+        doc: Dict[str, Any] = {
+            "results": out,
+            "total": len(results),
+            "distinct": len({config_key(c) for c in req.configs}),
+            "warm": warm,
+        }
+        if errors or source == "simulated":
+            doc["errors"] = errors
+        doc["source"] = source
+        return protocol.ok_response(req.id, doc)
+
+    # -- admission ------------------------------------------------------------
     def _admit(self) -> None:
         """Claim one cold-job admission slot or raise a structured error."""
         if self._draining:
@@ -240,65 +261,28 @@ class SimulationService:
         self._cold_jobs -= 1
         self.metrics.gauge_add("inflight", -1)
 
-    def _spawn_job(
-        self, job_key: str, work: Callable[[], Dict[str, Any]]
-    ) -> "asyncio.Task":
-        """Dispatch an admitted cold job onto the worker thread pool.
+    def _spawn(self, batch: Batch) -> "asyncio.Task":
+        """Collect an admitted, already submitted batch on a worker thread.
 
-        The returned task owns the admission slot; it is registered for
-        coalescing under ``job_key`` and for ``drain()``.  The task's
-        body memoizes on success.  Requesters await it through
-        ``asyncio.shield`` so a per-request timeout detaches the
-        requester without cancelling the shared job.
+        The returned task owns the admission slot and is awaited by
+        ``drain()``.  Requesters await it through ``asyncio.shield`` so a
+        per-request timeout detaches the requester without cancelling
+        the shared job.
         """
         loop = asyncio.get_running_loop()
 
-        async def job() -> Dict[str, Any]:
+        async def job() -> List[Any]:
             try:
-                body = await loop.run_in_executor(self._exec, work)
+                return await loop.run_in_executor(
+                    self._exec, self.sched.collect, batch, True
+                )
             finally:
-                self._inflight.pop(job_key, None)
                 self._release()
-            self._memo[job_key] = body
-            return body
 
         task = loop.create_task(job())
-        self._inflight[job_key] = task
         self._jobs.add(task)
         task.add_done_callback(self._jobs.discard)
         return task
-
-    def _run_one(self, cfg: RunConfig) -> Dict[str, Any]:
-        """Worker-thread body of a single-config cold job."""
-        result = self.sched.map([cfg], return_exceptions=True)[0]
-        if isinstance(result, BaseException):
-            raise result
-        return self._result_body(cfg, result)
-
-    def _run_replicated(self, cfg: RunConfig, replicas: int) -> Dict[str, Any]:
-        """Worker-thread body of a Monte-Carlo replication job.
-
-        Exactly :func:`repro.core.runner.run_replicated` with this
-        service's scheduler: replica 0 keeps the root seed, stats are
-        computed over every replica's ``elapsed_s`` — so the served
-        stats reproduce a direct ``run_replicated`` call bit-for-bit.
-        """
-        from repro.perturb.rng import derive_seed
-        from repro.perturb.stats import replication_stats
-
-        seeded = [
-            cfg.with_(seed=derive_seed(cfg.seed, i)) for i in range(replicas)
-        ]
-        results = self.sched.map(seeded)
-        stats = replication_stats([r.elapsed_s for r in results])
-        body = self._result_body(cfg, results[0])
-        body["stats"] = dict(stats)
-        body["replicas"] = replicas
-        return body
-
-    def _run_batch(self, cfgs: List[RunConfig]) -> List[Any]:
-        """Worker-thread body of a sweep job (exceptions in-slot)."""
-        return self.sched.map(cfgs, return_exceptions=True)
 
     # -- request handling -----------------------------------------------------
     async def handle(
@@ -308,10 +292,10 @@ class SimulationService:
 
         ``emit`` (when given) receives progress documents for streamed
         sweep/replica jobs before the final response is returned.  Every
-        failure mode — protocol, validation, poisoning, timeout,
-        backpressure — returns a structured error response; nothing
-        raises to the connection handler except transport errors from
-        ``emit`` itself.
+        failure mode — protocol, validation, simulation, journal I/O,
+        poisoning, timeout, backpressure — returns a structured error
+        response; nothing raises to the connection handler except
+        transport errors from ``emit`` itself.
         """
         t0 = time.perf_counter()
         self.metrics.inc("requests")
@@ -340,6 +324,12 @@ class SimulationService:
         except ValueError as exc:
             self.metrics.inc("responses_error")
             return protocol.error_response(req_id, "invalid-config", str(exc))
+        except ConnectionError:
+            raise  # ``emit`` lost the client: the connection is gone
+        except Exception as exc:
+            log.exception("request %r failed", req_id)
+            self.metrics.inc("responses_error")
+            return protocol.error_response(req_id, "failed", str(exc))
         self.metrics.inc("responses_ok")
         self.metrics.observe_latency(time.perf_counter() - t0, warm=warm)
         return response
@@ -348,7 +338,7 @@ class SimulationService:
         self, doc: Dict[str, Any], emit: Optional[Emitter]
     ) -> Tuple[Dict[str, Any], bool]:
         """Route one document; returns ``(response, served_warm)``."""
-        # Tier 1: the signature memo answers repeat run queries without
+        # The signature memo answers repeat run queries without
         # re-validating, re-constructing or re-hashing the config.
         verb = doc.get("verb")
         sig = None
@@ -378,247 +368,126 @@ class SimulationService:
             )
         if req.verb == "stats":
             return protocol.ok_response(req.id, self.stats_body()), True
-        if req.verb == "run":
-            return await self._handle_run(req, sig, emit)
-        return await self._handle_sweep(req, emit)
+        cfgs = req.configs
+        if req.verb == "run" and req.replicas > 1:
+            from repro.perturb.rng import derive_seed
+
+            cfgs = [
+                cfgs[0].with_(seed=derive_seed(cfgs[0].seed, i))
+                for i in range(req.replicas)
+            ]
+        return await self._resolve(req, cfgs, sig, emit)
 
     def _timeout(self, req: Request) -> Optional[float]:
         return req.timeout_s if req.timeout_s is not None else self.default_timeout_s
 
-    async def _handle_run(
-        self, req: Request, sig: Any, emit: Optional[Emitter]
-    ) -> Tuple[Dict[str, Any], bool]:
-        cfg = req.configs[0]
-        key = config_key(cfg)
-        job_key = key if req.replicas == 1 else f"{key}:replicas={req.replicas}"
-
-        if req.replicas == 1:
-            probe = self._probe_warm(key, cfg)
-            if probe is not None:
-                body, source = probe
-                if sig is not None:
-                    self._sig_memo[sig] = body
-                return (
-                    protocol.ok_response(
-                        req.id, {"result": body, "source": source}
-                    ),
-                    True,
-                )
-        else:
-            body = self._memo.get(job_key)
-            if body is not None:
-                self.metrics.inc("warm_memo_hits")
-                if sig is not None:
-                    self._sig_memo[sig] = body
-                return (
-                    protocol.ok_response(
-                        req.id, {"result": body, "source": "memo"}
-                    ),
-                    True,
-                )
-
-        # Eager feasibility check: an invalid point must not burn an
-        # admission slot or a worker round-trip.
-        from repro.sched import validate_config
-
-        try:
-            validate_config(cfg)
-        except (KeyError, ValueError) as exc:
-            raise ProtocolError(str(exc), kind="invalid-config")
-
-        task = self._inflight.get(job_key)
-        coalesced = task is not None
-        if coalesced:
-            self.metrics.inc("coalesced")
-        else:
-            self._admit()
-            if req.replicas == 1:
-                task = self._spawn_job(job_key, lambda: self._run_one(cfg))
-            else:
-                task = self._spawn_job(
-                    job_key,
-                    lambda: self._run_replicated(cfg, req.replicas),
-                )
-        if req.replicas > 1 and req.stream and emit is not None and not coalesced:
-            body = await self._stream_job(req, task, self._replica_keys(cfg, req.replicas), emit)
-        else:
-            body = await asyncio.wait_for(
-                asyncio.shield(task), self._timeout(req)
-            )
-        if sig is not None:
-            self._sig_memo[sig] = body
-        return (
-            protocol.ok_response(
-                req.id,
-                {
-                    "result": body,
-                    "source": "coalesced" if coalesced else "simulated",
-                },
-            ),
-            False,
-        )
-
-    def _replica_keys(self, cfg: RunConfig, replicas: int) -> List[str]:
-        from repro.perturb.rng import derive_seed
-
-        return [
-            config_key(cfg.with_(seed=derive_seed(cfg.seed, i)))
-            for i in range(replicas)
-        ]
-
-    async def _handle_sweep(
-        self, req: Request, emit: Optional[Emitter]
-    ) -> Tuple[Dict[str, Any], bool]:
-        cfgs = req.configs
-        keys = [config_key(c) for c in cfgs]
-        distinct = list(dict.fromkeys(keys))
-
-        # Fully warm sweeps resolve from the memo/cache tiers with no
-        # admission slot; one cold key sends the whole batch through the
-        # scheduler (which re-resolves the warm ones itself).
-        slots: List[Optional[Dict[str, Any]]] = []
-        for key, cfg in zip(keys, cfgs):
-            probe = self._probe_warm(key, cfg)
-            slots.append(probe[0] if probe is not None else None)
-        warm_keys = {k for k, s in zip(keys, slots) if s is not None}
-        cold = [k for k in distinct if k not in warm_keys]
-        if not cold:
-            body = {
-                "results": list(slots),
-                "total": len(cfgs),
-                "distinct": len(distinct),
-                "warm": len(distinct),
-                "source": "cache",
-            }
-            return protocol.ok_response(req.id, body), True
-
-        self._admit()
-        task = self._spawn_sweep(cfgs)
-        if req.stream and emit is not None:
-            results = await self._stream_job(req, task, cold, emit,
-                                             pre_done=len(distinct) - len(cold))
-        else:
-            results = await asyncio.wait_for(
-                asyncio.shield(task), self._timeout(req)
-            )
-        out: List[Dict[str, Any]] = []
-        errors = 0
-        for cfg, item in zip(cfgs, results):
-            if isinstance(item, BaseException):
-                errors += 1
-                kind = (
-                    "poisoned" if isinstance(item, PoisonedConfigError)
-                    else "invalid-config"
-                    if isinstance(item, (ValueError, KeyError))
-                    else "failed"
-                )
-                out.append({"ok": False, "error": protocol.error_body(
-                    kind, str(item))})
-            else:
-                out.append(item)
-        body = {
-            "results": out,
-            "total": len(cfgs),
-            "distinct": len(distinct),
-            "warm": len(distinct) - len(cold),
-            "errors": errors,
-            "source": "simulated",
-        }
-        return protocol.ok_response(req.id, body), False
-
-    def _spawn_sweep(self, cfgs: List[RunConfig]) -> "asyncio.Task":
-        """An admitted sweep job: map the batch, bodies per slot."""
-
-        def work() -> List[Any]:
-            results = self._run_batch(cfgs)
-            return [
-                r if isinstance(r, BaseException)
-                else self._result_body(cfg, r)
-                for cfg, r in zip(cfgs, results)
-            ]
-
-        # Sweep jobs are not coalesced whole (their configs dedup inside
-        # the scheduler); key them uniquely so coalescing stays off.
-        job_key = f"sweep:{id(cfgs)}:{time.monotonic_ns()}"
-        task = self._spawn_job(job_key, work)
-        # Sweeps are never re-served from the job memo (the per-config
-        # memo already covers every slot).
-        task.add_done_callback(lambda _t: self._memo.pop(job_key, None))
-        return task
-
-    async def _stream_job(
+    async def _resolve(
         self,
         req: Request,
-        task: "asyncio.Task",
-        pending_keys: List[str],
-        emit: Emitter,
-        pre_done: int = 0,
-    ) -> Any:
-        """Await a job while forwarding per-task progress events.
+        cfgs: List[RunConfig],
+        sig: Any,
+        emit: Optional[Emitter],
+    ) -> Tuple[Dict[str, Any], bool]:
+        """Probe every config, then answer warm, coalesce or admit."""
+        probes = [self.sched.probe(cfg) for cfg in cfgs]
+        recs = [rec for rec, _tier in probes]
+        warm = {rec.key for rec in recs if rec is not None and rec.done.is_set()}
+        if all(rec is not None and rec.done.is_set() for rec in recs):
+            replayed = [tier for _rec, tier in probes if tier != "memo"]
+            self.metrics.inc("warm_cache_hits" if replayed else "warm_memo_hits")
+            source = "cache" if req.verb == "sweep" else (
+                replayed[0] if replayed else "memo")
+            results = [rec.outcome(cfg) for rec, cfg in zip(recs, cfgs)]
+            return self._respond(req, results, source, sig, len(warm)), True
 
-        ``pending_keys`` are the distinct content keys expected to go
-        terminal after dispatch; ``pre_done`` counts keys that were
-        already warm (reported as instantly done).  The scheduler's
-        completion hooks feed a queue via ``call_soon_threadsafe``;
-        events are re-emitted in arrival order.  On timeout the listener
-        unregisters and the job keeps running detached.
+        if req.verb == "run":
+            if all(rec is not None for rec in recs):
+                self.metrics.inc("coalesced")
+                await self._follow(req, recs)
+                if self.sched.journal is not None:
+                    # Durable before surfaced, as the owner's collect()
+                    # guarantees for its own requester.
+                    await asyncio.get_running_loop().run_in_executor(
+                        None, self.sched.journal.flush
+                    )
+                results = [rec.outcome(cfg) for rec, cfg in zip(recs, cfgs)]
+                return self._respond(req, results, "coalesced", sig), False
+            # Eager feasibility check: an invalid point must not burn an
+            # admission slot or a worker round-trip.
+            from repro.sched import validate_config
+
+            try:
+                validate_config(cfgs[0])
+            except (KeyError, ValueError) as exc:
+                raise ProtocolError(str(exc), kind="invalid-config")
+
+        # Submit before the first await: an identical query that arrives
+        # while this one waits finds every record already in flight.
+        self._admit()
+        batch = self.sched.submit(cfgs, probed=recs)
+        job = self._spawn(batch)
+        if req.stream and emit is not None and (
+            req.verb == "sweep" or req.replicas > 1
+        ):
+            results = await self._follow(req, batch.records, emit, job)
+        else:
+            results = await asyncio.wait_for(
+                asyncio.shield(job), self._timeout(req)
+            )
+        return self._respond(req, results, "simulated", sig, len(warm)), False
+
+    async def _follow(
+        self,
+        req: Request,
+        recs: List[Optional[TaskRecord]],
+        emit: Optional[Emitter] = None,
+        job: Optional["asyncio.Task"] = None,
+    ) -> Any:
+        """Await ``job`` — or, without one, every record in ``recs``.
+
+        The scheduler's completion hooks feed a queue via
+        ``call_soon_threadsafe``.  The listener is registered *before*
+        ``rec.done`` is re-checked, so a record settling in between is
+        never missed.  With ``emit`` each record going terminal is
+        re-emitted as a progress event, in arrival order (records already
+        terminal are reported at once as ``warm``).  On timeout the
+        listener unregisters and the job keeps running detached.
         """
         loop = asyncio.get_running_loop()
         queue: "asyncio.Queue" = asyncio.Queue()
-        pending = set(pending_keys)
-        total = len(pending) + pre_done
-        done_count = pre_done
-        self._listen(pending, loop, queue)
-        deadline = None
-        timeout = self._timeout(req)
-        if timeout is not None:
-            deadline = loop.time() + timeout
-        shielded = asyncio.shield(task)
-        get_task: Optional["asyncio.Task"] = None
-        try:
-            if pre_done:
+        keys = list(dict.fromkeys(r.key for r in recs if r is not None))
+        self._listen(keys, loop, queue)
+        if job is not None:
+            # Queued after every completion event of the job's own thread.
+            job.add_done_callback(lambda _t: queue.put_nowait(None))
+
+        async def follow() -> Any:
+            pending = {
+                r.key for r in recs if r is not None and not r.done.is_set()
+            }
+            done = len(keys) - len(pending)
+            if emit is not None and done:
                 self.metrics.inc("progress_events")
                 await emit(protocol.progress_event(
-                    req.id, done_count, total, "", "warm"))
-            while True:
-                if get_task is None:
-                    get_task = asyncio.ensure_future(queue.get())
-                budget = None
-                if deadline is not None:
-                    budget = deadline - loop.time()
-                    if budget <= 0:
-                        raise asyncio.TimeoutError()
-                done, _ = await asyncio.wait(
-                    {shielded, get_task},
-                    timeout=budget,
-                    return_when=asyncio.FIRST_COMPLETED,
-                )
-                if not done:
-                    raise asyncio.TimeoutError()
-                if get_task in done:
-                    key, state = get_task.result()
-                    get_task = None
-                    if key in pending:
-                        pending.discard(key)
-                        done_count += 1
+                    req.id, done, len(keys), "", "warm"))
+            while pending or job is not None:
+                event = await queue.get()
+                if event is None:
+                    return job.result()
+                key, state = event
+                if key in pending:
+                    pending.discard(key)
+                    done += 1
+                    if emit is not None:
                         self.metrics.inc("progress_events")
                         await emit(protocol.progress_event(
-                            req.id, done_count, total, key, state))
-                if shielded in done:
-                    # Flush events already queued before returning.
-                    while not queue.empty():
-                        key, state = queue.get_nowait()
-                        if key in pending:
-                            pending.discard(key)
-                            done_count += 1
-                            self.metrics.inc("progress_events")
-                            await emit(protocol.progress_event(
-                                req.id, done_count, total, key, state))
-                    return shielded.result()
+                            req.id, done, len(keys), key, state))
+            return None
+
+        try:
+            return await asyncio.wait_for(follow(), self._timeout(req))
         finally:
-            self._unlisten(pending_keys, queue)
-            if get_task is not None:
-                get_task.cancel()
+            self._unlisten(keys, queue)
 
     # -- telemetry ------------------------------------------------------------
     def _cache_stats(self) -> Optional[Dict[str, int]]:
@@ -634,7 +503,7 @@ class SimulationService:
             "service": self.metrics.to_dict(),
             "scheduler": snap,
             "cache": self._cache_stats(),
-            "memo_entries": len(self._memo),
+            "memo_entries": len(self._sig_memo),
         }
 
     def render_metrics(self) -> str:

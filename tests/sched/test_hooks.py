@@ -144,9 +144,10 @@ class TestSnapshotConsistency:
         assert snap["wall"]["total_s"] >= snap["wall"]["max_s"] >= 0.0
 
     def test_no_torn_reads_under_concurrent_maps(self, tmp_path):
-        """Hammer snapshot() while 4 threads map overlapping batches:
-        every snapshot must satisfy the cross-counter invariants that a
-        torn (two-acquire) read could violate."""
+        """Hammer snapshot() while 4 threads map overlapping batches and
+        a fifth probes them: every snapshot must satisfy the
+        cross-counter invariants that a torn (two-acquire) read could
+        violate."""
         stop = threading.Event()
         violations = []
 
@@ -170,10 +171,17 @@ class TestSnapshotConsistency:
                     if s["wall"]["count"] > submitted:
                         violations.append(("wall>submitted", dict(c)))
 
+            batches = [_cfgs(8, start=4 * i) for i in range(4)]
+
+            def prober():
+                while not stop.is_set():
+                    for cfg in batches[-1]:
+                        sched.probe(cfg)
+
             hammers = [threading.Thread(target=hammer) for _ in range(2)]
+            hammers.append(threading.Thread(target=prober))
             for h in hammers:
                 h.start()
-            batches = [_cfgs(8, start=4 * i) for i in range(4)]
             mappers = [
                 threading.Thread(target=sched.map, args=(b,))
                 for b in batches

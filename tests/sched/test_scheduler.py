@@ -1,6 +1,7 @@
 """Tests for the shared task scheduler: dedup, coalescing, identity."""
 
 import threading
+import time
 
 import pytest
 
@@ -204,6 +205,26 @@ class TestErrors:
             assert out[0].elapsed_s > 0
             assert sched.stats()["failed"] == 1  # memoized, not re-failed
 
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_inline_failure_raises_after_the_batch_settled(self, jobs):
+        """A failing inline (functional) run must not strand the pooled
+        configs of its batch in flight."""
+        bad = RunConfig(machine=YONA, implementation="hybrid_overlap",
+                        cores=192, threads_per_task=2, box_thickness=200,
+                        network="full", functional=True)
+        good = _cfgs(1)[0]
+        with Scheduler(jobs=jobs) as sched:
+            with pytest.raises(ValueError):
+                sched.map([bad, good])
+            assert sched.snapshot()["inflight"] == 0
+            out = []
+            t = threading.Thread(target=lambda: out.append(sched.map([good])),
+                                 daemon=True)
+            t.start()
+            t.join(timeout=60)
+            assert not t.is_alive(), "map() hung on a stranded record"
+        assert out[0][0].elapsed_s == run(good).elapsed_s
+
     def test_settled_records_drop_their_blob(self, tmp_path):
         """The pickled payload exists for crash retries only."""
         infeasible = RunConfig(machine=YONA, implementation="hybrid_overlap",
@@ -221,6 +242,99 @@ class TestErrors:
         sched.close()
         with pytest.raises(SchedulerError):
             sched.map(_cfgs(1))
+
+
+class TestProbe:
+    """``probe`` walks map's intake ladder for one config, dispatching
+    nothing and creating no record for a cold config."""
+
+    def test_cold_probe_changes_nothing(self, tmp_path):
+        with Scheduler(jobs=2, cache_dir=str(tmp_path / "c"),
+                       journal=str(tmp_path / "j.jsonl")) as sched:
+            before = sched.snapshot()
+            assert sched.probe(_cfgs(1)[0]) == (None, None)
+            after = sched.snapshot()
+        for name in ("memoized", "inflight"):
+            assert after[name] == before[name] == 0
+        assert after["counters"] == before["counters"]
+
+    def test_probe_during_a_gated_map_finds_its_record(self, monkeypatch):
+        import repro.core.runner as runner
+
+        cfg = _cfgs(1)[0]
+        release = threading.Event()
+        real = runner.run
+
+        def gated(c):
+            assert release.wait(30), "the gate was never released"
+            return real(c)
+
+        monkeypatch.setattr(runner, "run", gated)
+        with Scheduler(jobs=1) as sched:
+            mapper = threading.Thread(target=sched.map, args=([cfg],))
+            mapper.start()
+            deadline = time.monotonic() + 30
+            while sched.snapshot()["inflight"] != 1:
+                assert time.monotonic() < deadline, "map never registered"
+                time.sleep(0.005)
+            rec, tier = sched.probe(cfg)
+            assert tier == "inflight" and not rec.done.is_set()
+            release.set()
+            mapper.join(timeout=60)
+            assert not mapper.is_alive()
+            assert rec.done.is_set() and sched.probe(cfg) == (rec, "memo")
+            s = sched.stats()
+        assert s["submitted"] == 3 and s["coalesced"] == 2
+        assert s["simulated"] == 1
+
+    def test_replays_count_once_then_hit_the_memo(self, tmp_path):
+        journaled, cached = _cfgs(2)
+        jp = str(tmp_path / "j.jsonl")
+        cache_dir = str(tmp_path / "c")
+        with Scheduler(jobs=1, journal=jp) as sched:
+            sched.map([journaled])
+        with Scheduler(jobs=1, cache_dir=cache_dir) as sched:
+            sched.map([cached])
+        with Scheduler(jobs=1, cache_dir=cache_dir, journal=jp) as sched:
+            j, j_tier = sched.probe(journaled)
+            c, c_tier = sched.probe(cached)
+            assert (j_tier, c_tier) == ("journal", "cache")
+            assert j.done.is_set() and c.done.is_set()
+            assert sched.probe(journaled) == (j, "memo")
+            assert sched.probe(cached) == (c, "memo")
+            s = sched.stats()
+        assert s["journal_hits"] == 1 and s["cache_hits"] == 1
+        assert s["coalesced"] == 2 and s["submitted"] == 4
+        assert s["simulated"] == 0 and s["inline"] == 0
+        assert j.result(journaled).elapsed_s == run(journaled).elapsed_s
+
+    def test_functional_config_is_not_probed(self, tmp_path):
+        cfg = RunConfig(machine=LENS, implementation="nonblocking", cores=2,
+                        steps=2, domain=(16, 16, 16), network="full",
+                        functional=True)
+        with Scheduler(jobs=2, cache_dir=str(tmp_path / "c")) as sched:
+            assert sched.probe(cfg) == (None, None)
+            assert sched.stats()["submitted"] == 0
+
+    def test_submit_after_a_cold_probe_looks_up_once(self, tmp_path):
+        """The probe made the cache lookup; submit must not repeat it."""
+        cache = cache_configure(str(tmp_path / "c"))
+        cfg = _cfgs(1)[0]
+        with Scheduler(jobs=2) as sched:
+            gets = []
+            real_get = cache.get
+
+            def counting_get(*a, **kw):
+                gets.append(1)
+                return real_get(*a, **kw)
+
+            cache.get = counting_get
+            rec, _ = sched.probe(cfg)
+            batch = sched.submit([cfg], probed=[rec])
+            assert len(gets) == 1
+            [result] = sched.collect(batch)
+            assert sched.stats()["submitted"] == 1
+        assert result.elapsed_s == run(cfg).elapsed_s
 
 
 class TestModuleState:

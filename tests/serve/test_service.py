@@ -1,15 +1,19 @@
 """In-process SimulationService tests: admission, timeout, poisoning.
 
 These drive the asyncio service directly (no subprocess) so timing can
-be controlled exactly — slow jobs are injected by patching the worker
-body, faults by the scheduler's fault injector.
+be controlled exactly — slow jobs are injected by gating
+``repro.core.runner.run`` (the scheduler's inline ``jobs=1`` path
+resolves it at call time), faults by the scheduler's fault injector.
 """
 
 import asyncio
+import errno
+import os
 import threading
 
 import pytest
 
+import repro.core.runner as runner
 from repro.cache import configure as cache_configure
 from repro.sched import Scheduler, configure as sched_configure
 from repro.serve.service import SimulationService
@@ -36,6 +40,17 @@ def _doc(i=1, **cfg_overrides):
 
 def _run(coro):
     return asyncio.run(coro)
+
+
+def _gate(monkeypatch, release):
+    """Hold every simulation until ``release`` is set."""
+    real = runner.run
+
+    def slow(cfg):
+        assert release.wait(30), "the gate was never released"
+        return real(cfg)
+
+    monkeypatch.setattr(runner, "run", slow)
 
 
 @pytest.fixture
@@ -98,7 +113,11 @@ class TestTiers:
         finally:
             svc2.close()
         assert resp["ok"] and resp["source"] == "journal"
-        assert snap["counters"]["submitted"] == 0, "a worker was consulted"
+        counters = snap["counters"]
+        assert counters["simulated"] == 0 and counters["inline"] == 0, (
+            "a worker was consulted"
+        )
+        assert counters["journal_hits"] == 1
 
 
 class TestCoalescingExact:
@@ -107,13 +126,7 @@ class TestCoalescingExact:
         query has joined, so exactly 1 admission + n-1 coalesced."""
         n = 5
         release = threading.Event()
-        real = SimulationService._run_one
-
-        def slow(self, cfg):
-            assert release.wait(30), "waiters never arrived"
-            return real(self, cfg)
-
-        monkeypatch.setattr(SimulationService, "_run_one", slow)
+        _gate(monkeypatch, release)
 
         async def scenario():
             tasks = [
@@ -143,6 +156,41 @@ class TestCoalescingExact:
         assert sources == ["coalesced"] * (n - 1) + ["simulated"]
 
 
+    def test_identical_replicated_queries_share_one_job(
+        self, service, monkeypatch
+    ):
+        """The second of two identical cold replicated queries finds all
+        R derived-seed records in flight and coalesces onto them."""
+        from repro.serve.protocol import config_from_dict
+
+        cfg_doc = dict(CFG_DOC, seed=7, noise="medium")
+        ref = runner.run_replicated(config_from_dict(cfg_doc), 4)
+        release = threading.Event()
+        _gate(monkeypatch, release)
+
+        async def scenario():
+            doc = {"verb": "run", "config": cfg_doc, "replicas": 4}
+            first = asyncio.create_task(service.handle(dict(doc, id=1)))
+            while not service.metrics.to_dict()["counters"]["admitted"]:
+                await asyncio.sleep(0.01)
+            second = asyncio.create_task(service.handle(dict(doc, id=2)))
+            while not service.metrics.to_dict()["counters"]["coalesced"]:
+                await asyncio.sleep(0.01)
+            release.set()
+            return await asyncio.gather(first, second)
+
+        results = _run(scenario())
+        counters = service.metrics.to_dict()["counters"]
+        assert counters["admitted"] == 1
+        assert counters["coalesced"] == 1
+        assert [r["source"] for r in results] == ["simulated", "coalesced"]
+        for resp in results:
+            assert resp["result"]["elapsed_s"] == ref.elapsed_s
+            assert resp["result"]["phases"] == ref.phases
+            assert resp["result"]["stats"] == ref.stats
+        assert service.sched.snapshot()["inflight"] == 0
+
+
 class TestBackpressureExact:
     def test_admission_cap_rejects_excess_cold_queries(
         self, service, monkeypatch
@@ -150,13 +198,7 @@ class TestBackpressureExact:
         """max_inflight=2: with 2 jobs parked on a gate, every further
         distinct cold query gets a structured busy error immediately."""
         release = threading.Event()
-        real = SimulationService._run_one
-
-        def slow(self, cfg):
-            assert release.wait(30)
-            return real(self, cfg)
-
-        monkeypatch.setattr(SimulationService, "_run_one", slow)
+        _gate(monkeypatch, release)
 
         async def scenario():
             blocked = [
@@ -183,22 +225,17 @@ class TestBackpressureExact:
         assert counters["admitted"] == 2
         gauges = service.metrics.to_dict()["gauges"]
         assert gauges["inflight"] == 0, "admission slot leaked"
-        assert not service._inflight and not service._jobs
+        assert not service._jobs
+        assert service.sched.snapshot()["inflight"] == 0
 
     def test_warm_queries_flow_past_a_full_admission_gate(
         self, service, monkeypatch
     ):
         release = threading.Event()
-        real = SimulationService._run_one
 
         async def scenario():
             warm_prime = await service.handle(_doc(0))  # before the jam
-
-            def slow(self, cfg):
-                assert release.wait(30)
-                return real(self, cfg)
-
-            monkeypatch.setattr(SimulationService, "_run_one", slow)
+            _gate(monkeypatch, release)
             jam = [
                 asyncio.create_task(
                     service.handle(_doc(i, cores=16 * (i + 2)))
@@ -222,13 +259,7 @@ class TestTimeout:
         self, service, monkeypatch
     ):
         release = threading.Event()
-        real = SimulationService._run_one
-
-        def slow(self, cfg):
-            assert release.wait(30)
-            return real(self, cfg)
-
-        monkeypatch.setattr(SimulationService, "_run_one", slow)
+        _gate(monkeypatch, release)
 
         async def scenario():
             doc = _doc(1)
@@ -236,7 +267,7 @@ class TestTimeout:
             timed_out = await service.handle(doc)
             release.set()
             # The detached job still completes and memoizes; await it.
-            for task in list(service._inflight.values()):
+            for task in list(service._jobs):
                 await task
             late = await service.handle(_doc(2))
             return timed_out, late
@@ -280,16 +311,59 @@ class TestPoisoned:
         assert good["ok"] is True
 
 
+    def test_poisoned_config_asked_again_takes_no_slot(self, tmp_path):
+        """The poisoned record is terminal: a repeat query is answered
+        from it without an admission slot or a second crash loop."""
+        sched = Scheduler(jobs=2, cache_dir=str(tmp_path / "cache"),
+                          max_retries=1)
+        sched.fault_injector = lambda cfg, attempts: True  # always crash
+        svc = SimulationService(scheduler=sched, max_inflight=2)
+        try:
+            first = _run(svc.handle(_doc(1)))
+            again = _run(svc.handle(_doc(2)))
+            counters = svc.metrics.to_dict()["counters"]
+            crashes = sched.stats()["crashes"]
+        finally:
+            svc.close()
+        assert first["error"]["type"] == again["error"]["type"] == "poisoned"
+        assert counters["admitted"] == 1
+        assert crashes == 2  # one ambiguous-blame round, one solo: no more
+
+
+class TestFailures:
+    """Simulator and I/O failures come back as structured errors."""
+
+    def _assert_failed(self, service, resp):
+        assert resp["ok"] is False
+        assert resp["error"]["type"] == "failed"
+        metrics = service.metrics.to_dict()
+        assert metrics["counters"]["responses_error"] == 1
+        assert metrics["gauges"]["inflight"] == 0, "the failure leaked a slot"
+        assert service.sched.snapshot()["inflight"] == 0
+
+    def test_simulator_error_on_a_run(self, service, monkeypatch):
+        def broken(cfg):
+            raise RuntimeError("simulator bug")
+
+        monkeypatch.setattr(runner, "run", broken)
+        resp = _run(service.handle(_doc(1)))
+        self._assert_failed(service, resp)
+        assert "simulator bug" in resp["error"]["message"]
+
+    def test_journal_commit_failure_on_a_run(self, service, monkeypatch):
+        def disk_full(fd):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        with monkeypatch.context() as m:
+            m.setattr(os, "fsync", disk_full)
+            resp = _run(service.handle(_doc(1)))
+        self._assert_failed(service, resp)
+
+
 class TestDrainInProcess:
     def test_drain_refuses_new_finishes_old(self, service, monkeypatch):
         release = threading.Event()
-        real = SimulationService._run_one
-
-        def slow(self, cfg):
-            assert release.wait(30)
-            return real(self, cfg)
-
-        monkeypatch.setattr(SimulationService, "_run_one", slow)
+        _gate(monkeypatch, release)
 
         async def scenario():
             inflight = asyncio.create_task(service.handle(_doc(1)))
