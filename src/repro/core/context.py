@@ -27,6 +27,7 @@ from repro.des import Environment, Event
 from repro.machines.cpu_model import (
     memcpy_time,
     task_compute_time,
+    task_memory_bandwidth,
 )
 from repro.machines.calibration import BOUNDARY_LOOP_EFFICIENCY, COPY_BYTES_PER_POINT
 from repro.simgpu.blockmodel import stencil_kernel_time
@@ -86,6 +87,9 @@ class RankContext:
         self.state: Dict[str, object] = {}
         self._neighbors: Dict[Tuple[int, int], int] = {}
         self._face_bytes: Dict[int, int] = {}
+        #: threads -> task_memory_bandwidth(node, threads); the node is fixed
+        #: for the context, so each thread count is computed once.
+        self._mem_bw_by_threads: Dict[int, float] = {}
         #: host-compute slowdown charged for a software MPI progress thread
         #: (ProgressModel.PROGRESS_THREAD only; 0.0 — and therefore one
         #: falsy check per charge — under manual poll and hardware offload).
@@ -111,6 +115,14 @@ class RankContext:
         return self.env.timeout(seconds)
 
     # -- CPU costs ---------------------------------------------------------------
+    def _mem_bw(self, threads: int) -> float:
+        bw = self._mem_bw_by_threads.get(threads)
+        if bw is None:
+            bw = self._mem_bw_by_threads[threads] = task_memory_bandwidth(
+                self.node, threads
+            )
+        return bw
+
     def compute(
         self,
         points: int,
@@ -131,7 +143,8 @@ class RankContext:
             self.node.boundary_loop_efficiency if boundary else 1.0
         )
         t = task_compute_time(
-            self.node, self.threads, points, efficiency=eff, guided=guided
+            self.node, self.threads, points, efficiency=eff, guided=guided,
+            mem_bandwidth=self._mem_bw(self.threads),
         )
         if pieces > 1:
             from repro.machines.cpu_model import omp_region_overhead
@@ -164,6 +177,7 @@ class RankContext:
             flops_per_point=flops_per_point,
             efficiency=efficiency,
             guided=guided,
+            mem_bandwidth=self._mem_bw(self.threads),
         )
         if pieces > 1:
             from repro.machines.cpu_model import omp_region_overhead
@@ -178,12 +192,14 @@ class RankContext:
         """Sweep duration as a number (for piecewise-rate overlap math)."""
         if points <= 0:
             return 0.0
+        threads = threads if threads is not None else self.threads
         return task_compute_time(
             self.node,
-            threads if threads is not None else self.threads,
+            threads,
             points,
             efficiency=efficiency,
             guided=guided,
+            mem_bandwidth=self._mem_bw(threads),
         )
 
     def copy_state_cost(self, points: int) -> Event:
@@ -194,6 +210,7 @@ class RankContext:
             points,
             bytes_per_point=COPY_BYTES_PER_POINT,
             flops_per_point=0.25,
+            mem_bandwidth=self._mem_bw(self.threads),
         )
         return self._charge("copy", t)
 
@@ -205,13 +222,11 @@ class RankContext:
         threads: Optional[int] = None,
     ) -> Event:
         """Timed on-node copy (halo pack/unpack, buffer staging)."""
+        threads = threads if threads is not None else self.threads
         return self._charge(
             phase,
             memcpy_time(
-                self.node,
-                nbytes,
-                threads if threads is not None else self.threads,
-                stride_penalty,
+                self.node, nbytes, threads, stride_penalty, self._mem_bw(threads)
             ),
         )
 

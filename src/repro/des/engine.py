@@ -37,8 +37,10 @@ hot path is built around flat slot storage instead of per-entry objects:
   ``Engine.cancel`` idiom). :class:`~repro.des.resources.SharedBandwidth`
   wakeups ride this instead of generation-counter invalidation.
 * **Float64 time base.** Keys are float64 seconds produced by exactly
-  the ``now + delay`` arithmetic of every previous engine, which is what
-  keeps every experiment bit-identical to the pre-refactor dump oracle.
+  the ``now + delay`` arithmetic of every previous engine (or, through
+  :meth:`Environment.timeout_at`, the caller's own arithmetic for a time
+  it computed ahead), which is what keeps every experiment bit-identical
+  to the pre-refactor dump oracle.
   Machine-model delays are arbitrary quotients (``bytes / rate``), so no
   fixed-point clock could represent them (docs/MODEL.md §12).
 * **Callback slots / no relay events.** As before, internal machinery
@@ -51,9 +53,10 @@ hot path is built around flat slot storage instead of per-entry objects:
 Measured cohort shape and the Timeout hop
 --------------------------------------------------------------------------
 Cohorts are narrow in practice: a cold ``experiment all --fast`` runs
-578,062 entries in 390,852 cohorts (1.48 entries each), and 60% of those
+302,833 entries in 248,070 cohorts (1.22 entries each), and 91% of those
 cohorts are one Timeout whose only waiter is one process — a rank charging
-itself time. Two consequences shape the code:
+itself time or waiting out a transfer's computed completion. Two
+consequences shape the code:
 
 * **No exceptions on the common path.** A raise costs about ten times a
   ``len()`` check or a ``dict.get``, and with cohorts this narrow an
@@ -72,7 +75,7 @@ itself time. Two consequences shape the code:
   hand it straight back to the same resume, so the firing order and every
   ``now`` stay those of the loop (docs/MODEL.md §12). Ties, zero delays,
   ``run(until=...)`` and multi-waiter events take the loop. The cold
-  regeneration above hops 174,982 times, 74% of its Timeouts.
+  regeneration above hops 221,392 times, 97% of its Timeouts.
 """
 
 from __future__ import annotations
@@ -506,6 +509,41 @@ class Environment:
             t = self._now
         else:
             raise ValueError(f"negative timeout delay: {delay!r}")
+        buckets = self._buckets
+        bucket = buckets.get(t)
+        if bucket is None:
+            pool = self._pool
+            bucket = pool.pop() if pool else []
+            buckets[t] = bucket
+            _heappush(self._times, t)
+        bucket.append(_EVENT)
+        bucket.append(to)
+        return to
+
+    def timeout_at(self, t: float, value: Any = None) -> Timeout:
+        """Create a Timeout that fires at the absolute simulated time ``t``.
+
+        For a completion time computed ahead as a number: the bucket key is
+        ``t`` itself, so no ``now + delay`` rounding separates it from the
+        arithmetic that produced it. ``t == now`` joins the live cohort like
+        a zero delay; a ``t`` in the past raises ``ValueError``. Built and
+        enqueued exactly like :meth:`timeout`, so it is eligible for the
+        Timeout hop.
+        """
+        to = _TIMEOUT_NEW(Timeout)
+        to.env = self
+        to.callbacks = []
+        to._state = _TRIGGERED
+        to._ok = True
+        to._value = value
+        if t == self._now:
+            cur = self._cur
+            if cur is not None:
+                cur.append(_EVENT)
+                cur.append(to)
+                return to
+        elif not t > self._now:  # also rejects NaN
+            raise ValueError(f"timeout_at({t!r}) is before now ({self._now!r})")
         buckets = self._buckets
         bucket = buckets.get(t)
         if bucket is None:

@@ -18,6 +18,7 @@ experiment in the paper.
 from __future__ import annotations
 
 import math
+from typing import Optional
 
 from repro.machines.calibration import (
     BOUNDARY_LOOP_EFFICIENCY,
@@ -71,11 +72,14 @@ def task_compute_time(
     efficiency: float = 1.0,
     guided: bool = False,
     region_overhead: bool = True,
+    mem_bandwidth: Optional[float] = None,
 ) -> float:
     """Seconds for one task to sweep ``points`` stencil points.
 
     ``efficiency`` scales the flop rate (used for strided boundary loops);
     ``guided`` applies the schedule(guided) overhead of §IV-D.
+    ``mem_bandwidth``, when given, is ``task_memory_bandwidth(node, threads)``
+    already computed by the caller.
     """
     if points <= 0:
         return 0.0
@@ -88,7 +92,9 @@ def task_compute_time(
         * efficiency
         * omp_eff
     )
-    mem_rate = task_memory_bandwidth(node, threads) * efficiency
+    if mem_bandwidth is None:
+        mem_bandwidth = task_memory_bandwidth(node, threads)
+    mem_rate = mem_bandwidth * efficiency
     t = max(points * flops_per_point / flop_rate, points * bytes_per_point / mem_rate)
     if guided:
         t *= 1.0 + GUIDED_SCHEDULE_OVERHEAD
@@ -115,17 +121,23 @@ def copy_state_time(node: NodeSpec, threads: int, points: int) -> float:
     )
 
 
-def memcpy_time(node: NodeSpec, nbytes: int, threads: int = 1, stride_penalty: float = 1.0) -> float:
+def memcpy_time(
+    node: NodeSpec,
+    nbytes: int,
+    threads: int = 1,
+    stride_penalty: float = 1.0,
+    mem_bandwidth: Optional[float] = None,
+) -> float:
     """Seconds to copy ``nbytes`` on-node (halo pack/unpack, send buffers).
 
     Parallelizes over threads up to half the task's streaming bandwidth
     (copies move 2 bytes of traffic per byte copied). ``stride_penalty`` < 1
     models strided gathers (e.g. packing x faces of a z-contiguous array).
+    ``mem_bandwidth`` is as in :func:`task_compute_time`.
     """
     if nbytes <= 0:
         return 0.0
-    rate = min(
-        node.memcpy_bandwidth_gbs * 1e9 * threads,
-        task_memory_bandwidth(node, threads) / 2.0,
-    )
+    if mem_bandwidth is None:
+        mem_bandwidth = task_memory_bandwidth(node, threads)
+    rate = min(node.memcpy_bandwidth_gbs * 1e9 * threads, mem_bandwidth / 2.0)
     return nbytes / (rate * stride_penalty)

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Any, Dict, Optional, Tuple
 
-from repro.des import Environment, Event
+from repro.des import Environment, SimulationError
 from repro.decomp.partition import Decomposition
 from repro.machines.spec import InterconnectSpec, MachineSpec, NodeSpec, ProgressModel
 from repro.simmpi.api import RankComm, Request, halo_tag
@@ -105,18 +105,18 @@ def _node0_scan(task_grid: Tuple[int, int, int], ntasks: int, tpn: int):
 
 
 class _MirrorXfer:
-    __slots__ = ("tag", "nbytes", "send_posted", "recv_posted", "bg_done", "fg_done",
-                 "bg_started", "fg_started", "eager", "local")
+    __slots__ = ("tag", "nbytes", "send_posted", "recv_posted", "bg_t", "fg_t",
+                 "eager", "local")
 
-    def __init__(self, tag: int, env: Environment):
+    def __init__(self, tag: int):
         self.tag = tag
         self.nbytes = 0
         self.send_posted = False
         self.recv_posted = False
-        self.bg_done: Event = env.event()
-        self.fg_done: Optional[Event] = None
-        self.bg_started = False
-        self.fg_started = False
+        #: absolute completion times of the background part and of the
+        #: foreground remainder; ``None`` until that part has started.
+        self.bg_t: Optional[float] = None
+        self.fg_t: Optional[float] = None
         self.eager = False
         self.local = False
 
@@ -202,75 +202,62 @@ class MirrorComm(RankComm):
             ready = xfer.send_posted and xfer.recv_posted
             frac = self._bg_frac[False]
             lat = self._rendezvous_latency_s
-        if not ready or xfer.bg_started:
+        if not ready or xfer.bg_t is not None:
             return  # an eager/local send started it before its recv posted
-        xfer.bg_started = True
+        now = self.env.now
         wire_mult = 1.0
         perturb = self.perturb
         if perturb is not None and not xfer.local:
             lat = lat * perturb.latency_factor(self.rank) + perturb.message_delay(
-                self.rank, self.env.now
+                self.rank, now
             )
             wire_mult = perturb.wire_factor(self.rank)
+        # The NIC share is static, so the completion time is known now: the
+        # latency lands first, then the background wire time. Two separate
+        # additions, ``(now + lat) + wire`` and not ``now + (lat + wire)``:
+        # that is the model's float order, which the golden oracles pin
+        # (docs/MODEL.md §7).
+        bg_t = now + lat
+        if frac > 0:
+            bg_t = bg_t + frac * xfer.nbytes * wire_mult / self._wire_rate(xfer)
+        xfer.bg_t = bg_t
         tracer = self.tracer
         if tracer is not None:
-            start = self.env.now
             lane = (
                 "mpi"
                 if xfer.local
                 or self.profile.interconnect.progress is ProgressModel.MANUAL_POLL
                 else "progress"
             )
-            xfer.bg_done.callbacks.append(
-                lambda _ev, s=start, x=xfer, lane=lane: tracer.record(
-                    lane, f"bg t{x.tag}", s, self.env.now,
-                    group=self.rank, cat="comm",
-                    args={"tag": x.tag, "nbytes": x.nbytes,
-                          "stage": "background"},
-                )
+            tracer.record(
+                lane, f"bg t{xfer.tag}", now, bg_t, group=self.rank, cat="comm",
+                args={"tag": xfer.tag, "nbytes": xfer.nbytes, "stage": "background"},
             )
-        # Callback-chained completion (latency slot, then wire slot) replaces
-        # the bg() generator process. Two separate slots — not one at
-        # ``lat + wire`` — so the time arithmetic ``(now + lat) + wire``
-        # matches the seed engine bit-for-bit. On the flat event core each
-        # slot is two appends into the time bucket (no per-hop allocation).
-        if frac > 0:
-            def after_latency(_a, *, xfer=xfer, frac=frac, mult=wire_mult):
-                self.env.schedule(
-                    frac * xfer.nbytes * mult / self._wire_rate(xfer),
-                    xfer.bg_done.succeed,
-                )
 
-            self.env.schedule(lat, after_latency)
+    def _foreground_end(self, xfer: _MirrorXfer) -> float:
+        """Completion time of the host-driven remainder, fixed at first call.
+
+        The remainder starts when a waiter first reaches it (after the
+        background part), so its end is ``now + remainder / rate``.
+        """
+        fg_t = xfer.fg_t
+        if fg_t is not None:
+            return fg_t
+        now = self.env.now
+        remainder = (1.0 - self._bg_frac[xfer.eager]) * xfer.nbytes
+        if self.perturb is not None and not xfer.local and remainder > 0:
+            remainder *= self.perturb.wire_factor(self.rank)
+        if remainder > 0:
+            fg_t = now + remainder / self._wire_rate(xfer)
+            if self.tracer is not None:
+                self.tracer.record(
+                    "mpi", f"fg t{xfer.tag}", now, fg_t, group=self.rank, cat="comm",
+                    args={"tag": xfer.tag, "nbytes": xfer.nbytes, "stage": "foreground"},
+                )
         else:
-            self.env.schedule(lat, xfer.bg_done.succeed)
-
-    def _ensure_foreground(self, xfer: _MirrorXfer) -> Event:
-        if xfer.fg_done is None:
-            xfer.fg_done = self.env.event()
-        if not xfer.fg_started:
-            xfer.fg_started = True
-            bg_frac = self._bg_frac[xfer.eager]
-            remainder = (1.0 - bg_frac) * xfer.nbytes
-            if self.perturb is not None and not xfer.local and remainder > 0:
-                remainder *= self.perturb.wire_factor(self.rank)
-            done = xfer.fg_done
-            tracer = self.tracer
-            if tracer is not None and remainder > 0:
-                start = self.env.now
-                done.callbacks.append(
-                    lambda _ev, s=start, x=xfer: tracer.record(
-                        "mpi", f"fg t{x.tag}", s, self.env.now,
-                        group=self.rank, cat="comm",
-                        args={"tag": x.tag, "nbytes": x.nbytes,
-                              "stage": "foreground"},
-                    )
-                )
-            if remainder > 0:
-                self.env.schedule(remainder / self._wire_rate(xfer), done.succeed)
-            else:
-                done.succeed()
-        return xfer.fg_done
+            fg_t = now
+        xfer.fg_t = fg_t
+        return fg_t
 
     # -- API ---------------------------------------------------------------
     def isend(self, dst: int, tag: int, nbytes: int, payload: Any = None):
@@ -318,25 +305,43 @@ class MirrorComm(RankComm):
         q = self._awaiting[side].get(tag)
         if q:
             return q.popleft()
-        xfer = _MirrorXfer(tag, self.env)
+        xfer = _MirrorXfer(tag)
         other = "recv" if side == "send" else "send"
         self._awaiting[other].setdefault(tag, deque()).append(xfer)
         return xfer
 
     def wait(self, request: Request):
-        """Block until the mirrored transfer completes."""
+        """Block until the mirrored transfer completes.
+
+        Both completion times are numbers by now (the background part's
+        since it started, the remainder's from its first waiter), so the
+        wait is at most two absolute-time Timeouts, each only while its
+        time is still ahead.
+        """
         if request.completed:
             return None
         xfer: _MirrorXfer = request._xfer
         if xfer.eager and not xfer.local and request.kind == "send":
             request.completed = True  # buffered; only the receiver waits
             return None
-        if not xfer.bg_done.processed:
-            yield xfer.bg_done
+        env = self.env
+        bg_t = xfer.bg_t
+        if bg_t is None:
+            # The representative rank posts both sides itself, so a transfer
+            # its other side has not started by the wait can never finish.
+            missing = "send" if request.kind == "recv" else "recv"
+            raise SimulationError(
+                f"mirror rank {self.rank}: wait on the {request.kind} of tag "
+                f"{xfer.tag} before its matching {missing} was posted"
+            )
+        if bg_t > env.now:
+            yield env.timeout_at(bg_t)
         if not xfer.local:
-            yield self._ensure_foreground(xfer)
+            fg_t = self._foreground_end(xfer)
+            if fg_t > env.now:
+                yield env.timeout_at(fg_t)
         if (xfer.local or xfer.eager) and request.kind == "recv":
-            yield self.env.timeout(xfer.nbytes / self._local_rate)
+            yield env.timeout(xfer.nbytes / self._local_rate)
         request.completed = True
         return None
 

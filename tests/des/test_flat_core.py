@@ -6,15 +6,17 @@ that bucket-FIFO draining is observably identical to a global
 ``(time, counter)`` priority queue. These tests check that claim directly:
 
 * a hypothesis property test executes randomized programs — mixes of event
-  timeouts, bare callback slots, cancellable slots (some tombstoned), and
-  zero-delay bursts, nested so that entries are scheduled both up front and
-  from inside running cohorts — on the real engine and on an oracle-simple
-  reference executor, and requires the exact same firing order;
+  timeouts (relative and absolute-time), bare callback slots, cancellable
+  slots (some tombstoned), and zero-delay bursts, nested so that entries are
+  scheduled both up front and from inside running cohorts — on the real
+  engine and on an oracle-simple reference executor, and requires the exact
+  same firing order;
 * a second property drives generator processes that yield Timeouts (lone,
-  tied, zero-delay, shared by several waiters, watched by extra callbacks)
-  through ``run()``, ``run(until=float)`` and ``run(until=event)``, and
-  requires the same firing order and the same ``env.now`` at every firing
-  as a reference executor without the engine's Timeout hop;
+  tied, zero-delay, absolute-time, shared by several waiters, watched by
+  extra callbacks) through ``run()``, ``run(until=float)`` and
+  ``run(until=event)``, and requires the same firing order and the same
+  ``env.now`` at every firing as a reference executor without the engine's
+  Timeout hop;
 * deterministic stress tests hammer tombstone cancellation (cancel-heavy
   queues, handle recycling, cancel/fire error contract);
 * a tracemalloc smoke check pins the allocation-free steady state.
@@ -39,7 +41,9 @@ from repro.des import Environment, SimulationError
 # ---------------------------------------------------------------------------
 
 _DELAYS = [0.0, 0.0, 0.25, 0.5, 1.0]  # 0.0 twice: bias toward same-time bursts
-_KINDS = ["event", "slot", "cancellable"]
+#: "event_at" is an absolute-time Timeout at the same ``now + delay`` key
+#: as "event", so it ties with relative Timeouts and slots on one float.
+_KINDS = ["event", "event_at", "slot", "cancellable"]
 
 
 def _label_program(program):
@@ -100,6 +104,9 @@ def run_engine(program):
 
         if kind == "event":
             ev = env.timeout(delay, label)
+            ev.callbacks.append(fire)
+        elif kind == "event_at":
+            ev = env.timeout_at(env.now + delay, label)
             ev.callbacks.append(fire)
         elif kind == "slot":
             env.schedule(delay, fire)
@@ -170,12 +177,41 @@ class TestOrderEquivalence:
         env.run()
         assert order == ["spawn", "sibling", "child", "child-ev"]
 
+    def test_timeout_at_now_joins_the_live_cohort(self):
+        """``timeout_at(now)`` from inside a cohort queues behind what is
+        already there, exactly like a zero-delay Timeout."""
+        env = Environment()
+        order = []
+
+        def spawn(_a):
+            env.timeout_at(env.now, "at").callbacks.append(
+                lambda ev: order.append(ev.value)
+            )
+            env.timeout(0.0, "zero").callbacks.append(lambda ev: order.append(ev.value))
+
+        env.schedule(1.0, spawn)
+        env.schedule(1.0, order.append, "sibling")
+        env.run()
+        assert order == ["sibling", "at", "zero"]
+
+    def test_timeout_at_in_the_past_raises(self):
+        env = Environment()
+        env.schedule(1.0, lambda _a: None)
+        env.run()
+        assert env.now == 1.0
+        with pytest.raises(ValueError, match="before now"):
+            env.timeout_at(0.5)
+        with pytest.raises(ValueError, match="before now"):
+            env.timeout_at(float("nan"))
+        assert env._buckets == {} and env._times == []
+
 
 # ---------------------------------------------------------------------------
 # Processes and the Timeout hop
 #
 # A process program is a list of steps, each (op, arg):
 #   ("timeout", d)  yield env.timeout(d)
+#   ("at", d)       yield env.timeout_at(env.now + d) — absolute time
 #   ("wait", k)     yield shared event k (several processes may wait on it,
 #                   and it may already be processed: the stale-resume path)
 #   ("slot", d)     env.schedule(d, record) — a bare slot, to tie or fill
@@ -221,6 +257,11 @@ class _RefEnv:
         self._push(self.now + delay, self._fire, ev)
         return ev
 
+    def timeout_at(self, t, value=None):
+        ev = _RefEvent(value)
+        self._push(t, self._fire, ev)
+        return ev
+
     def schedule(self, delay, fn, arg=None):
         self._push(self.now + delay, fn, arg)
 
@@ -261,6 +302,8 @@ def _process_program(env, pid, steps, shared, log):
     for j, (op, arg) in enumerate(steps):
         if op == "timeout":
             yield env.timeout(arg)
+        elif op == "at":
+            yield env.timeout_at(env.now + arg)
         elif op == "wait":
             yield shared[arg]
         elif op == "slot":
@@ -294,6 +337,7 @@ def run_processes(env, shared_delays, procs, stops):
 _STEPS = st.one_of(
     st.tuples(st.just("timeout"), st.sampled_from(_DELAYS)),
     st.tuples(st.just("timeout"), st.sampled_from([0.25, 0.5, 1.0, 0.75])),
+    st.tuples(st.just("at"), st.sampled_from(_DELAYS + [0.75])),
     st.tuples(st.just("wait"), st.integers(0, _N_SHARED - 1)),
     st.tuples(st.just("slot"), st.sampled_from(_DELAYS)),
     st.tuples(st.just("observe"), st.integers(0, _N_SHARED - 1)),
@@ -353,6 +397,30 @@ class TestTimeoutHop:
         env.run()
         assert stamps == [(0.1, 0.1), (0.2, 0.1 + 0.2), (0.3, 0.1 + 0.2 + 0.3)]
         assert env._buckets == {} and env._times == []
+
+    @pytest.mark.parametrize("absolute", [False, True])
+    def test_lone_timeout_hops(self, absolute):
+        """A lone process's Timeout is taken by the hop whether it is built
+        from a delay or an absolute time: the resume keeps running in the
+        same call, so the live cohort list carries over to the new time
+        (the loop would have popped the Timeout's own bucket list). The
+        first yield comes from the bootstrap slot, which never hops."""
+        env = Environment()
+        seen = []
+
+        def proc():
+            yield env.timeout(0.25)
+            for t in (0.5, 1.5):
+                cohort = env._cur
+                if absolute:
+                    yield env.timeout_at(t)
+                else:
+                    yield env.timeout(t - env.now)
+                seen.append((env.now, env._cur is cohort))
+
+        env.process(proc())
+        env.run()
+        assert seen == [(0.5, True), (1.5, True)]
 
 
 class TestCancellation:

@@ -46,6 +46,35 @@ def golden_keys():
     return sorted(IMPLEMENTATIONS)
 
 
+#: Mirror-backend golden runs, ``workload/implementation``: the mirror
+#: records its own background/foreground transfer intervals, which the
+#: full-network entries above never exercise.
+MIRROR_GOLDEN_KEYS = (
+    "advection/bulk",
+    "advection/gpu_streams",
+    "advection/hybrid_overlap",
+    "advection/nonblocking",
+    "spmv/hybrid_overlap",
+)
+
+
+def golden_mirror_config(key: str) -> RunConfig:
+    """The committed-golden mirror configuration of ``workload/impl``.
+
+    Four nodes' worth of ranks, so halo faces cross the NIC as well as
+    staying on-node. The SpMV run sits on A100-SXM, whose hardware-offload
+    progress moves background wire time onto the ``progress`` lane, and
+    its gathers straddle the eager threshold.
+    """
+    workload, impl = key.split("/")
+    if workload == "spmv":
+        return tiny_config(
+            impl, machine="a100-sxm", cores=256, threads_per_task=16,
+            network="mirror", workload="spmv", workload_params=(("rows", 1 << 15),),
+        )
+    return golden_config(impl).with_(network="mirror", cores=48, domain=(32, 32, 32))
+
+
 def golden_summary(result) -> dict:
     """The committed per-run trace summary (counts exact, floats to rtol)."""
     tracer = result.tracer

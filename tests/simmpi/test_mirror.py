@@ -1,5 +1,7 @@
 """Tests for the mirror backend and its cross-validation against the full one."""
 
+from dataclasses import replace
+
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -7,15 +9,15 @@ from hypothesis import strategies as st
 from repro.core.config import RunConfig
 from repro.core.runner import run
 from repro.decomp.partition import Decomposition
-from repro.des import Environment
-from repro.machines import JAGUARPF, HOPPER
+from repro.des import Environment, SimulationError
+from repro.machines import JAGUARPF, HOPPER, ProgressModel
 from repro.simmpi import MirrorComm, MirrorProfile, halo_tag
 
 
-def make_comm(ntasks=64, tasks_per_node=4):
+def make_comm(ntasks=64, tasks_per_node=4, machine=JAGUARPF):
     env = Environment()
     d = Decomposition(ntasks, (420, 420, 420))
-    profile = MirrorProfile.for_decomposition(JAGUARPF, d, tasks_per_node)
+    profile = MirrorProfile.for_decomposition(machine, d, tasks_per_node)
     return env, MirrorComm(env, profile), profile
 
 
@@ -228,6 +230,90 @@ class TestMirrorComm:
             return v
 
         assert env.run(until=env.process(prog())) == 3.5
+
+
+#: (message kind, halo tag, bytes) on JaguarPF's (4,4,4) grid with 4 tasks
+#: per node: x faces stay on-node, y faces cross the NIC.
+_MESSAGES = [
+    ("on-node", halo_tag(0, -1), 100_000),
+    ("eager", halo_tag(1, -1), 1_000),
+    ("rendezvous", halo_tag(1, -1), 100_000),
+]
+
+
+class TestCompletionTimes:
+    """A receive's wait returns at the hand-computed completion time."""
+
+    @pytest.mark.parametrize("progress", list(ProgressModel))
+    @pytest.mark.parametrize("kind,tag,nbytes", _MESSAGES)
+    def test_recv_wait_returns_at_hand_computed_time(self, progress, kind, tag, nbytes):
+        ic = replace(JAGUARPF.interconnect, progress=progress)
+        env, comm, prof = make_comm(machine=replace(JAGUARPF, interconnect=ic))
+        local, eager = kind == "on-node", kind == "eager"
+        assert prof.is_offnode(tag) is not local
+        assert local or (nbytes <= ic.eager_threshold_bytes) is eager
+        memcpy_rate = JAGUARPF.node.memcpy_bandwidth_gbs * 1e9
+        overhead = ic.per_message_cpu_us * 1e-6
+        if local:
+            lat, frac, rate = 0.5e-6, 1.0, memcpy_rate
+        else:
+            lat = ic.latency_s if eager else 2.0 * ic.latency_s
+            frac = ic.background_fraction(eager)
+            rate = ic.bandwidth_bps / prof.nic_share(tag)
+        seen = {}
+
+        def prog():
+            sreq = yield from comm.isend(8, tag, nbytes)
+            seen["send"] = env.now
+            rreq = yield from comm.irecv(7, tag, nbytes)
+            seen["recv"] = env.now
+            yield from comm.wait(rreq)
+            seen["done"] = env.now
+            # Waiting again on the finished transfer, from either side,
+            # yields nothing and leaves the clock alone.
+            assert list(comm.wait(rreq)) == [] and list(comm.wait(sreq)) == []
+            assert sreq.completed and rreq.completed
+
+        env.run(until=env.process(prog()))
+        assert seen["send"] == overhead
+        assert seen["recv"] == overhead + overhead
+        # Eager and on-node transfers start at the send; rendezvous needs
+        # both sides posted.
+        start = seen["recv"] if not (local or eager) else seen["send"]
+        bg_end = start + lat
+        if frac > 0:
+            bg_end = bg_end + frac * nbytes / rate
+        t = max(seen["recv"], bg_end)
+        remainder = (1.0 - frac) * nbytes
+        if not local and remainder > 0:
+            t = t + remainder / rate
+        if local or eager:
+            t = t + nbytes / memcpy_rate  # the receive-side copy
+        assert seen["done"] == t  # exact: the same float arithmetic
+
+    @pytest.mark.parametrize("kind,tag,nbytes", _MESSAGES)
+    def test_recv_wait_before_send_posted_raises(self, kind, tag, nbytes):
+        env, comm, _ = make_comm()
+
+        def prog():
+            rreq = yield from comm.irecv(7, tag, nbytes)
+            yield from comm.wait(rreq)
+
+        env.process(prog())
+        with pytest.raises(SimulationError, match=f"recv of tag {tag} before its matching send"):
+            env.run()
+
+    def test_rendezvous_send_wait_before_recv_posted_raises(self):
+        env, comm, _ = make_comm()
+        tag = halo_tag(1, -1)
+
+        def prog():
+            sreq = yield from comm.isend(8, tag, 100_000)
+            yield from comm.wait(sreq)
+
+        env.process(prog())
+        with pytest.raises(SimulationError, match=f"send of tag {tag} before its matching recv"):
+            env.run()
 
 
 class TestCrossValidation:
