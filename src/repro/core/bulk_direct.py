@@ -36,46 +36,45 @@ class BulkDirectMPI(Implementation):
     uses_mpi = True
     uses_gpu = False
 
+    def setup(self, ctx: RankContext):
+        """Build the run's 26-message plans and packed-byte total once."""
+        decomp = ctx.decomp
+        shape = ctx.sub.shape
+        coords = decomp.coords_of(ctx.sub.rank)
+        recv_plan, send_plan = [], []
+        for d in OFFSETS26:
+            peer = decomp.rank_of(tuple(c + dd for c, dd in zip(coords, d)))
+            nbytes = region_bytes(shape, d)
+            # My halo at d arrives from the d-neighbor, which sends toward -d.
+            recv_plan.append((peer, offset_tag(tuple(-x for x in d)), nbytes))
+            send_plan.append((peer, offset_tag(d), nbytes))
+        st = ctx.state
+        st["recv_plan"] = recv_plan
+        st["send_plan"] = send_plan
+        st["exchange_bytes"] = total_exchange_bytes(shape)
+        return
+        yield  # pragma: no cover - a generator hook that takes no time
+
     def step(self, ctx: RankContext, index: int):
         comm = ctx.comm
         data = ctx.data
-        shape = ctx.sub.shape
+        st = ctx.state
+        xbytes = st["exchange_bytes"]
 
-        def neighbor_of(d):
-            coords = tuple(c + dd for c, dd in zip(ctx.decomp.coords_of(ctx.sub.rank), d))
-            return ctx.decomp.rank_of(coords)
-
-        # Post every receive up front: my halo at d arrives from the
-        # d-neighbor, which sends toward -d.
-        recvs = {}
-        for d in OFFSETS26:
-            neg = tuple(-x for x in d)
-            recvs[d] = yield from comm.irecv(
-                neighbor_of(d), offset_tag(neg), region_bytes(shape, d)
-            )
+        # Post every receive up front.
+        recvs = yield from comm.irecv_all(st["recv_plan"])
         # Pack everything (one threaded pass over ~the same bytes as the
         # serialized protocol, moderately strided), then send all 26.
-        yield ctx.memcpy(total_exchange_bytes(shape), 0.7, phase="pack")
-        sends = []
-        for d in OFFSETS26:
-            payload = pack_region(data.u, d) if data.functional else None
-            sends.append(
-                (
-                    yield from comm.isend(
-                        neighbor_of(d), offset_tag(d), region_bytes(shape, d), payload
-                    )
-                )
-            )
+        yield ctx.memcpy(xbytes, 0.7, phase="pack")
+        payloads = [pack_region(data.u, d) for d in OFFSETS26] if data.functional else None
+        sends = yield from comm.isend_all(st["send_plan"], payloads)
         # Complete receives, unpack, complete sends.
-        payloads = {}
-        for d in OFFSETS26:
-            payloads[d] = yield from comm.wait(recvs[d])
-        yield ctx.memcpy(total_exchange_bytes(shape), 0.7, phase="unpack")
+        payloads = yield from comm.waitall(recvs)
+        yield ctx.memcpy(xbytes, 0.7, phase="unpack")
         if data.functional:
-            for d in OFFSETS26:
-                unpack_region(data.u, d, payloads[d])
-        for req in sends:
-            yield from comm.wait(req)
+            for d, payload in zip(OFFSETS26, payloads):
+                unpack_region(data.u, d, payload)
+        yield from comm.waitall(sends)
 
         # Local computation is identical to the serialized bulk version.
         yield ctx.compute(ctx.sub.points)

@@ -32,7 +32,7 @@ from repro.machines.cpu_model import (
 from repro.machines.calibration import BOUNDARY_LOOP_EFFICIENCY, COPY_BYTES_PER_POINT
 from repro.simgpu.blockmodel import stencil_kernel_time
 from repro.simgpu.device import Gpu, Stream
-from repro.simmpi.api import RankComm
+from repro.simmpi.api import Plan, RankComm, halo_tag
 from repro.stencil.coefficients import FLOPS_PER_POINT
 
 __all__ = ["RankContext", "FACE_PACK_STRIDE_PENALTY"]
@@ -87,6 +87,7 @@ class RankContext:
         self.state: Dict[str, object] = {}
         self._neighbors: Dict[Tuple[int, int], int] = {}
         self._face_bytes: Dict[int, int] = {}
+        self._halo_plans: Dict[int, Tuple[Plan, Plan]] = {}
         #: threads -> task_memory_bandwidth(node, threads); the node is fixed
         #: for the context, so each thread count is computed once.
         self._mem_bw_by_threads: Dict[int, float] = {}
@@ -373,7 +374,7 @@ class RankContext:
         return done
 
     # -- topology helpers --------------------------------------------------------
-    # Both are asked once per message of every step; only successful
+    # Each is asked once per exchange of every step; only successful
     # lookups are memoized, so bad arguments still raise each time.
     def neighbor(self, dim: int, side: int) -> int:
         """Face-neighbor rank."""
@@ -389,3 +390,21 @@ class RankContext:
         if nbytes is None:
             nbytes = self._face_bytes[dim] = face_message_bytes(self.sub.shape, dim)
         return nbytes
+
+    def halo_plan(self, dim: int) -> Tuple[Plan, Plan]:
+        """``(recv_plan, send_plan)`` of the ``dim`` face exchange.
+
+        Both list the ``-1`` side first. My halo on ``side`` is filled by
+        the ``(dim, side)`` neighbor's send toward ``-side``, so a receive
+        from that neighbor carries ``halo_tag(dim, -side)``; the send to it
+        carries ``halo_tag(dim, side)``.
+        """
+        plans = self._halo_plans.get(dim)
+        if plans is None:
+            nbytes = self.face_bytes(dim)
+            peers = [(side, self.neighbor(dim, side)) for side in (-1, 1)]
+            plans = self._halo_plans[dim] = (
+                tuple((peer, halo_tag(dim, -side), nbytes) for side, peer in peers),
+                tuple((peer, halo_tag(dim, side), nbytes) for side, peer in peers),
+            )
+        return plans

@@ -13,10 +13,10 @@ nonblocking-overlap implementation (§IV-C) can compute between them;
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import List
 
 from repro.core.context import FACE_PACK_STRIDE_PENALTY, RankContext
-from repro.simmpi.api import Request, halo_tag
+from repro.simmpi.api import Request
 
 __all__ = ["post_dim", "complete_dim", "bulk_exchange"]
 
@@ -24,53 +24,43 @@ __all__ = ["post_dim", "complete_dim", "bulk_exchange"]
 def post_dim(ctx: RankContext, dim: int, pack_threads: int | None = None):
     """Generator: irecvs, pack, isends for one dimension.
 
-    Returns ``(recvs, sends)`` where ``recvs`` maps halo side -> Request.
+    Returns ``(recvs, sends)``, each a Request list in side order (-1, +1).
     ``pack_threads`` overrides the thread count doing the packing (the
     OpenMP-overlap implementation packs with the master thread only).
     """
     comm = ctx.comm
-    nbytes = ctx.face_bytes(dim)
-    # Master thread first issues nonblocking receive calls (§IV-B). My halo
-    # on `side` is filled by the (dim, side) neighbor's send toward -side.
-    recvs: Dict[int, Request] = {}
-    for side in (-1, 1):
-        recvs[side] = yield from comm.irecv(
-            ctx.neighbor(dim, side), halo_tag(dim, -side), nbytes
-        )
+    recv_plan, send_plan = ctx.halo_plan(dim)
+    # Master thread first issues nonblocking receive calls (§IV-B).
+    recvs = yield from comm.irecv_all(recv_plan)
     # All threads copy into send buffers.
     yield ctx.memcpy(
-        2 * nbytes, FACE_PACK_STRIDE_PENALTY[dim], phase="pack", threads=pack_threads
+        2 * ctx.face_bytes(dim), FACE_PACK_STRIDE_PENALTY[dim], phase="pack",
+        threads=pack_threads,
     )
-    sends: List[Request] = []
-    for side in (-1, 1):
-        payload = ctx.data.pack(dim, side)
-        sends.append(
-            (yield from comm.isend(ctx.neighbor(dim, side), halo_tag(dim, side), nbytes, payload))
-        )
+    data = ctx.data
+    payloads = (data.pack(dim, -1), data.pack(dim, 1)) if data.functional else None
+    sends = yield from comm.isend_all(send_plan, payloads)
     return recvs, sends
 
 
 def complete_dim(
     ctx: RankContext,
     dim: int,
-    recvs: Dict[int, Request],
+    recvs: List[Request],
     sends: List[Request],
     unpack_threads: int | None = None,
 ):
     """Generator: complete one dimension's receives and unpack the halos."""
     comm = ctx.comm
-    nbytes = ctx.face_bytes(dim)
-    payloads = {}
-    for side in (-1, 1):
-        payloads[side] = yield from comm.wait(recvs[side])
+    payloads = yield from comm.waitall(recvs)
     yield ctx.memcpy(
-        2 * nbytes, FACE_PACK_STRIDE_PENALTY[dim], phase="unpack", threads=unpack_threads
+        2 * ctx.face_bytes(dim), FACE_PACK_STRIDE_PENALTY[dim], phase="unpack",
+        threads=unpack_threads,
     )
     if ctx.data.functional:
-        for side in (-1, 1):
-            ctx.data.unpack(dim, side, payloads[side])
-    for req in sends:
-        yield from comm.wait(req)
+        for side, payload in zip((-1, 1), payloads):
+            ctx.data.unpack(dim, side, payload)
+    yield from comm.waitall(sends)
 
 
 def bulk_exchange(ctx: RankContext, threads: int | None = None):

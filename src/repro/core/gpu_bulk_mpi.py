@@ -8,7 +8,6 @@ from repro.core.base import Implementation
 from repro.core.context import RankContext
 from repro.core.gpu_common import box_points
 from repro.decomp.halo import pack_face, unpack_face
-from repro.simmpi.api import halo_tag
 from repro.stencil.arena import ScratchArena
 from repro.stencil.kernels import apply_stencil_block, interior
 
@@ -66,12 +65,9 @@ class GpuBulkMPI(Implementation):
 
         for dim in range(3):
             nbytes = ctx.face_bytes(dim)
+            recv_plan, send_plan = ctx.halo_plan(dim)
             # Receives first, as in the CPU bulk implementation.
-            recvs = {}
-            for side in (-1, 1):
-                recvs[side] = yield from comm.irecv(
-                    ctx.neighbor(dim, side), halo_tag(dim, -side), nbytes
-                )
+            recvs = yield from comm.irecv_all(recv_plan)
             # Device pack kernel -> blocking D2H of both face buffers.
             def pack_action(dim=dim):
                 if u_dev.functional:
@@ -85,21 +81,14 @@ class GpuBulkMPI(Implementation):
                 # Blocking pageable D2H of the packed faces (§IV-F). A
                 # GPU-aware interconnect sends the device buffers directly.
                 yield ctx.pcie_sync(2 * nbytes)
-            # MPI exchange of this dimension.
-            sends = []
-            for side in (-1, 1):
-                payload = st["host_send"].get((dim, side))
-                sends.append(
-                    (
-                        yield from comm.isend(
-                            ctx.neighbor(dim, side), halo_tag(dim, side), nbytes, payload
-                        )
-                    )
-                )
-            for side in (-1, 1):
-                st["host_recv"][(dim, side)] = yield from comm.wait(recvs[side])
-            for req in sends:
-                yield from comm.wait(req)
+            # MPI exchange of this dimension: sends, then every receive and
+            # send completed in that order.
+            host_send = st["host_send"]
+            sends = yield from comm.isend_all(
+                send_plan, (host_send.get((dim, -1)), host_send.get((dim, 1)))
+            )
+            payloads = yield from comm.waitall(recvs + sends)
+            st["host_recv"][(dim, -1)], st["host_recv"][(dim, 1)] = payloads[:2]
             # Blocking H2D of the halo buffers -> device unpack kernel
             # (skipped under GPUDirect: the NIC delivered into device memory).
             if not ctx.gpudirect:

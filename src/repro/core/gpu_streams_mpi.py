@@ -10,7 +10,6 @@ from repro.core.base import Implementation
 from repro.core.context import RankContext
 from repro.core.gpu_common import box_points
 from repro.decomp.halo import pack_face, unpack_face
-from repro.simmpi.api import halo_tag
 from repro.stencil.arena import ScratchArena
 from repro.stencil.kernels import apply_stencil_block, interior
 
@@ -128,28 +127,13 @@ class GpuStreamsMPI(Implementation):
 
         # MPI communication (serialized dims, buffers from the previous step).
         for dim in range(3):
-            nbytes = ctx.face_bytes(dim)
-            recvs = {}
-            for side in (-1, 1):
-                recvs[side] = yield from comm.irecv(
-                    ctx.neighbor(dim, side), halo_tag(dim, -side), nbytes
-                )
-            sends = []
-            for side in (-1, 1):
-                sends.append(
-                    (
-                        yield from comm.isend(
-                            ctx.neighbor(dim, side),
-                            halo_tag(dim, side),
-                            nbytes,
-                            host_send.get((dim, side)),
-                        )
-                    )
-                )
-            for side in (-1, 1):
-                host_recv[(dim, side)] = yield from comm.wait(recvs[side])
-            for req in sends:
-                yield from comm.wait(req)
+            recv_plan, send_plan = ctx.halo_plan(dim)
+            recvs = yield from comm.irecv_all(recv_plan)
+            sends = yield from comm.isend_all(
+                send_plan, (host_send.get((dim, -1)), host_send.get((dim, 1)))
+            )
+            payloads = yield from comm.waitall(recvs + sends)
+            host_recv[(dim, -1)], host_recv[(dim, 1)] = payloads[:2]
             if data.functional:
                 _forward_rims(ctx.sub.shape, host_recv, dim, host_send)
 

@@ -5,17 +5,13 @@ from __future__ import annotations
 from repro.core.base import Implementation
 from repro.core.context import RankContext
 from repro.core.exchange import bulk_exchange
-from repro.core.gpu_common import (
-    box_points,
-    copy_box_dev_to_host,
-    copy_box_host_to_dev,
-    host_to_dev,
-    inner_boundary_slabs,
-    inner_halo_slabs,
-    slab_normal_split,
+from repro.core.gpu_common import copy_box_dev_to_host, copy_box_host_to_dev
+from repro.core.hybrid_common import (
+    HybridGeometry,
+    hybrid_drain,
+    hybrid_setup,
+    hybrid_validate,
 )
-from repro.core.hybrid_common import hybrid_drain, hybrid_setup, hybrid_validate
-from repro.decomp.boxdecomp import BoxDecomposition
 from repro.machines.calibration import WALL_COMPUTE_EFFICIENCY
 from repro.stencil.kernels import apply_stencil_block
 
@@ -46,35 +42,34 @@ class HybridBulkMPI(Implementation):
 
     def step(self, ctx: RankContext, index: int):
         st = ctx.state
-        box: BoxDecomposition = st["box"]
+        geom: HybridGeometry = st["geom"]
+        box = geom.box
         data = ctx.data
         s1 = st["s1"]
         u_dev, unew_dev = st["u"], st["unew"]
         coeffs = data.coeffs
-        h2d_bytes, d2h_bytes = box.inner_exchange_bytes()
+        h2d_bytes, d2h_bytes = geom.h2d_bytes, geom.d2h_bytes
 
         # 1) Inner exchange with the GPU (bulk: blocking pageable copies).
         #    D2H the block's outer layer for the CPU walls...
-        out_slabs = inner_boundary_slabs(box)
-        for dim, pts in slab_normal_split(out_slabs).items():
+        for dim, pts in geom.out_split.items():
             yield ctx.launch_cost(1)
             ev = ctx.device_copy_kernel(s1, pts * 8, dim)
             yield ev
         yield ctx.pcie_sync(d2h_bytes)
         yield ctx.memcpy(d2h_bytes, 0.7, phase="stage")
         if data.functional:
-            for _, slab in out_slabs:
+            for _, slab in geom.out_slabs:
                 copy_box_dev_to_host(u_dev.data, data.u, box, slab)
         #    ...and H2D the adjacent CPU layer as the block's halo.
-        in_slabs = inner_halo_slabs(box)
         yield ctx.memcpy(h2d_bytes, 0.7, phase="stage")
         yield ctx.pcie_sync(h2d_bytes)
-        for dim, pts in slab_normal_split(in_slabs).items():
+        for dim, pts in geom.in_split.items():
             yield ctx.launch_cost(1)
             ev = ctx.device_copy_kernel(s1, pts * 8, dim)
             yield ev
         if data.functional:
-            for _, slab in in_slabs:
+            for _, slab in geom.in_slabs:
                 copy_box_host_to_dev(data.u, u_dev.data, box, slab)
 
         # 2) Outer exchange with other tasks (bulk-synchronous MPI).
@@ -95,7 +90,7 @@ class HybridBulkMPI(Implementation):
         )
         yield ctx.compute(box.cpu_points, efficiency=WALL_COMPUTE_EFFICIENCY)
         if data.functional:
-            for wall in box.walls():
+            for wall in geom.walls:
                 data.apply_block(wall.lo, wall.hi)
         if not kev.processed:
             yield kev
@@ -104,7 +99,7 @@ class HybridBulkMPI(Implementation):
         st["u"], st["unew"] = st["unew"], st["u"]
         yield ctx.copy_state_cost(box.cpu_points)
         if data.functional:
-            for wall in box.walls():
+            for wall in geom.walls:
                 data.copy_region(wall.lo, wall.hi)
 
     def drain(self, ctx: RankContext):

@@ -5,21 +5,16 @@ from __future__ import annotations
 
 from typing import List
 
-import numpy as np
-
 from repro.core.base import Implementation
 from repro.core.context import RankContext
 from repro.core.exchange import complete_dim, post_dim
-from repro.core.gpu_common import (
-    box_points,
-    copy_box_host_to_dev,
-    host_to_dev,
-    inner_boundary_slabs,
-    inner_halo_slabs,
-    slab_normal_split,
+from repro.core.gpu_common import copy_box_host_to_dev, host_to_dev
+from repro.core.hybrid_common import (
+    HybridGeometry,
+    hybrid_drain,
+    hybrid_setup,
+    hybrid_validate,
 )
-from repro.core.hybrid_common import hybrid_drain, hybrid_setup, hybrid_validate
-from repro.decomp.boxdecomp import BoxDecomposition
 from repro.machines.calibration import WALL_COMPUTE_EFFICIENCY
 from repro.stencil.kernels import apply_stencil_block
 
@@ -64,12 +59,13 @@ class HybridOverlapMPI(Implementation):
 
     def step(self, ctx: RankContext, index: int):
         st = ctx.state
-        box: BoxDecomposition = st["box"]
+        geom: HybridGeometry = st["geom"]
+        box = geom.box
         data = ctx.data
         s1, s2 = st["s1"], st["s2"]
         u_dev, unew_dev = st["u"], st["unew"]
         coeffs = data.coeffs
-        h2d_bytes, d2h_bytes = box.inner_exchange_bytes()
+        h2d_bytes, d2h_bytes = geom.h2d_bytes, geom.d2h_bytes
         off = host_to_dev(box)
 
         # 1) Block-interior kernel to stream 1 (no halo dependency).
@@ -91,8 +87,7 @@ class HybridOverlapMPI(Implementation):
             yield interior_ev  # ablation: host blocks on every device phase
 
         # 2) Stream 2: async inner exchange around the block-boundary kernel.
-        in_slabs = inner_halo_slabs(box)
-        out_slabs = inner_boundary_slabs(box)
+        in_slabs, out_slabs = geom.in_slabs, geom.out_slabs
         yield ctx.memcpy(h2d_bytes, 0.7, phase="stage")  # pack pinned buffer
         yield ctx.launch_cost(3)
 
@@ -103,8 +98,6 @@ class HybridOverlapMPI(Implementation):
 
         ctx.h2d(s2, h2d_bytes, action=h2d_action)
 
-        shell_pts = sum(box_points(b) for _, b in out_slabs)
-
         def boundary_action():
             if u_dev.functional:
                 for _, (lo, hi) in out_slabs:
@@ -114,7 +107,7 @@ class HybridOverlapMPI(Implementation):
                     apply_stencil_block(u_dev.data, coeffs, unew_dev.data,
                                         dlo, dhi, arena=arena)
 
-        ctx.thin_kernel(s2, shell_pts, action=boundary_action)
+        ctx.thin_kernel(s2, geom.shell_points, action=boundary_action)
 
         staging: List = st["d2h_staging"]
 
@@ -135,16 +128,15 @@ class HybridOverlapMPI(Implementation):
         #    interiors (they read no outer halo).
         for dim in range(3):
             recvs, sends = yield from post_dim(ctx, dim)
-            pts = sum(
-                box.wall_interior_points_for(w) for w in box.walls_for_dim(dim)
-            )
             if ctx.cfg.disable_mpi_overlap:
                 # Ablation: finish the exchange first, compute after it.
                 yield from complete_dim(ctx, dim, recvs, sends)
-            yield ctx.compute(pts, efficiency=WALL_COMPUTE_EFFICIENCY)
+            yield ctx.compute(
+                geom.wall_interior_points[dim], efficiency=WALL_COMPUTE_EFFICIENCY
+            )
             if data.functional:
-                for w in box.walls_for_dim(dim):
-                    data.apply_block(*box.wall_interior_box(w))
+                for lo, hi in geom.wall_interior_boxes[dim]:
+                    data.apply_block(lo, hi)
             if not ctx.cfg.disable_mpi_overlap:
                 yield from complete_dim(ctx, dim, recvs, sends)
 
@@ -166,7 +158,7 @@ class HybridOverlapMPI(Implementation):
         st["u"], st["unew"] = st["unew"], st["u"]
         yield ctx.copy_state_cost(box.cpu_points)
         if data.functional:
-            for wall in box.walls():
+            for wall in geom.walls:
                 data.copy_region(wall.lo, wall.hi)
 
     def drain(self, ctx: RankContext):

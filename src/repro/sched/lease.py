@@ -92,13 +92,25 @@ class ShardLeases:
         return doc if isinstance(doc, dict) else None
 
     def _write_over(self, name: str, nonce: str) -> None:
-        """Atomically replace a lease file (steal/renew path)."""
+        """Atomically replace a lease file (steal/renew path).
+
+        A failed write (ENOSPC, EIO, ...) removes its temp file before the
+        error propagates, so a failing lease directory does not fill up
+        with ``.tmp`` leftovers.
+        """
         tmp = self._path(name) + f".{self.owner.replace('/', '_')}.{nonce}.tmp"
-        with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump(self._doc(nonce), fh)
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, self._path(name))
+        try:
+            with open(tmp, "w", encoding="utf-8") as fh:
+                json.dump(self._doc(nonce), fh)
+                fh.flush()
+                os.fsync(fh.fileno())
+            os.replace(tmp, self._path(name))
+        except BaseException:
+            try:
+                os.unlink(tmp)
+            except OSError:
+                pass
+            raise
 
     def _verify(self, name: str, nonce: str) -> bool:
         """Read the lease back: did *our* write survive the race?"""

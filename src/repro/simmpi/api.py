@@ -4,14 +4,23 @@ Calls that consume host time are generators: the caller writes
 ``req = yield from comm.isend(...)`` inside its own DES process, so MPI
 CPU overheads land on the calling rank's timeline — exactly the property
 the paper's overlap experiments hinge on.
+
+An exchange phase posts and completes its messages in batches: a *plan*
+is a sequence of ``(peer, tag, nbytes)`` triples, and
+``reqs = yield from comm.irecv_all(plan)`` / ``comm.isend_all(plan,
+payloads)`` post them in order, ``comm.waitall(reqs)`` completes them in
+order (docs/MODEL.md §2).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Optional
+from typing import Any, Iterable, List, Optional, Sequence, Tuple
 
-__all__ = ["halo_tag", "HALO_TAGS", "Request", "RankComm"]
+__all__ = ["halo_tag", "HALO_TAGS", "Request", "RankComm", "Plan"]
+
+#: One batch of messages: ``(peer, tag, nbytes)`` per message, in post order.
+Plan = Sequence[Tuple[int, int, int]]
 
 
 def halo_tag(dim: int, travel: int) -> int:
@@ -50,7 +59,16 @@ class Request:
 
 
 class RankComm:
-    """Abstract per-rank communicator. See backend docs for semantics."""
+    """Abstract per-rank communicator. See backend docs for semantics.
+
+    The batch calls :meth:`irecv_all`, :meth:`isend_all` and
+    :meth:`waitall` mean exactly "the single-message call, once per entry,
+    in order"; their default bodies are those loops, so a backend that
+    only implements :meth:`isend`, :meth:`irecv` and :meth:`wait` (the
+    full backend) times a batch message by message. A backend whose
+    completion times are numbers up front (the mirror backend) overrides
+    them with a closed form that ends at the same times.
+    """
 
     rank: int
     nranks: int
@@ -70,8 +88,30 @@ class RankComm:
         """
         raise NotImplementedError
 
+    def irecv_all(self, plan: Plan):
+        """Generator: post one receive per plan entry; returns the Requests."""
+        reqs: List[Request] = []
+        for peer, tag, nbytes in plan:
+            reqs.append((yield from self.irecv(peer, tag, nbytes)))
+        return reqs
+
+    def isend_all(self, plan: Plan, payloads: Optional[Sequence[Any]] = None):
+        """Generator: post one send per plan entry; returns the Requests.
+
+        ``payloads`` (functional runs only) runs parallel to ``plan``.
+        """
+        reqs: List[Request] = []
+        for i, (peer, tag, nbytes) in enumerate(plan):
+            payload = None if payloads is None else payloads[i]
+            reqs.append((yield from self.isend(peer, tag, nbytes, payload)))
+        return reqs
+
     def waitall(self, requests: Iterable[Request]):
-        """Generator: wait on each request in turn (MPI_Waitall)."""
+        """Generator: wait on each request in turn (MPI_Waitall).
+
+        Returns the payloads in request order (``None`` for sends and in
+        shadow mode).
+        """
         payloads = []
         for r in requests:
             payloads.append((yield from self.wait(r)))

@@ -20,12 +20,12 @@ import math
 from collections import deque
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.des import Environment, SimulationError
 from repro.decomp.partition import Decomposition
 from repro.machines.spec import InterconnectSpec, MachineSpec, NodeSpec, ProgressModel
-from repro.simmpi.api import RankComm, Request, halo_tag
+from repro.simmpi.api import Plan, RankComm, Request, halo_tag
 
 __all__ = ["MirrorProfile", "MirrorComm"]
 
@@ -127,6 +127,17 @@ class MirrorComm(RankComm):
     Functional payloads are not supported (there are no real peers); use the
     full backend for functional runs. In mirror mode a receive's payload is
     always ``None`` and implementations must run in shadow-data mode.
+
+    Every completion time is a number by the time anything waits on it
+    (one rank, a static NIC share), so the batch calls run in closed form
+    and are the only code path: :meth:`isend_all`/:meth:`irecv_all` chain
+    the post times ``t = t + overhead`` and start each background part at
+    its own post time; :meth:`waitall` walks its requests in order with
+    the per-message rules. Each batch then yields one absolute-time
+    Timeout, and only if a per-message loop would have yielded at all.
+    Perturbation draws and trace records happen in per-message order, at
+    the computed times. :meth:`isend`, :meth:`irecv` and :meth:`wait` are
+    batches of one (docs/MODEL.md §4).
     """
 
     def __init__(self, env: Environment, profile: MirrorProfile):
@@ -185,7 +196,8 @@ class MirrorComm(RankComm):
             local = self._local_by_tag[tag] = not self.profile.is_offnode(tag)
         return local
 
-    def _maybe_start_background(self, xfer: _MirrorXfer) -> None:
+    def _maybe_start_background(self, xfer: _MirrorXfer, now: float) -> None:
+        """Start the background part at ``now`` if its side(s) are posted."""
         if xfer.local:
             ready = xfer.send_posted
             frac = 1.0
@@ -204,7 +216,6 @@ class MirrorComm(RankComm):
             lat = self._rendezvous_latency_s
         if not ready or xfer.bg_t is not None:
             return  # an eager/local send started it before its recv posted
-        now = self.env.now
         wire_mult = 1.0
         perturb = self.perturb
         if perturb is not None and not xfer.local:
@@ -234,16 +245,15 @@ class MirrorComm(RankComm):
                 args={"tag": xfer.tag, "nbytes": xfer.nbytes, "stage": "background"},
             )
 
-    def _foreground_end(self, xfer: _MirrorXfer) -> float:
+    def _foreground_end(self, xfer: _MirrorXfer, now: float) -> float:
         """Completion time of the host-driven remainder, fixed at first call.
 
-        The remainder starts when a waiter first reaches it (after the
-        background part), so its end is ``now + remainder / rate``.
+        The remainder starts when a waiter first reaches it (at ``now``,
+        after the background part), so its end is ``now + remainder / rate``.
         """
         fg_t = xfer.fg_t
         if fg_t is not None:
             return fg_t
-        now = self.env.now
         remainder = (1.0 - self._bg_frac[xfer.eager]) * xfer.nbytes
         if self.perturb is not None and not xfer.local and remainder > 0:
             remainder *= self.perturb.wire_factor(self.rank)
@@ -260,90 +270,147 @@ class MirrorComm(RankComm):
         return fg_t
 
     # -- API ---------------------------------------------------------------
+    # The single-message calls are batches of one; the batch calls below
+    # are the one code path.
     def isend(self, dst: int, tag: int, nbytes: int, payload: Any = None):
         """Post the representative rank's send; mirrors the matching recv."""
-        if payload is not None:
-            raise ValueError("mirror backend cannot carry functional payloads")
-        yield self.env.timeout(self._overhead_s)
-        xfer = self._claim(tag, "send")
-        self.messages_sent += 1
-        self.bytes_sent += nbytes
-        if self.tracer is not None:
-            self.tracer.mark(
-                "mpi", "isend", self.env.now, group=self.rank, cat="comm",
-                args={"tag": tag, "nbytes": nbytes},
-            )
-        xfer.nbytes = nbytes
-        xfer.eager = nbytes <= self._eager_max
-        xfer.local = self._is_local(tag)
-        xfer.send_posted = True
-        self._maybe_start_background(xfer)
-        return Request("send", self.rank, dst, tag, nbytes, _xfer=xfer)
+        reqs = yield from self.isend_all(((dst, tag, nbytes),), (payload,))
+        return reqs[0]
 
     def irecv(self, src: int, tag: int, nbytes: int):
         """Post a receive; pairs with this rank's own send of ``tag``."""
-        yield self.env.timeout(self._overhead_s)
-        xfer = self._claim(tag, "recv")
-        self.messages_received += 1
-        self.bytes_received += nbytes
-        if self.tracer is not None:
-            self.tracer.mark(
-                "mpi", "irecv", self.env.now, group=self.rank, cat="comm",
-                args={"tag": tag, "nbytes": nbytes},
-            )
-        xfer.recv_posted = True
-        if xfer.send_posted:
-            self._maybe_start_background(xfer)
-        return Request("recv", self.rank, src, tag, nbytes, _xfer=xfer)
-
-    def _claim(self, tag: int, side: str) -> _MirrorXfer:
-        """Get the next unclaimed xfer for ``tag`` on ``side`` (FIFO pairing).
-
-        The oldest xfer the other side opened and this side has not yet
-        claimed, else a new one, queued for the other side's claim.
-        """
-        q = self._awaiting[side].get(tag)
-        if q:
-            return q.popleft()
-        xfer = _MirrorXfer(tag)
-        other = "recv" if side == "send" else "send"
-        self._awaiting[other].setdefault(tag, deque()).append(xfer)
-        return xfer
+        reqs = yield from self.irecv_all(((src, tag, nbytes),))
+        return reqs[0]
 
     def wait(self, request: Request):
-        """Block until the mirrored transfer completes.
-
-        Both completion times are numbers by now (the background part's
-        since it started, the remainder's from its first waiter), so the
-        wait is at most two absolute-time Timeouts, each only while its
-        time is still ahead.
-        """
-        if request.completed:
-            return None
-        xfer: _MirrorXfer = request._xfer
-        if xfer.eager and not xfer.local and request.kind == "send":
-            request.completed = True  # buffered; only the receiver waits
-            return None
-        env = self.env
-        bg_t = xfer.bg_t
-        if bg_t is None:
-            # The representative rank posts both sides itself, so a transfer
-            # its other side has not started by the wait can never finish.
-            missing = "send" if request.kind == "recv" else "recv"
-            raise SimulationError(
-                f"mirror rank {self.rank}: wait on the {request.kind} of tag "
-                f"{xfer.tag} before its matching {missing} was posted"
-            )
-        if bg_t > env.now:
-            yield env.timeout_at(bg_t)
-        if not xfer.local:
-            fg_t = self._foreground_end(xfer)
-            if fg_t > env.now:
-                yield env.timeout_at(fg_t)
-        if (xfer.local or xfer.eager) and request.kind == "recv":
-            yield env.timeout(xfer.nbytes / self._local_rate)
-        request.completed = True
+        """Block until the mirrored transfer completes."""
+        yield from self.waitall((request,))
         return None
+
+    def isend_all(self, plan: Plan, payloads: Optional[Sequence[Any]] = None):
+        """Post one send per plan entry, in order, with one engine wait.
+
+        Entry ``i`` is posted at ``now + overhead`` chained ``i + 1`` times
+        (``t = t + overhead``, the float the per-message Timeout computed);
+        its claim, statistics, trace mark and background start happen at
+        that time. The batch then yields one Timeout at the last post time.
+        """
+        if payloads is not None and any(p is not None for p in payloads):
+            raise ValueError("mirror backend cannot carry functional payloads")
+        reqs, t = self._post(plan, "send")
+        if reqs:
+            yield self.env.timeout_at(t)
+        return reqs
+
+    def irecv_all(self, plan: Plan):
+        """Post one receive per plan entry (see :meth:`isend_all`)."""
+        reqs, t = self._post(plan, "recv")
+        if reqs:
+            yield self.env.timeout_at(t)
+        return reqs
+
+    def _post(self, plan: Plan, kind: str) -> Tuple[List[Request], float]:
+        """Post ``plan``'s messages of ``kind`` at chained times.
+
+        Pairing is FIFO per tag: a post claims the oldest transfer the
+        other side opened and this side has not claimed yet, else opens a
+        new one, queued for the other side's claim. Returns the Requests
+        and the last post time (the caller's one wait).
+        """
+        t = self.env.now
+        overhead = self._overhead_s
+        tracer = self.tracer
+        rank = self.rank
+        send = kind == "send"
+        mine = self._awaiting[kind]
+        theirs = self._awaiting["recv" if send else "send"]
+        reqs = []
+        total = 0
+        for peer, tag, nbytes in plan:
+            t = t + overhead
+            q = mine.get(tag)
+            if q:
+                xfer = q.popleft()
+            else:
+                xfer = _MirrorXfer(tag)
+                q = theirs.get(tag)
+                if q is None:
+                    q = theirs[tag] = deque()
+                q.append(xfer)
+            total += nbytes
+            if tracer is not None:
+                tracer.mark(
+                    "mpi", "isend" if send else "irecv", t, group=rank,
+                    cat="comm", args={"tag": tag, "nbytes": nbytes},
+                )
+            if send:
+                xfer.nbytes = nbytes
+                xfer.eager = nbytes <= self._eager_max
+                xfer.local = self._is_local(tag)
+                xfer.send_posted = True
+                self._maybe_start_background(xfer, t)
+            else:
+                xfer.recv_posted = True
+                if xfer.send_posted:
+                    self._maybe_start_background(xfer, t)
+            reqs.append(Request(kind, rank, peer, tag, nbytes, _xfer=xfer))
+        if send:
+            self.messages_sent += len(reqs)
+            self.bytes_sent += total
+        else:
+            self.messages_received += len(reqs)
+            self.bytes_received += total
+        return reqs, t
+
+    def waitall(self, requests: Iterable[Request]):
+        """Block until every mirrored transfer in ``requests`` completes.
+
+        Walks the requests in order with the per-message rules, keeping
+        the clock as a number ``t``: a request moves ``t`` to its
+        background end, then to its foreground end (fixed at the first
+        waiter's ``t``), then past the receive-side copy of a local or
+        eager receive. Every one of those times is known by now, so the
+        batch yields one absolute-time Timeout at the final ``t`` — and
+        only when a per-message wait would have yielded at all. Returns
+        ``None`` per request (there are no payloads).
+        """
+        t = self.env.now
+        advanced = False
+        n = 0
+        for request in requests:
+            n += 1
+            if request.completed:
+                continue
+            xfer: _MirrorXfer = request._xfer
+            if xfer.eager and not xfer.local and request.kind == "send":
+                request.completed = True  # buffered; only the receiver waits
+                continue
+            bg_t = xfer.bg_t
+            if bg_t is None:
+                # The representative rank posts both sides itself, so a
+                # transfer its other side has not started by the wait can
+                # never finish.
+                missing = "send" if request.kind == "recv" else "recv"
+                raise SimulationError(
+                    f"mirror rank {self.rank}: wait on the {request.kind} of tag "
+                    f"{xfer.tag} before its matching {missing} was posted"
+                )
+            if bg_t > t:
+                t = bg_t
+                advanced = True
+            if not xfer.local:
+                fg_t = self._foreground_end(xfer, t)
+                if fg_t > t:
+                    t = fg_t
+                    advanced = True
+            if (xfer.local or xfer.eager) and request.kind == "recv":
+                # Copy out of the receive/unexpected buffer.
+                t = t + xfer.nbytes / self._local_rate
+                advanced = True
+            request.completed = True
+        if advanced:
+            yield self.env.timeout_at(t)
+        return [None] * n
 
     def barrier(self):
         """Log-depth barrier cost (no peers to actually synchronize)."""

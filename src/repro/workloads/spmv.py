@@ -438,11 +438,13 @@ class SpmvRankData:
     """One rank's matrix block, vectors and gather plans (or shadow no-ops).
 
     The communication plan is data, not implementation logic, so all
-    three variants share it: ``recv_plan`` lists ``(peer, nbytes)`` of
-    the gathers this rank posts; ``send_plan`` lists
-    ``(peer, nbytes, cols)`` of what it serves. In mirror mode the send
-    plan mirrors the receive plan (symmetric sizing, see module doc); in
-    full mode it is the exact inverse map of every peer's gather.
+    three variants share it, built once per run: ``recv_plan`` lists
+    ``(peer, gather_tag, nbytes)`` of the gathers this rank posts and
+    ``send_plan`` the same triples of what it serves, with the served
+    column indices in ``send_cols`` (``None`` where no payload moves).
+    In mirror mode the send plan mirrors the receive plan (symmetric
+    sizing, see module doc); in full mode it is the exact inverse map of
+    every peer's gather.
     """
 
     def __init__(self, cfg: RunConfig, problem: SpmvProblem, block: RowBlock):
@@ -452,31 +454,28 @@ class SpmvRankData:
         self.functional = cfg.functional
         coupling = problem.coupling(block.rank)
         self.coupling = coupling
-        self.recv_plan: List[Tuple[int, int]] = [
-            (p, coupling.gather_bytes(p)) for p in coupling.peers
+        me, ntasks = block.rank, problem.ntasks
+        self.recv_plan: List[Tuple[int, int, int]] = [
+            (p, gather_tag(me, p, ntasks), coupling.gather_bytes(p))
+            for p in coupling.peers
         ]
-        self.recv_bytes = sum(n for _, n in self.recv_plan)
+        self.recv_bytes = sum(n for _, _, n in self.recv_plan)
         if cfg.network == "mirror":
-            self.send_plan: List[Tuple[int, int, Optional[np.ndarray]]] = [
-                (p, n, None) for p, n in self.recv_plan
-            ]
+            self.send_plan: List[Tuple[int, int, int]] = list(self.recv_plan)
+            self.send_cols: List[Optional[np.ndarray]] = [None] * len(self.send_plan)
         else:
-            me = block.rank
-            plan = []
-            for p in range(problem.ntasks):
+            self.send_plan, self.send_cols = [], []
+            for p in range(ntasks):
                 if p == me:
                     continue
                 cols = problem.coupling(p).gather_cols.get(me)
                 if cols is not None and len(cols):
-                    plan.append((p, 8 * len(cols), cols))
-            self.send_plan = plan
-        self.send_bytes = sum(n for _, n, _ in self.send_plan)
+                    self.send_plan.append((p, gather_tag(me, p, ntasks), 8 * len(cols)))
+                    self.send_cols.append(cols)
+        self.send_bytes = sum(n for _, _, n in self.send_plan)
         self._remote_cols: Optional[np.ndarray] = None
         if self.functional:
             self._init_functional()
-
-    def tag(self, peer: int) -> int:
-        return gather_tag(self.block.rank, peer, self.problem.ntasks)
 
     # -- functional numerics (full backend only) ---------------------------
     def _init_functional(self) -> None:
@@ -564,26 +563,22 @@ def _post_gather(ctx: RankContext):
     """Post the sweep's gather exchange; returns (recv_reqs, send_reqs)."""
     data: SpmvRankData = ctx.data
     comm = ctx.comm
-    recvs, sends = [], []
-    for peer, nbytes in data.recv_plan:
-        recvs.append((yield from comm.irecv(peer, data.tag(peer), nbytes)))
+    recvs = yield from comm.irecv_all(data.recv_plan)
     if data.send_bytes:
         yield ctx.memcpy(data.send_bytes, GATHER_PACK_PENALTY, phase="pack")
-    for peer, nbytes, cols in data.send_plan:
-        payload = data.pack_for(cols) if cols is not None else None
-        sends.append((yield from comm.isend(peer, data.tag(peer), nbytes, payload)))
+    payloads = None
+    if data.functional:
+        payloads = [data.pack_for(cols) for cols in data.send_cols]
+    sends = yield from comm.isend_all(data.send_plan, payloads)
     return recvs, sends
 
 
 def _complete_gather(ctx: RankContext, recvs, sends):
-    """Wait out the gather; unpack received x entries."""
+    """Wait out the gather (receives, then sends); unpack received x entries."""
     data: SpmvRankData = ctx.data
-    comm = ctx.comm
-    for req in recvs:
-        payload = yield from comm.wait(req)
+    payloads = yield from ctx.comm.waitall(recvs + sends)
+    for req, payload in zip(recvs, payloads):
         data.unpack(req.peer, payload)
-    for req in sends:
-        yield from comm.wait(req)
     if data.recv_bytes:
         yield ctx.memcpy(data.recv_bytes, GATHER_PACK_PENALTY, phase="unpack")
 

@@ -1,7 +1,11 @@
 """Shard lease protocol: atomic acquire, expiry steal, renew, release."""
 
+import errno
 import json
+import os
 import time
+
+import pytest
 
 from repro.sched import ShardLeases
 
@@ -93,3 +97,42 @@ class TestRelease:
         a = ShardLeases(str(tmp_path), owner="a", ttl=30.0)
         a.release("shard-000")  # never held: no error, no file
         assert a.holder("shard-000") is None
+
+
+def _raise(err):
+    def fail(*_args, **_kw):
+        raise OSError(err, os.strerror(err))
+
+    return fail
+
+
+class TestWriteFaults:
+    """A steal or renew whose temp-file write fails leaves no ``.tmp``."""
+
+    @pytest.mark.parametrize("err", [errno.ENOSPC, errno.EIO], ids=["ENOSPC", "EIO"])
+    def test_failed_steal_removes_its_temp_file(self, tmp_path, monkeypatch, err):
+        (tmp_path / "s0.lease").write_text("not json {")  # stealable now
+        b = ShardLeases(str(tmp_path), owner="b", ttl=30.0)
+        monkeypatch.setattr(os, "fsync", _raise(err))
+        assert b.acquire("s0") is False
+        assert b.held() == []
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["s0.lease"]
+
+    def test_failed_replace_removes_its_temp_file(self, tmp_path, monkeypatch):
+        (tmp_path / "s0.lease").write_text("not json {")
+        b = ShardLeases(str(tmp_path), owner="b", ttl=30.0)
+        monkeypatch.setattr(os, "replace", _raise(errno.EIO))
+        assert b.acquire("s0") is False
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["s0.lease"]
+
+    @pytest.mark.parametrize("err", [errno.ENOSPC, errno.EIO], ids=["ENOSPC", "EIO"])
+    def test_failed_renew_removes_its_temp_file(self, tmp_path, monkeypatch, err):
+        a = ShardLeases(str(tmp_path), owner="a", ttl=30.0)
+        assert a.acquire("s0")
+        before = (tmp_path / "s0.lease").read_text()
+        monkeypatch.setattr(os, "fsync", _raise(err))
+        assert a.renew("s0") is False
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["s0.lease"]
+        assert (tmp_path / "s0.lease").read_text() == before  # old lease intact
+        monkeypatch.undo()
+        assert a.renew("s0") is True  # the directory recovered: so does renew

@@ -11,6 +11,9 @@ from repro.core.runner import run
 from repro.decomp.partition import Decomposition
 from repro.des import Environment, SimulationError
 from repro.machines import JAGUARPF, HOPPER, ProgressModel
+from repro.obs.tracer import Tracer
+from repro.perturb.model import Perturbation
+from repro.perturb.spec import NoiseSpec
 from repro.simmpi import MirrorComm, MirrorProfile, halo_tag
 
 
@@ -314,6 +317,167 @@ class TestCompletionTimes:
         env.process(prog())
         with pytest.raises(SimulationError, match=f"send of tag {tag} before its matching recv"):
             env.run()
+
+
+#: Tags on JaguarPF's (4,4,4) grid with 4 tasks per node: x faces stay
+#: on-node, y and z faces cross the NIC.
+_BATCH_TAGS = (halo_tag(0, -1), halo_tag(0, 1), halo_tag(1, -1), halo_tag(2, 1))
+_EAGER_MAX = JAGUARPF.interconnect.eager_threshold_bytes
+#: zero-byte, eager, threshold-edge and rendezvous sizes.
+_BATCH_SIZES = (0, 1_000, _EAGER_MAX, _EAGER_MAX + 1, 100_000)
+
+
+@st.composite
+def _batch_cases(draw):
+    n = draw(st.integers(1, 6))
+    msgs = [
+        (draw(st.sampled_from(_BATCH_TAGS)), draw(st.sampled_from(_BATCH_SIZES)))
+        for _ in range(n)
+    ]
+    return {
+        "msgs": msgs,
+        "send_order": draw(st.permutations(range(n))),
+        "wait_order": draw(st.permutations(range(2 * n))),
+        "recv_first": draw(st.booleans()),
+        "gap": draw(st.sampled_from((0.0, 1e-6, 1e-4))),
+        "progress": draw(st.sampled_from(list(ProgressModel))),
+        "noise": draw(st.sampled_from((None, "low", "high"))),
+        "traced": draw(st.booleans()),
+    }
+
+
+def _exchange(case, batched):
+    """Post, (optionally) compute, then complete one exchange; observe it.
+
+    Returns the clock after each phase, the comm statistics, every
+    perturbation stream's draw index and the traced intervals.
+    """
+    ic = replace(JAGUARPF.interconnect, progress=case["progress"])
+    env, comm, _ = make_comm(machine=replace(JAGUARPF, interconnect=ic))
+    tracer = Tracer() if case["traced"] else None
+    comm.tracer = tracer
+    if case["noise"] is not None:
+        comm.perturb = Perturbation(11, NoiseSpec.preset(case["noise"]))
+        comm.perturb.tracer = tracer
+    recv_plan = [(7, tag, n) for tag, n in case["msgs"]]
+    send_plan = [(8, *case["msgs"][i]) for i in case["send_order"]]
+    times = []
+
+    def post(kind, plan):
+        if batched:
+            reqs = yield from (comm.irecv_all(plan) if kind == "recv"
+                               else comm.isend_all(plan))
+        else:
+            reqs = []
+            one = comm.irecv if kind == "recv" else comm.isend
+            for peer, tag, n in plan:
+                reqs.append((yield from one(peer, tag, n)))
+        times.append(env.now)
+        return reqs
+
+    def prog():
+        if case["recv_first"]:
+            recvs = yield from post("recv", recv_plan)
+            sends = yield from post("send", send_plan)
+        else:
+            sends = yield from post("send", send_plan)
+            recvs = yield from post("recv", recv_plan)
+        yield env.timeout(case["gap"])
+        reqs = [(recvs + sends)[i] for i in case["wait_order"]]
+        if batched:
+            assert (yield from comm.waitall(reqs)) == [None] * len(reqs)
+        else:
+            for req in reqs:
+                yield from comm.wait(req)
+        times.append(env.now)
+        assert all(r.completed for r in reqs)
+
+    env.run(until=env.process(prog()))
+    stats = (comm.messages_sent, comm.bytes_sent,
+             comm.messages_received, comm.bytes_received)
+    draws = ({k: s.index for k, s in comm.perturb._streams.items()}
+             if comm.perturb is not None else None)
+    return times, stats, draws, (tracer.events if tracer is not None else None)
+
+
+class TestBatches:
+    """The closed-form batch calls against batches of one."""
+
+    @given(case=_batch_cases())
+    @settings(max_examples=300, deadline=None)
+    def test_one_batch_matches_batches_of_one(self, case):
+        batched = _exchange(case, batched=True)
+        single = _exchange(case, batched=False)
+        assert batched == single  # exact: times, stats, draws, intervals
+        offnode = any(tag // 2 != 0 for tag, _ in case["msgs"])
+        if case["noise"] is not None and offnode:
+            assert any(batched[2].values())  # the streams really drew
+
+    def test_waitall_with_unmatched_request_raises_naming_the_tag(self):
+        env, comm, _ = make_comm()
+        paired, lonely = halo_tag(1, -1), halo_tag(2, 1)
+
+        def prog():
+            recvs = yield from comm.irecv_all([(7, paired, 1_000), (7, lonely, 1_000)])
+            sends = yield from comm.isend_all([(8, paired, 1_000)])
+            yield from comm.waitall(recvs + sends)
+
+        env.process(prog())
+        with pytest.raises(
+            SimulationError, match=f"recv of tag {lonely} before its matching send"
+        ):
+            env.run()
+
+    def test_empty_batches_take_no_time(self):
+        env, comm, _ = make_comm()
+
+        def prog():
+            assert (yield from comm.irecv_all([])) == []
+            assert (yield from comm.isend_all([])) == []
+            assert (yield from comm.waitall([])) == []
+            return env.now
+
+        assert env.run(until=env.process(prog())) == 0.0
+
+    @pytest.mark.parametrize("extras", [0, 2])
+    def test_spmv_gather_timeouts_do_not_grow_with_peers(self, monkeypatch, extras):
+        """One SpMV step makes the same number of Timeouts at 2 peers as at
+        dozens: each gather batch is one engine wait, not one per message."""
+        from repro.des import engine
+        from repro.workloads.spmv import spmv_problem
+
+        made = []
+        for name in ("timeout", "timeout_at"):
+            orig = getattr(engine.Environment, name)
+
+            def counted(self, *a, _orig=orig, **kw):
+                made.append(1)
+                return _orig(self, *a, **kw)
+
+            monkeypatch.setattr(engine.Environment, name, counted)
+
+        def per_step(extras):
+            counts = []
+            for steps in (2, 3):
+                cfg = RunConfig(
+                    machine=JAGUARPF, implementation="bulk", cores=96,
+                    threads_per_task=1, steps=steps, workload="spmv",
+                    workload_params=(("rows", 1 << 12), ("band", 8),
+                                     ("extras", extras)),
+                )
+                del made[:]
+                run(cfg)
+                counts.append(len(made))
+            problem = spmv_problem(cfg)
+            rep = problem.representative(cfg.tasks_per_node)
+            return counts[1] - counts[0], len(problem.coupling(rep).peers)
+
+        few, few_peers = per_step(0)
+        many, many_peers = per_step(extras)
+        assert few_peers == 2
+        if extras:
+            assert many_peers > 10 * few_peers
+        assert many == few
 
 
 class TestCrossValidation:
