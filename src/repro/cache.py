@@ -71,8 +71,8 @@ the spec texts in; the bytes hashed are those of the generic
 sort_keys=True, separators=(",", ":"))``.
 
 The memos are never pickled (:meth:`KeyMemo.__getstate__`): a scheduler
-task blob pickles its whole config, so a worker receives the config bare
-and adopts the key the parent derived (:func:`adopt_key`).
+chunk pickles its configs' whole state, so a worker receives each config
+bare and adopts the key the parent derived (:func:`adopt_key`).
 """
 
 from __future__ import annotations
@@ -137,8 +137,8 @@ class KeyMemo:
     Subclassing it marks a class as immutable all the way down (scalars,
     tuples, other KeyMemo specs), which is what makes memoizing its
     canonical text on the instance safe. The memos stay out of pickled
-    state: a scheduler task blob pickles its whole ``RunConfig``, and a
-    memo there would only add bytes to every blob.
+    state: a scheduler chunk pickles its configs' whole state, and a
+    memo there would only add bytes to every config it carries.
     """
 
     __slots__ = ()
@@ -331,7 +331,7 @@ def adopt_key(cfg: "RunConfig", key: str) -> None:
 
     Memos never travel in pickles, so a scheduler worker receives each
     config bare with its key alongside; adopting the key spares the
-    worker rendering the config and its (unshared) machine again.
+    worker rendering the config and its machine again.
     """
     object.__setattr__(cfg, _KEY_MEMO, (MODEL_VERSION, key))
 

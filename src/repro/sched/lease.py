@@ -139,12 +139,25 @@ class ShardLeases:
             return self._try_steal(name, nonce)
         except OSError:
             return False
+        created = None
         try:
             with os.fdopen(fd, "w", encoding="utf-8") as fh:
+                created = os.fstat(fh.fileno())
                 json.dump(self._doc(nonce), fh)
                 fh.flush()
                 os.fsync(fh.fileno())
         except OSError:
+            # The lease may already be complete on disk: remove it, or it
+            # would lock every peer (and this instance) out for a whole
+            # ttl while nobody holds it.  A peer that stole a torn create
+            # in the meantime keeps its own file.
+            try:
+                if created is not None and os.path.samestat(
+                    os.stat(self._path(name)), created
+                ):
+                    os.unlink(self._path(name))
+            except OSError:
+                pass
             return False
         self._held[name] = nonce
         return True

@@ -45,7 +45,6 @@ from __future__ import annotations
 import bisect
 import logging
 import os
-import pickle
 import threading
 import time
 from concurrent.futures import BrokenExecutor, Future, ProcessPoolExecutor
@@ -57,7 +56,7 @@ from typing import (
 from repro.core.config import RunConfig, RunResult
 from repro.sched.journal import Journal, open_journal
 from repro.sched.task import TaskRecord, TaskState
-from repro.sched.worker import execute_chunk, init_worker
+from repro.sched.worker import execute_chunk, init_worker, pack_chunk
 
 __all__ = [
     "Batch",
@@ -84,6 +83,14 @@ COUNTER_NAMES = (
     "retries",
     "crashes",
 )
+
+
+def _cpus() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity API on this platform
+        return os.cpu_count() or 1
 
 
 class SchedulerError(RuntimeError):
@@ -143,10 +150,12 @@ class Scheduler:
         A completed task is logged as a straggler when its wall time
         exceeds ``straggler_factor`` x the batch median.
     chunk_max_tasks:
-        Upper bound on tasks per pool submission.  Payloads are pickled
-        once and shipped in chunks of roughly ``len(batch)/(jobs*4)``
-        (clamped to ``[1, chunk_max_tasks]``) to amortize per-future IPC
-        while keeping enough chunks in flight to load every worker.
+        Upper bound on tasks per pool submission.  Tasks ship in chunks of
+        roughly ``len(batch)/(jobs*4)`` (clamped to ``[1,
+        chunk_max_tasks]``), each pickled once as a whole, to amortize
+        per-future IPC while keeping enough chunks in flight to load every
+        worker; full chunks leave while the rest of their batch is still
+        being keyed (see :meth:`submit`).
     """
 
     def __init__(
@@ -170,6 +179,9 @@ class Scheduler:
         self.max_retries = int(max_retries)
         self.straggler_factor = float(straggler_factor)
         self.chunk_max_tasks = int(chunk_max_tasks)
+        #: chunks the pool may hold while a thread keys a batch: the CPUs
+        #: that thread leaves free (see submit)
+        self._intake_room = max(1, min(self.jobs, _cpus() - 1))
         if cache_dir is None:
             from repro.cache import active_cache
 
@@ -192,6 +204,11 @@ class Scheduler:
         self._lock = threading.RLock()
         #: signalled by a future's done-callback; drain loops sleep on it
         self._cond = threading.Condition(self._lock)
+        #: chunk futures settled since a drainer last looked, in
+        #: completion order (filled by the done-callback)
+        self._settled: List[Future] = []
+        #: chunks submitted to the pool and not yet settled
+        self._in_pool = 0
         self._exec: Optional[ProcessPoolExecutor] = None
         #: key -> terminal record (session-wide dedup, including failures)
         self._memo: Dict[str, TaskRecord] = {}
@@ -287,26 +304,23 @@ class Scheduler:
     def _submit_chunk(self, recs: Sequence[TaskRecord]) -> None:
         """Dispatch one chunk of records to the pool (caller holds the lock).
 
-        Each record's payload is pickled exactly once (``rec.blob``,
-        reused verbatim across crash retries); the pool then ships the
-        whole chunk through a single future, amortizing submit/IPC
-        overhead over ``len(recs)`` tasks.
+        The chunk's ``[{"cfg", "key"}, ...]`` list is pickled once, as a
+        whole (:func:`~repro.sched.worker.pack_chunk`), so pickle's memo
+        writes a machine shared by the chunk's configs only once; the pool
+        ships it through a single future, amortizing submit/IPC overhead
+        over ``len(recs)`` tasks.  Nothing is kept: a crash retry
+        re-pickles the chunk it is resubmitted in.  Fault-injection
+        markers travel as items of the same list.
         """
-        items: List[Union[bytes, Dict[str, Any]]] = []
-        for rec in recs:
-            if self.fault_injector is not None and self.fault_injector(
-                rec.cfg, rec.attempts
-            ):
-                items.append({"crash": True, "key": rec.key})
-                continue
-            if rec.blob is None:
-                rec.blob = pickle.dumps(
-                    {"cfg": rec.cfg, "key": rec.key},
-                    protocol=pickle.HIGHEST_PROTOCOL,
-                )
-            items.append(rec.blob)
+        inject = self.fault_injector
+        blob = pack_chunk([
+            {"crash": True}
+            if inject is not None and inject(rec.cfg, rec.attempts)
+            else {"cfg": rec.cfg, "key": bytes.fromhex(rec.key)}
+            for rec in recs
+        ])
         try:
-            fut = self._executor().submit(execute_chunk, items)
+            fut = self._executor().submit(execute_chunk, blob)
         except BrokenExecutor as exc:
             # An earlier chunk's worker crash broke the pool before this
             # chunk went out: settle it as a broken chunk, so the drain
@@ -319,27 +333,36 @@ class Scheduler:
             rec.t_submit = now
             rec.future = fut
         self._chunk_records[fut] = list(recs)
+        self._in_pool += 1
         fut.add_done_callback(self._wake)
 
-    def _submit_records(self, recs: Sequence[TaskRecord]) -> None:
-        """Dispatch a batch in size-tuned chunks (caller holds the lock).
+    def _chunk_size(self, n: int) -> int:
+        """Tasks per chunk for ``n`` tasks.
 
-        Chunk size targets ~4 chunks per worker so stragglers cannot
-        serialize the tail, bounded by ``chunk_max_tasks`` so one future
-        never carries an unbounded payload.
+        Targets ~4 chunks per worker so stragglers cannot serialize the
+        tail, bounded by ``chunk_max_tasks`` so one future never carries
+        an unbounded payload.
         """
-        if not recs:
+        return max(1, min(self.chunk_max_tasks, -(-n // (self.jobs * 4))))
+
+    def _dispatch(
+        self, recs: Sequence[TaskRecord], size: Optional[int] = None
+    ) -> None:
+        """Send records to the pool in chunks of ``size`` (default: sized
+        for ``len(recs)``), or park them while a quarantine holds the pool
+        (caller holds the lock)."""
+        if self._quarantining():
+            self._parked.extend(recs)  # resumes after the quarantine
             return
-        size = max(
-            1,
-            min(self.chunk_max_tasks, -(-len(recs) // (self.jobs * 4))),
-        )
+        size = size or self._chunk_size(len(recs))
         for i in range(0, len(recs), size):
             self._submit_chunk(recs[i:i + size])
 
-    def _wake(self, _fut: Future) -> None:
-        """Future done-callback: nudge every drain loop to re-scan."""
+    def _wake(self, fut: Future) -> None:
+        """Future done-callback: queue the chunk and wake the drainers."""
         with self._cond:
+            self._in_pool -= 1
+            self._settled.append(fut)
             self._cond.notify_all()
 
     # -- completion hooks ------------------------------------------------------
@@ -457,9 +480,8 @@ class Scheduler:
             raise SchedulerError("scheduler is closed")
         # The per-config loop below is the warm-lookup hot path (millions
         # of configs resolve here without touching a worker), so the
-        # ambient lookups are hoisted out: one forced-noise resolution,
-        # one capture check, and batch key hashing (memoized per config
-        # instance) before the lock is taken.
+        # ambient lookups are hoisted out: one forced-noise resolution and
+        # one capture check.
         from repro.cache import cacheable, config_key
         from repro.obs.capture import active_capture
         from repro.perturb import forced_override
@@ -474,40 +496,63 @@ class Scheduler:
         else:
             cfgs = list(configs)
         capturing = active_capture() is not None
-        keys: List[Optional[str]] = [
-            config_key(c) if not capturing and cacheable(c) else None
-            for c in cfgs
-        ]
         batch = Batch(cfgs)
-        to_submit: List[TaskRecord] = []  # new records, chunked below
         fresh: List[TaskRecord] = []  # warm short-circuits (hooks fire)
-
+        pooled = self.jobs > 1
+        size = self._chunk_size(len(cfgs))
+        # Pooled batches are keyed block by block and a chunk is ready as
+        # soon as ``size`` cold records are, so the workers start while
+        # the rest of the batch is still being keyed; the cold remainder
+        # is split by the same rule.  This thread needs a CPU of its own
+        # meanwhile: a ready chunk waits while the pool holds as many
+        # chunks as the CPUs it leaves free, so the tasks that run during
+        # intake do not share their CPU with it.  Inline (jobs=1) batches
+        # are keyed whole before the lock is taken.
+        step = size if pooled else max(1, len(cfgs))
+        cold: List[TaskRecord] = []  # keyed, not yet in a chunk
+        ready: List[List[TaskRecord]] = []  # full chunks not yet sent
         cache = self.cache
-        with self._lock:
-            for i, cfg in enumerate(cfgs):
-                rec = probed[i] if probed is not None else None
-                if rec is None:
-                    self._counters["submitted"] += 1
-                    key = keys[i]
-                    if key is None:  # functional/traced/captured: inline
-                        continue
-                    rec, tier = self._lookup(
-                        key, cfg, cache, fresh, replay=probed is None
-                    )
-                    if rec is None:
-                        rec = TaskRecord(key, cfg)
-                        self._inflight[key] = rec
-                        batch.owned.append(rec)
-                        if self.jobs > 1:
-                            if self._quarantining():
-                                self._parked.append(rec)  # after quarantine
-                            else:
-                                to_submit.append(rec)
-                batch.records[i] = rec
-                if not rec.done.is_set():
-                    batch.waiting[rec] = None
-            # One chunked dispatch for the whole batch's fresh records.
-            self._submit_records(to_submit)
+        try:
+            for lo in range(0, len(cfgs), step):
+                block = cfgs[lo:lo + step]
+                # Keyed outside the lock: hashing is the costly part of
+                # intake, and the pool's done-callbacks take the lock.
+                keys = [
+                    config_key(c) if not capturing and cacheable(c) else None
+                    for c in block
+                ]
+                with self._lock:
+                    for i, (cfg, key) in enumerate(zip(block, keys), lo):
+                        rec = probed[i] if probed is not None else None
+                        if rec is None:
+                            self._counters["submitted"] += 1
+                            if key is None:  # functional/traced: inline
+                                continue
+                            rec, _tier = self._lookup(
+                                key, cfg, cache, fresh, replay=probed is None
+                            )
+                        if rec is None:  # cold: register, then dispatch
+                            rec = TaskRecord(key, cfg)
+                            self._inflight[key] = rec
+                            batch.owned.append(rec)
+                            if pooled:
+                                cold.append(rec)
+                                if len(cold) == size:
+                                    ready.append(cold)
+                                    cold = []
+                        batch.records[i] = rec
+                        if not rec.done.is_set():
+                            batch.waiting[rec] = None
+                    while ready and self._in_pool < self._intake_room:
+                        self._dispatch(ready.pop(0), size)
+        finally:
+            # Also on an intake error: a registered record must not be
+            # left in flight without ever reaching the pool.
+            if ready or cold:
+                with self._lock:
+                    for chunk in ready:
+                        self._dispatch(chunk, size)
+                    self._dispatch(cold)
         # Warm short-circuits went terminal during intake; notify hooks
         # now that the lock is released.
         self._fire_hooks(fresh)
@@ -692,36 +737,33 @@ class Scheduler:
             return
         if self._parked:
             parked, self._parked = self._parked, []
-            self._submit_records(
-                [rec for rec in parked if not rec.done.is_set()]
-            )
+            self._dispatch([rec for rec in parked if not rec.done.is_set()])
 
     def _drain_pool(self, owned: Sequence[TaskRecord]) -> None:
         """Wait for owned records, recovering from broken pools.
 
-        Event-driven: every submitted future carries a done-callback
-        that signals ``self._cond`` (as do the ``_finish_*`` paths and
-        crash recovery), so each pass only scans this call's still
-        pending records for settled futures — no per-iteration waiter
-        registration on every pending future, which made large batches
-        quadratic in future-lock traffic. The wait timeout is a safety
-        net for records parked behind a quarantine, whose future is
-        ``None`` until the pump resubmits them.
+        Event-driven and linear in completions: each chunk future's
+        done-callback queues it on ``self._settled`` and signals
+        ``self._cond`` (as do the ``_finish_*`` paths and crash
+        recovery); a pass settles the queued chunks and advances a front
+        pointer past this call's settled records, so no record or future
+        is rescanned per wake-up.  Any drainer may settle any queued
+        chunk.  The wait timeout is a safety net for records parked
+        behind a quarantine, whose future is ``None`` until the pump
+        resubmits them.
         """
-        pending = [rec for rec in owned if not rec.done.is_set()]
-        while pending:
+        front, n = 0, len(owned)
+        while front < n:
             with self._cond:
                 self._pump()
-                pending = [r for r in pending if not r.done.is_set()]
-                if not pending:
+                while front < n and owned[front].done.is_set():
+                    front += 1
+                if front == n:
                     return
-                # One done() per distinct chunk future, not per record.
-                futs = dict.fromkeys(rec.future for rec in pending)
-                futs.pop(None, None)
-                ready = [fut for fut in futs if fut.done()]
-                if not ready:
+                if not self._settled:
                     self._cond.wait(timeout=0.05)
                     continue
+                ready, self._settled = self._settled, []
             for fut in ready:
                 self._handle_chunk(fut)
 
@@ -816,18 +858,13 @@ class Scheduler:
                     r, self.max_retries,
                 )
                 self._quarantine.append(r)
-            resubmit: List[TaskRecord] = []
             for r in under:
                 self._counters["retries"] += 1
                 log.warning(
                     "worker crash: retrying %s (attempt %d/%d)",
                     r, r.attempts, self.max_retries,
                 )
-                if self._quarantining():
-                    self._parked.append(r)  # resumes after the quarantine
-                else:
-                    resubmit.append(r)
-            self._submit_records(resubmit)  # re-chunked for the fresh pool
+            self._dispatch(under)  # re-chunked for the fresh pool
             self._cond.notify_all()  # futures were nulled: drainers re-pump
         if poisoned_rec is not None:
             self._fire_hooks([poisoned_rec])
@@ -846,7 +883,6 @@ class Scheduler:
             payload.pop("key", None)
             rec.payload = payload
             rec.state = TaskState.DONE
-            rec.blob = None  # only crash retries reread it
             self._memo[rec.key] = rec
             self._inflight.pop(rec.key, None)
             self._counters["simulated"] += 1
@@ -879,7 +915,6 @@ class Scheduler:
                 return
             rec.error = exc
             rec.state = TaskState.FAILED
-            rec.blob = None
             self._memo[rec.key] = rec
             self._inflight.pop(rec.key, None)
             self._counters["failed"] += 1
@@ -893,7 +928,6 @@ class Scheduler:
         # the completion hooks once it has released the lock).
         rec.error = PoisonedConfigError(rec.cfg, rec.attempts)
         rec.state = TaskState.POISONED
-        rec.blob = None
         self._memo[rec.key] = rec
         self._inflight.pop(rec.key, None)
         self._counters["poisoned"] += 1

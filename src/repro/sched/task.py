@@ -58,7 +58,6 @@ class TaskRecord:
         "done",
         "future",
         "t_submit",
-        "blob",
     )
 
     def __init__(self, key: str, cfg: "RunConfig"):
@@ -77,10 +76,6 @@ class TaskRecord:
         self.done = threading.Event()
         self.future = None
         self.t_submit: Optional[float] = None
-        #: task payload pickled exactly once (reused across crash retries,
-        #: shipped inside size-tuned chunks; see Scheduler._submit_chunk);
-        #: dropped once the record settles
-        self.blob: Optional[bytes] = None
 
     # -- results --------------------------------------------------------------
     @property

@@ -14,7 +14,6 @@ order (docs/MODEL.md §2).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Any, Iterable, List, Optional, Sequence, Tuple
 
 __all__ = ["halo_tag", "HALO_TAGS", "Request", "RankComm", "Plan"]
@@ -39,23 +38,39 @@ def halo_tag(dim: int, travel: int) -> int:
 HALO_TAGS = tuple(halo_tag(d, s) for d in range(3) for s in (-1, 1))
 
 
-@dataclass
 class Request:
-    """Handle for a pending nonblocking operation."""
+    """Handle for a pending nonblocking operation.
 
-    kind: str  # "send" or "recv"
-    rank: int
-    peer: int
-    tag: int
-    nbytes: int
-    payload: Any = None  # send payload, or recv result once completed
-    completed: bool = False
-    # backend bookkeeping:
-    _xfer: Any = field(default=None, repr=False)
+    A plain slotted class: a cold regeneration builds one per message, so
+    construction is a bare ``__init__``.  Requests compare by identity.
+    """
 
-    def __post_init__(self):
-        if self.kind not in ("send", "recv"):
-            raise ValueError(f"bad request kind {self.kind!r}")
+    __slots__ = ("kind", "rank", "peer", "tag", "nbytes", "payload",
+                 "completed", "_xfer", "_match_event")
+
+    def __init__(
+        self,
+        kind: str,  # "send" or "recv"
+        rank: int,
+        peer: int,
+        tag: int,
+        nbytes: int,
+        payload: Any = None,  # send payload, or recv result once completed
+        completed: bool = False,
+        _xfer: Any = None,  # backend bookkeeping
+    ):
+        if kind != "send" and kind != "recv":
+            raise ValueError(f"bad request kind {kind!r}")
+        self.kind = kind
+        self.rank = rank
+        self.peer = peer
+        self.tag = tag
+        self.nbytes = nbytes
+        self.payload = payload
+        self.completed = completed
+        self._xfer = _xfer
+        #: full backend: fires when a posted receive finds its send
+        self._match_event: Any = None
 
 
 class RankComm:

@@ -234,7 +234,7 @@ class World:
             req._xfer = xfer
             xfer.both_posted = True
             req.payload = xfer.payload
-            match_ev = req.__dict__.pop("_match_event", None)
+            match_ev, req._match_event = req._match_event, None
             if match_ev is not None:
                 match_ev.succeed()
         else:
@@ -254,7 +254,7 @@ class World:
                 self._start_background(xfer)
         else:
             ev = self.env.event()
-            req.__dict__["_match_event"] = ev
+            req._match_event = ev
             self._posted_recvs.setdefault(key, deque()).append(req)
 
 
@@ -317,7 +317,7 @@ class WorldRankComm(RankComm):
         if request.completed:
             return request.payload
         if request.kind == "recv" and request._xfer is None:
-            yield request.__dict__["_match_event"]
+            yield request._match_event
         xfer: _Xfer = request._xfer
         if xfer.eager and not xfer.local and request.kind == "send":
             # Eager sends complete as soon as the data is buffered; only the

@@ -8,6 +8,7 @@ from repro.cache import configure as cache_configure
 from repro.core.config import RunConfig
 from repro.machines import LENS
 from repro.sched import PoisonedConfigError, Scheduler, configure
+from sched_helpers import assert_no_payload_bytes
 
 
 @pytest.fixture(autouse=True)
@@ -65,7 +66,10 @@ class TestCrashRetry:
         assert poisoned_log[0]["cores"] == 4
         assert poisoned_log[0]["state"] == "poisoned"
 
-    def test_records_settled_after_crashes_drop_their_blob(self, tmp_path):
+    def test_records_settled_after_crashes_hold_no_payload_bytes(
+        self, tmp_path
+    ):
+        """Crash retries re-pickle their chunk: nothing keeps the bytes."""
         cfgs = _cfgs(4)
         with Scheduler(jobs=2, cache_dir=str(tmp_path / "c"),
                        max_retries=1) as sched:
@@ -74,8 +78,8 @@ class TestCrashRetry:
             sched.map(cfgs, return_exceptions=True)
             records = list(sched._memo.values())
             assert sched.stats()["poisoned"] == 1
+            assert_no_payload_bytes(sched)
         assert len(records) == 4
-        assert all(r.blob is None for r in records)
 
     def test_poisoned_raises_by_default(self, tmp_path):
         cfgs = _cfgs(2)

@@ -136,3 +136,18 @@ class TestWriteFaults:
         assert (tmp_path / "s0.lease").read_text() == before  # old lease intact
         monkeypatch.undo()
         assert a.renew("s0") is True  # the directory recovered: so does renew
+
+    def test_failed_create_leaves_no_lease(self, tmp_path, monkeypatch):
+        # The O_EXCL create succeeds and the write lands, but its fsync
+        # fails: the complete lease on disk must not outlive the False.
+        a = ShardLeases(str(tmp_path), owner="a", ttl=30.0)
+        monkeypatch.setattr(os, "fsync", _raise(errno.EIO))
+        assert a.acquire("s0") is False
+        assert a.held() == []
+        assert list(tmp_path.iterdir()) == []
+        monkeypatch.undo()
+        b = ShardLeases(str(tmp_path), owner="b", ttl=30.0)
+        assert b.acquire("s0") is True  # a peer is not locked out for a ttl
+        b.release("s0")
+        assert a.acquire("s0") is True  # nor is the creator itself
+        assert a.held() == ["s0"]

@@ -16,6 +16,7 @@ from repro.sched import (
     configure,
     scheduled,
 )
+from sched_helpers import assert_no_payload_bytes
 
 
 @pytest.fixture(autouse=True)
@@ -225,8 +226,8 @@ class TestErrors:
             assert not t.is_alive(), "map() hung on a stranded record"
         assert out[0][0].elapsed_s == run(good).elapsed_s
 
-    def test_settled_records_drop_their_blob(self, tmp_path):
-        """The pickled payload exists for crash retries only."""
+    def test_settled_records_hold_no_payload_bytes(self, tmp_path):
+        """A chunk's pickle lives only as long as its submission."""
         infeasible = RunConfig(machine=YONA, implementation="hybrid_overlap",
                                cores=192, threads_per_task=2,
                                box_thickness=200)
@@ -235,7 +236,7 @@ class TestErrors:
             assert isinstance(out[-1], ValueError)
             records = list(sched._memo.values())
             assert {r.state.value for r in records} == {"done", "failed"}
-            assert all(r.blob is None for r in records)
+            assert_no_payload_bytes(sched)
 
     def test_closed_scheduler_rejects_work(self):
         sched = Scheduler(jobs=1)
