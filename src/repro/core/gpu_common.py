@@ -19,7 +19,6 @@ __all__ = [
     "slab_normal_split",
     "inner_boundary_slabs",
     "inner_halo_slabs",
-    "block_shell_slabs",
     "host_to_dev",
     "copy_box_host_to_dev",
     "copy_box_dev_to_host",
@@ -79,11 +78,6 @@ def inner_halo_slabs(box: BoxDecomposition) -> List[Tuple[int, Box]]:
     lo = tuple(v - 1 for v in box.block_lo)
     hi = tuple(v + 1 for v in box.block_hi)
     return _shell(lo, hi)
-
-
-def block_shell_slabs(box: BoxDecomposition) -> List[Tuple[int, Box]]:
-    """Alias of :func:`inner_boundary_slabs` (the §IV-I boundary kernels)."""
-    return inner_boundary_slabs(box)
 
 
 def host_to_dev(box: BoxDecomposition):

@@ -18,7 +18,7 @@ committed dump oracle
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from repro.core.base import Implementation
 from repro.core.config import RunConfig, RunResult
@@ -51,7 +51,7 @@ def _rank_main(impl: Implementation, ctx: RankContext, record: Dict[str, float])
 
 
 def _build_full(env: Environment, cfg: RunConfig, impl: Implementation,
-                workload: Workload, decomp) -> List[RankContext]:
+                workload: Workload, decomp) -> Tuple[List[RankContext], list]:
     machine = cfg.machine
     world: Optional[World] = None
     if impl.uses_mpi:
@@ -68,19 +68,22 @@ def _build_full(env: Environment, cfg: RunConfig, impl: Implementation,
         if impl.uses_gpu:
             gpu_id = rank // tasks_per_gpu
             if gpu_id not in gpus:
-                gpus[gpu_id] = Gpu(env, machine.gpu, name=f"gpu{gpu_id}")
+                gpus[gpu_id] = Gpu(
+                    env, machine.gpu, name=f"gpu{gpu_id}",
+                    trace_group=GPU_GROUP_BASE + gpu_id,
+                )
             gpu = gpus[gpu_id]
         contexts.append(
             RankContext(
                 env, cfg, sub, decomp, comm, workload.make_data(cfg, sub), gpu, 1
             )
         )
+    fabrics: Dict[int, SharedBandwidth] = {}
     if gpus and machine.gpu is not None and machine.gpu.has_nvlink:
         # One NVLink fabric per node, shared by the node's resident
         # devices: peer copies between them DMA over it instead of
         # staging through the host (see Gpu.peer_copy).
         gpus_per_node = max(1, machine.gpus_per_node)
-        fabrics: Dict[int, SharedBandwidth] = {}
         for gpu_id, gpu in gpus.items():
             node = gpu_id // gpus_per_node
             if node not in fabrics:
@@ -88,7 +91,13 @@ def _build_full(env: Environment, cfg: RunConfig, impl: Implementation,
                     env, machine.gpu.nvlink_bandwidth_bps, name=f"nvlink{node}"
                 )
             gpu.nvlink = fabrics[node]
-    return contexts
+    components = list(contexts)
+    if world is not None:
+        components += [world, *world.nics]
+    for gpu in gpus.values():
+        components += [gpu, gpu.pcie]
+    components += fabrics.values()
+    return contexts, components
 
 
 def _tasks_per_gpu(cfg: RunConfig) -> int:
@@ -98,7 +107,7 @@ def _tasks_per_gpu(cfg: RunConfig) -> int:
 
 
 def _build_mirror(env: Environment, cfg: RunConfig, impl: Implementation,
-                  workload: Workload, decomp) -> List[RankContext]:
+                  workload: Workload, decomp) -> Tuple[List[RankContext], list]:
     machine = cfg.machine
     comm = None
     rep_rank = 0
@@ -114,116 +123,82 @@ def _build_mirror(env: Environment, cfg: RunConfig, impl: Implementation,
         # Tasks sharing a GPU serialize on it; the representative's kernels
         # and transfers are stretched by that contention.
         gpu_share = _tasks_per_gpu(cfg)
-    return [
-        RankContext(
-            env, cfg, sub, decomp, comm, workload.make_data(cfg, sub), gpu, gpu_share
-        )
-    ]
+    ctx = RankContext(
+        env, cfg, sub, decomp, comm, workload.make_data(cfg, sub), gpu, gpu_share
+    )
+    components = [ctx]
+    if comm is not None:
+        components.append(comm)
+    if gpu is not None:
+        components += [gpu, gpu.pcie]
+    return [ctx], components
 
 
-def _attach_tracer(
-    tracer: Tracer, cfg: RunConfig, workload: Workload,
-    contexts: List[RankContext],
+def _attach(
+    components: list, tracer: Optional[Tracer], perturb: Optional[Perturbation],
+    cfg: RunConfig, workload: Workload,
 ) -> None:
-    """Wire one tracer into every simulated component of this run.
+    """Wire the run's tracer and perturbation into every component.
+
+    ``components`` is the build's one list, in creation order: rank
+    contexts, the network (World or MirrorComm), NICs, each GPU followed
+    by its PCIe link, NVLink fabrics. Every component gets ``tracer``;
+    all but the links also get ``perturb``. Ranks draw noise from their
+    rank's streams, the network from the sender rank's, and each GPU from
+    the group it was given at construction, so a device's noise does not
+    depend on whether the run is traced.
 
     Group ids follow the :mod:`repro.obs.tracer` conventions: MPI ranks
-    keep their rank number, GPU devices get ``GPU_GROUP_BASE + i``, and
-    shared links (NICs, PCIe wires) get ids from ``LINK_GROUP_BASE`` up.
-    Device capacities land in ``tracer.meta["gpus"]`` for the invariant
-    checker.
+    keep their rank number, GPU devices keep the group they were built
+    with, and links get ids from ``LINK_GROUP_BASE`` up in list order. Device
+    capacities land in ``tracer.meta["gpus"]`` for the invariant checker.
     """
-    tracer.meta.update(
-        {
-            "implementation": cfg.implementation,
-            "machine": cfg.machine.name,
-            "network": cfg.network,
-            "ntasks": cfg.ntasks,
-            "threads_per_task": cfg.threads_per_task,
-            "domain": list(cfg.domain),
-            "steps": cfg.steps,
-            "progress": cfg.machine.interconnect.progress.value,
-        }
-    )
-    if cfg.workload != DEFAULT_WORKLOAD:
-        # Only stamped when non-default, so default-workload traces stay
-        # byte-identical to the pre-workload golden traces.
-        tracer.meta["workload"] = cfg.workload
-        if cfg.workload_params:
-            tracer.meta["workload_params"] = dict(cfg.workload_params)
-    for ctx in contexts:
-        ctx.tracer = tracer
-        tracer.set_group_name(ctx.sub.rank, workload.rank_group_name(ctx.sub))
-
+    if perturb is not None:
+        # Fault events (stalls, retransmits, stragglers) land on the
+        # dedicated "noise" trace lane when the run is traced.
+        perturb.tracer = tracer
+    if tracer is not None:
+        tracer.meta.update(
+            {
+                "implementation": cfg.implementation,
+                "machine": cfg.machine.name,
+                "network": cfg.network,
+                "ntasks": cfg.ntasks,
+                "threads_per_task": cfg.threads_per_task,
+                "domain": list(cfg.domain),
+                "steps": cfg.steps,
+                "progress": cfg.machine.interconnect.progress.value,
+            }
+        )
+        if cfg.workload != DEFAULT_WORKLOAD:
+            # Only stamped when non-default, so default-workload traces stay
+            # byte-identical to the pre-workload golden traces.
+            tracer.meta["workload"] = cfg.workload
+            if cfg.workload_params:
+                tracer.meta["workload_params"] = dict(cfg.workload_params)
     next_link = LINK_GROUP_BASE
-    comm0 = contexts[0].comm
-    world = getattr(comm0, "world", None)
-    if world is not None:  # full backend: one World shared by all ranks
-        world.tracer = tracer
-        for nic in world._nics:
-            nic.tracer = tracer
-            nic.trace_group = next_link
-            tracer.set_group_name(next_link, nic.name)
-            next_link += 1
-    elif comm0 is not None:  # mirror backend
-        comm0.tracer = tracer
-
-    gpus: List[Gpu] = []
-    for ctx in contexts:
-        if ctx.gpu is not None and not any(ctx.gpu is g for g in gpus):
-            gpus.append(ctx.gpu)
     gpus_meta: Dict[int, Dict[str, int]] = {}
-    for idx, gpu in enumerate(gpus):
-        group = GPU_GROUP_BASE + idx
-        gpu.tracer = tracer
-        gpu.trace_group = group
-        tracer.set_group_name(group, gpu.name)
-        gpus_meta[group] = {
-            "kernel_slots": 16 if gpu.spec.concurrent_kernels else 1,
-            "copy_engines": gpu.spec.copy_engines,
-            "nvlink": int(gpu.nvlink is not None),
-        }
-        gpu.pcie.tracer = tracer
-        gpu.pcie.trace_group = next_link
-        tracer.set_group_name(next_link, gpu.pcie.name)
-        next_link += 1
-    nvlinks: List[SharedBandwidth] = []
-    for gpu in gpus:
-        if gpu.nvlink is not None and not any(gpu.nvlink is l for l in nvlinks):
-            nvlinks.append(gpu.nvlink)
-    for link in nvlinks:
-        link.tracer = tracer
-        link.trace_group = next_link
-        tracer.set_group_name(next_link, link.name)
-        next_link += 1
+    for comp in components:
+        comp.tracer = tracer
+        if isinstance(comp, SharedBandwidth):
+            comp.trace_group = next_link
+            next_link += 1
+        else:
+            comp.perturb = perturb
+        if tracer is None:
+            continue
+        if isinstance(comp, RankContext):
+            tracer.set_group_name(comp.sub.rank, workload.rank_group_name(comp.sub))
+        elif isinstance(comp, (SharedBandwidth, Gpu)):
+            tracer.set_group_name(comp.trace_group, comp.name)
+        if isinstance(comp, Gpu):
+            gpus_meta[comp.trace_group] = {
+                "kernel_slots": 16 if comp.spec.concurrent_kernels else 1,
+                "copy_engines": comp.spec.copy_engines,
+                "nvlink": int(comp.nvlink is not None),
+            }
     if gpus_meta:
         tracer.meta["gpus"] = gpus_meta
-
-
-def _attach_perturb(perturb: Perturbation, contexts: List[RankContext]) -> None:
-    """Wire one perturbation injector into every simulated component.
-
-    Mirrors :func:`_attach_tracer`: rank contexts draw from their rank's
-    streams, the network backend from the sender rank's streams, and each
-    GPU from its own ``GPU_GROUP_BASE + i`` group — assigned here even
-    when no tracer is attached, so a device's noise sequence does not
-    depend on whether the run is traced.
-    """
-    for ctx in contexts:
-        ctx.perturb = perturb
-    comm0 = contexts[0].comm
-    world = getattr(comm0, "world", None)
-    if world is not None:  # full backend: one World shared by all ranks
-        world.perturb = perturb
-    elif comm0 is not None:  # mirror backend
-        comm0.perturb = perturb
-    gpus: List[Gpu] = []
-    for ctx in contexts:
-        if ctx.gpu is not None and not any(ctx.gpu is g for g in gpus):
-            gpus.append(ctx.gpu)
-    for idx, gpu in enumerate(gpus):
-        gpu.perturb = perturb
-        gpu.trace_group = GPU_GROUP_BASE + idx
 
 
 def run(cfg: RunConfig) -> RunResult:
@@ -275,22 +250,12 @@ def _run_uncached(cfg: RunConfig) -> RunResult:
     env = Environment()
     decomp = workload.decompose(cfg)
 
-    if cfg.network == "full":
-        contexts = _build_full(env, cfg, impl, workload, decomp)
-    else:
-        contexts = _build_mirror(env, cfg, impl, workload, decomp)
-
-    tracer = None
-    if cfg.trace:
-        tracer = Tracer()
-        _attach_tracer(tracer, cfg, workload, contexts)
-
+    build = _build_full if cfg.network == "full" else _build_mirror
+    contexts, components = build(env, cfg, impl, workload, decomp)
+    tracer = Tracer() if cfg.trace else None
     perturb = build_perturbation(cfg.seed, cfg.noise)
-    if perturb is not None:
-        _attach_perturb(perturb, contexts)
-        # Fault events (stalls, retransmits, stragglers) land on the
-        # dedicated "noise" trace lane when the run is traced.
-        perturb.tracer = tracer
+    if tracer is not None or perturb is not None:
+        _attach(components, tracer, perturb, cfg, workload)
 
     records: List[Dict[str, float]] = [dict() for _ in contexts]
     for ctx, rec in zip(contexts, records):

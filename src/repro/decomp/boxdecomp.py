@@ -117,10 +117,6 @@ class BoxDecomposition:
             Wall(2, +1, (bx0, by0, nz - t), (bx1, by1, nz)),
         ]
 
-    def walls_for_dim(self, dim: int) -> List[Wall]:
-        """The two walls whose exchange dimension is ``dim``."""
-        return [w for w in self.walls() if w.dim == dim]
-
     # -- CPU-GPU exchange surfaces ---------------------------------------------
     @property
     def inner_halo_points(self) -> int:
@@ -161,20 +157,11 @@ class BoxDecomposition:
         hi = tuple(min(h, n - 1) for h, n in zip(wall.hi, (nx, ny, nz)))
         return lo, hi
 
-    def wall_interior_points_for(self, wall: Wall) -> int:
-        """Point count of :meth:`wall_interior_box`."""
-        lo, hi = self.wall_interior_box(wall)
-        return max(0, hi[0] - lo[0]) * max(0, hi[1] - lo[1]) * max(0, hi[2] - lo[2])
-
     def wall_outer_boundary_points(self) -> int:
         """CPU points touching the *task's* outer halo (computed after MPI)."""
         nx, ny, nz = self.shape
         inner = max(0, nx - 2) * max(0, ny - 2) * max(0, nz - 2)
         return nx * ny * nz - inner
-
-    def wall_interior_points(self) -> int:
-        """CPU shell points not on the outer surface (computable during MPI)."""
-        return self.cpu_points - min(self.cpu_points, self.wall_outer_boundary_points())
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (

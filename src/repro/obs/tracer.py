@@ -14,7 +14,8 @@ Group-id conventions
 --------------------
 * ``0 <= g < GPU_GROUP_BASE`` — MPI rank ``g``;
 * ``GPU_GROUP_BASE <= g < LINK_GROUP_BASE`` — GPU device ``g - base``;
-* ``g >= LINK_GROUP_BASE`` — a shared link (NIC, PCIe wire).
+* ``g >= LINK_GROUP_BASE`` — a shared link (NIC, PCIe wire, NVLink
+  fabric).
 
 Display names for groups are registered with :meth:`Tracer.set_group_name`
 and used by the ASCII renderer and the Chrome-trace exporter (where groups
@@ -42,7 +43,7 @@ __all__ = [
 
 #: First group id used for GPU devices (below: MPI ranks).
 GPU_GROUP_BASE = 1_000
-#: First group id used for shared links (NICs, PCIe wires).
+#: First group id used for shared links (NICs, PCIe wires, NVLink fabrics).
 LINK_GROUP_BASE = 2_000
 
 

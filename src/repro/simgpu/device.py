@@ -78,7 +78,10 @@ class Stream:
 class Gpu:
     """One simulated GPU attached to a DES environment."""
 
-    def __init__(self, env: Environment, spec: GpuSpec, name: str = "gpu"):
+    def __init__(
+        self, env: Environment, spec: GpuSpec, name: str = "gpu",
+        trace_group: int = GPU_GROUP_BASE,
+    ):
         self.env = env
         self.spec = spec
         self.name = name
@@ -114,9 +117,10 @@ class Gpu:
         #: drawn per issued operation from this device's (group, lane)
         #: counter streams.
         self.perturb = None
-        #: trace group id for this device's lanes (runner assigns one per
-        #: device; see repro.obs.tracer group-id conventions).
-        self.trace_group = GPU_GROUP_BASE
+        #: group id of this device's trace lanes and noise streams (the
+        #: runner gives each device its own; see repro.obs.tracer
+        #: group-id conventions).
+        self.trace_group = trace_group
         # Counters for tests and reports.
         self.kernels_launched = 0
         self.bytes_h2d = 0

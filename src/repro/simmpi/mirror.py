@@ -169,6 +169,10 @@ class MirrorComm(RankComm):
         #: background_fraction(eager) indexed by ``eager``.
         self._bg_frac = (ic.background_fraction(False), ic.background_fraction(True))
         self._local_rate = profile.node.memcpy_bandwidth_gbs * 1e9
+        #: trace lane of off-node background wire time, as in World.
+        self._bg_lane = (
+            "mpi" if ic.progress is ProgressModel.MANUAL_POLL else "progress"
+        )
         #: tag -> stays on-node / NIC wire rate (filled on first use).
         self._local_by_tag: Dict[int, bool] = {}
         self._nic_rate_by_tag: Dict[int, float] = {}
@@ -234,12 +238,7 @@ class MirrorComm(RankComm):
         xfer.bg_t = bg_t
         tracer = self.tracer
         if tracer is not None:
-            lane = (
-                "mpi"
-                if xfer.local
-                or self.profile.interconnect.progress is ProgressModel.MANUAL_POLL
-                else "progress"
-            )
+            lane = "mpi" if xfer.local else self._bg_lane
             tracer.record(
                 lane, f"bg t{xfer.tag}", now, bg_t, group=self.rank, cat="comm",
                 args={"tag": xfer.tag, "nbytes": xfer.nbytes, "stage": "background"},

@@ -90,7 +90,7 @@ class World:
         # ranks across their rails round-robin. With one NIC per node the
         # names and indexing reduce to the historical f"nic{node}" exactly.
         self._npn = max(1, interconnect.nics_per_node)
-        self._nics = [
+        self.nics = [
             SharedBandwidth(
                 env,
                 interconnect.bandwidth_bps,
@@ -143,7 +143,7 @@ class World:
             self.env.schedule(nbytes / self._memcpy_rate(), done.succeed)
             return done
         nic = self.node_of(src) * self._npn + (src % self._npn)
-        return self._nics[nic].transfer(nbytes)
+        return self.nics[nic].transfer(nbytes)
 
     def _start_background(self, xfer: _Xfer) -> None:
         """Launch the background part of a transfer (latency + RDMA share).

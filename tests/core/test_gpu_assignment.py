@@ -52,7 +52,8 @@ class TestFullBackendGpuWiring:
         env = Environment()
         decomp = Decomposition(cfg.ntasks, cfg.domain)
         workload = get_workload(cfg.workload)
-        return cfg, _build_full(env, cfg, impl, workload, decomp)
+        contexts, _components = _build_full(env, cfg, impl, workload, decomp)
+        return cfg, contexts
 
     def test_one_gpu_per_node_is_shared_by_the_node(self):
         _cfg, ctxs = self._contexts(YONA, 12, 3)  # 4 tasks, 1 node, 1 GPU

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.hybrid_common import HybridGeometry
 from repro.decomp.boxdecomp import BoxDecomposition
 
 shapes = st.tuples(st.integers(5, 30), st.integers(5, 30), st.integers(5, 30))
@@ -81,7 +82,7 @@ class TestWallInterior:
         if min(shape) <= 2 * t:
             return
         box = BoxDecomposition(shape, t)
-        interiors = sum(box.wall_interior_points_for(w) for w in box.walls())
+        interiors = sum(HybridGeometry(box).wall_interior_points)
         assert interiors + box.wall_outer_boundary_points() == box.cpu_points
 
     def test_interior_boxes_avoid_outer_surface(self):
@@ -94,11 +95,4 @@ class TestWallInterior:
 
     def test_thickness_one_walls_are_all_outer(self):
         box = BoxDecomposition((10, 10, 10), 1)
-        assert all(box.wall_interior_points_for(w) == 0 for w in box.walls())
-
-    def test_walls_for_dim(self):
-        box = BoxDecomposition((10, 10, 10), 2)
-        for dim in range(3):
-            walls = box.walls_for_dim(dim)
-            assert len(walls) == 2
-            assert {w.side for w in walls} == {-1, 1}
+        assert HybridGeometry(box).wall_interior_points == [0, 0, 0]

@@ -16,7 +16,7 @@ import pytest
 
 from repro.core.config import RunConfig
 from repro.core.runner import run, run_replicated
-from repro.machines import JAGUARPF, YONA
+from repro.machines import A100_SXM, JAGUARPF, YONA
 from repro.perturb import NoiseSpec, forced_noise
 from repro.perturb.model import NOISE_LANE, Perturbation, build_perturbation
 
@@ -212,8 +212,15 @@ class TestTraceUnderNoise:
     def test_traced_seeded_run_matches_untraced(self):
         # Tracing must observe, never alter, the perturbed timeline.
         spec = NoiseSpec.preset("medium")
-        cfg = _configs()[0].with_(seed=21, noise=spec)
-        assert run(cfg).elapsed_s == run(cfg.with_(trace=True)).elapsed_s
+        a100 = RunConfig(
+            machine=A100_SXM, implementation="gpu_streams", cores=256,
+            threads_per_task=16, steps=2, domain=(32, 32, 32), network="full",
+        )
+        # The A100 run has two nodes of 4 GPUs: devices 1001... must draw
+        # their own noise streams whether or not a tracer is attached.
+        for base in (_configs()[0], a100):
+            cfg = base.with_(seed=21, noise=spec)
+            assert run(cfg).elapsed_s == run(cfg.with_(trace=True)).elapsed_s
 
 
 class TestReplication:

@@ -226,7 +226,7 @@ class TestMultiNic:
     def test_one_wire_per_nic(self, env):
         ic = replace(JAGUARPF.interconnect, nics_per_node=4)
         w = World(env, 4, ic, JAGUARPF.node, tasks_per_node=2)  # 2 nodes
-        names = [nic.name for nic in w._nics]
+        names = [nic.name for nic in w.nics]
         assert names == [
             "nic0:0", "nic0:1", "nic0:2", "nic0:3",
             "nic1:0", "nic1:1", "nic1:2", "nic1:3",
@@ -234,7 +234,7 @@ class TestMultiNic:
 
     def test_single_nic_keeps_legacy_names(self, env):
         w = World(env, 4, JAGUARPF.interconnect, JAGUARPF.node, tasks_per_node=2)
-        assert [nic.name for nic in w._nics] == ["nic0", "nic1"]
+        assert [nic.name for nic in w.nics] == ["nic0", "nic1"]
 
     def test_more_nics_relieve_congestion(self):
         """Two same-node senders share one NIC but get a rail each at npn=2."""
