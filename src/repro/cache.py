@@ -48,7 +48,9 @@ serve threads and concurrent CLI processes can share a directory.
 
 A handle indexes segments lazily, keeping each entry's raw line bytes
 (decoded only on a hit), and on an index miss reads just the bytes
-appended since its last look, up to the last complete line. A torn,
+appended since its last look, up to the last complete line; a segment
+whose size has not changed since then, or that grew only by the handle's
+own stores, is not opened again. A torn,
 corrupt or foreign line is a miss, never a crash, and re-storing the
 key appends a line that supersedes it. Entries of the older
 one-file-per-entry layouts (``<dir>/<key>.json`` and
@@ -386,8 +388,18 @@ class RunCache:
         self._index: Dict[str, bytes] = {}
         #: bytes of each segment consumed so far (always a line boundary)
         self._offsets: Dict[str, int] = {}
+        #: each segment's size at the last read: a segment only grows, so
+        #: an unchanged size means nothing new to index
+        self._sizes: Dict[str, int] = {}
         self._lock = threading.Lock()
         self._warned = False
+
+    def serves(self, directory: str) -> bool:
+        """Whether this handle's directory is ``directory`` on disk."""
+        try:
+            return os.path.samefile(self.directory, directory)
+        except OSError:
+            return False
 
     def _segment_path(self, prefix: str) -> str:
         return os.path.join(self.directory, f"{prefix}.jsonl")
@@ -419,7 +431,18 @@ class RunCache:
         return offset + end
 
     def _refresh(self, prefix: str) -> None:
-        """Catch the index up with a segment's new lines (lock held)."""
+        """Catch the index up with a segment's new lines (lock held).
+
+        One ``stat`` decides: a missing segment or one that has not grown
+        since the last read is not opened.
+        """
+        try:
+            size = os.stat(self._segment_path(prefix)).st_size
+        except OSError:
+            return
+        if self._sizes.get(prefix) == size:
+            return
+        self._sizes[prefix] = size
         self._offsets[prefix] = self._read_lines(
             prefix, self._offsets.get(prefix, 0), self._index
         )
@@ -516,6 +539,8 @@ class RunCache:
                     # not the next one appended after it.
                     os.write(fd, b"\n")
                     raise OSError(errno.EIO, f"short write to {prefix}.jsonl")
+                # O_APPEND left the offset just past this line.
+                end = os.lseek(fd, 0, os.SEEK_CUR)
             finally:
                 os.close(fd)
         except OSError as exc:
@@ -527,6 +552,11 @@ class RunCache:
             return False
         with self._lock:
             self._index[key] = line
+            seen = self._offsets.get(prefix, 0)
+            if self._sizes.get(prefix, 0) == seen == end - len(data):
+                # Nothing was appended between the last read and this line,
+                # so a later miss need not read the segment for it.
+                self._sizes[prefix] = self._offsets[prefix] = end
         self.stores += 1
         return True
 
@@ -551,6 +581,7 @@ class RunCache:
         with self._lock:
             self._index.clear()
             self._offsets.clear()
+            self._sizes.clear()
             for prefix in self._segment_prefixes():
                 lines: Dict[str, bytes] = {}
                 self._read_lines(prefix, 0, lines)

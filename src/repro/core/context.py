@@ -17,12 +17,12 @@ waits on the result.
 from __future__ import annotations
 
 from collections import defaultdict
+from functools import cached_property
 from typing import Callable, Dict, Optional, Sequence, Tuple
 
 from repro.core.config import RunConfig
 from repro.core.data import RankData
-from repro.decomp.halo import face_message_bytes
-from repro.decomp.partition import Decomposition, Subdomain
+from repro.decomp.partition import Decomposition, RankLayout, Subdomain
 from repro.des import Environment, Event
 from repro.machines.cpu_model import (
     memcpy_time,
@@ -32,7 +32,7 @@ from repro.machines.cpu_model import (
 from repro.machines.calibration import BOUNDARY_LOOP_EFFICIENCY, COPY_BYTES_PER_POINT
 from repro.simgpu.blockmodel import stencil_kernel_time
 from repro.simgpu.device import Gpu, Stream
-from repro.simmpi.api import Plan, RankComm, halo_tag
+from repro.simmpi.api import Plan, RankComm
 from repro.stencil.coefficients import FLOPS_PER_POINT
 
 __all__ = ["RankContext", "FACE_PACK_STRIDE_PENALTY"]
@@ -85,9 +85,6 @@ class RankContext:
         self.perturb = None
         #: free-form per-implementation state (device arrays, streams, ...)
         self.state: Dict[str, object] = {}
-        self._neighbors: Dict[Tuple[int, int], int] = {}
-        self._face_bytes: Dict[int, int] = {}
-        self._halo_plans: Dict[int, Tuple[Plan, Plan]] = {}
         #: threads -> task_memory_bandwidth(node, threads); the node is fixed
         #: for the context, so each thread count is computed once.
         self._mem_bw_by_threads: Dict[int, float] = {}
@@ -374,37 +371,21 @@ class RankContext:
         return done
 
     # -- topology helpers --------------------------------------------------------
-    # Each is asked once per exchange of every step; only successful
-    # lookups are memoized, so bad arguments still raise each time.
+    @cached_property
+    def layout(self) -> RankLayout:
+        """This rank's layout, shared with every run of the decomposition
+        (advection decompositions only; read on first use)."""
+        return self.decomp.layout(self.sub.rank)
+
     def neighbor(self, dim: int, side: int) -> int:
         """Face-neighbor rank."""
-        key = (dim, side)
-        rank = self._neighbors.get(key)
-        if rank is None:
-            rank = self._neighbors[key] = self.decomp.neighbor(self.sub.rank, dim, side)
-        return rank
+        return self.decomp.neighbor(self.sub.rank, dim, side)
 
     def face_bytes(self, dim: int) -> int:
         """Bytes of one halo face message in ``dim``."""
-        nbytes = self._face_bytes.get(dim)
-        if nbytes is None:
-            nbytes = self._face_bytes[dim] = face_message_bytes(self.sub.shape, dim)
-        return nbytes
+        return self.layout.face_bytes[dim]
 
     def halo_plan(self, dim: int) -> Tuple[Plan, Plan]:
-        """``(recv_plan, send_plan)`` of the ``dim`` face exchange.
-
-        Both list the ``-1`` side first. My halo on ``side`` is filled by
-        the ``(dim, side)`` neighbor's send toward ``-side``, so a receive
-        from that neighbor carries ``halo_tag(dim, -side)``; the send to it
-        carries ``halo_tag(dim, side)``.
-        """
-        plans = self._halo_plans.get(dim)
-        if plans is None:
-            nbytes = self.face_bytes(dim)
-            peers = [(side, self.neighbor(dim, side)) for side in (-1, 1)]
-            plans = self._halo_plans[dim] = (
-                tuple((peer, halo_tag(dim, -side), nbytes) for side, peer in peers),
-                tuple((peer, halo_tag(dim, side), nbytes) for side, peer in peers),
-            )
-        return plans
+        """``(recv_plan, send_plan)`` of the ``dim`` face exchange, both
+        listing the ``-1`` side first (:class:`RankLayout`)."""
+        return self.layout.halo_plans[dim]

@@ -62,14 +62,14 @@ class RankData:
     def __init__(self, cfg: RunConfig, sub: Subdomain):
         self.cfg = cfg
         self.sub = sub
-        self.coeffs: StencilCoefficients = tensor_product_coefficients(
-            cfg.velocity, cfg.nu
-        )
         self.functional = cfg.functional
         #: per-rank scratch arena: the separable sweeps lease their
         #: intermediate buffers here, so repeated steps allocate nothing.
         self.arena = ScratchArena()
+        #: the stencil weights; None in shadow mode, where no kernel runs.
+        self.coeffs: Optional[StencilCoefficients] = None
         if self.functional:
+            self.coeffs = tensor_product_coefficients(cfg.velocity, cfg.nu)
             self.u: Optional[np.ndarray] = allocate_field(sub.shape)
             self.unew: Optional[np.ndarray] = allocate_field(sub.shape)
             interior(self.u)[...] = local_initial_condition(cfg, sub)

@@ -52,7 +52,7 @@ class HybridBulkMPI(Implementation):
 
         # 1) Inner exchange with the GPU (bulk: blocking pageable copies).
         #    D2H the block's outer layer for the CPU walls...
-        for dim, pts in geom.out_split.items():
+        for dim, pts in geom.out_split:
             yield ctx.launch_cost(1)
             ev = ctx.device_copy_kernel(s1, pts * 8, dim)
             yield ev
@@ -64,7 +64,7 @@ class HybridBulkMPI(Implementation):
         #    ...and H2D the adjacent CPU layer as the block's halo.
         yield ctx.memcpy(h2d_bytes, 0.7, phase="stage")
         yield ctx.pcie_sync(h2d_bytes)
-        for dim, pts in geom.in_split.items():
+        for dim, pts in geom.in_split:
             yield ctx.launch_cost(1)
             ev = ctx.device_copy_kernel(s1, pts * 8, dim)
             yield ev

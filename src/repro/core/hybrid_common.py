@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+from functools import lru_cache
+from typing import Tuple
+
 from repro.core.base import Implementation
 from repro.core.config import RunConfig
 from repro.core.context import RankContext
@@ -14,17 +17,23 @@ from repro.core.gpu_common import (
     slab_normal_split,
 )
 from repro.decomp.boxdecomp import BoxDecomposition
+from repro.decomp.partition import shared_decomposition
 from repro.stencil.arena import ScratchArena
 
-__all__ = ["HybridGeometry", "hybrid_validate", "hybrid_setup", "hybrid_drain"]
+__all__ = [
+    "HybridGeometry", "hybrid_geometry", "hybrid_validate", "hybrid_setup",
+    "hybrid_drain",
+]
 
 
 class HybridGeometry:
     """Every per-step geometry fact of one rank's box decomposition.
 
-    The box is fixed for the run, so the slab lists, point sums, byte
-    counts and wall boxes the steps read are computed once in
-    :func:`hybrid_setup` (all integers: nothing can drift).
+    The slab lists, point sums, byte counts and wall boxes the steps read
+    depend only on the subdomain shape and the box thickness, so
+    :func:`hybrid_geometry` builds them once per process and every run of
+    that pair shares them (all integers: nothing can drift). Shared, so
+    read-only: every table is a tuple and attributes cannot be rebound.
     """
 
     __slots__ = (
@@ -34,25 +43,43 @@ class HybridGeometry:
     )
 
     def __init__(self, box: BoxDecomposition):
-        self.box = box
+        put = object.__setattr__
+        put(self, "box", box)
         #: the CPU layer just outside the block (H2D'd as its halo) and the
         #: block's outermost layer (D2H'd for the walls), as (dim, box).
-        self.in_slabs = inner_halo_slabs(box)
-        self.out_slabs = inner_boundary_slabs(box)
-        self.in_split = slab_normal_split(self.in_slabs)
-        self.out_split = slab_normal_split(self.out_slabs)
-        self.shell_points = sum(self.out_split.values())
-        self.h2d_bytes, self.d2h_bytes = box.inner_exchange_bytes()
-        self.walls = box.walls()
+        put(self, "in_slabs", tuple(inner_halo_slabs(box)))
+        put(self, "out_slabs", tuple(inner_boundary_slabs(box)))
+        #: (dim, points) per normal dim, x first
+        put(self, "in_split", tuple(slab_normal_split(self.in_slabs).items()))
+        put(self, "out_split", tuple(slab_normal_split(self.out_slabs).items()))
+        put(self, "shell_points", sum(pts for _, pts in self.out_split))
+        h2d_bytes, d2h_bytes = box.inner_exchange_bytes()
+        put(self, "h2d_bytes", h2d_bytes)
+        put(self, "d2h_bytes", d2h_bytes)
+        put(self, "walls", tuple(box.walls()))
         #: per exchange dim: the two walls' boxes clear of the outer halo,
         #: and their point total.
-        self.wall_interior_boxes = [
-            [box.wall_interior_box(w) for w in self.walls if w.dim == dim]
+        boxes = tuple(
+            tuple(box.wall_interior_box(w) for w in self.walls if w.dim == dim)
             for dim in range(3)
-        ]
-        self.wall_interior_points = [
-            sum(box_points(b) for b in boxes) for boxes in self.wall_interior_boxes
-        ]
+        )
+        put(self, "wall_interior_boxes", boxes)
+        put(self, "wall_interior_points",
+            tuple(sum(box_points(b) for b in dim_boxes) for dim_boxes in boxes))
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(
+            f"HybridGeometry is shared between runs; cannot set {name!r}"
+        )
+
+
+@lru_cache(maxsize=256)
+def hybrid_geometry(shape: Tuple[int, int, int], thickness: int) -> HybridGeometry:
+    """The process-wide :class:`HybridGeometry` of one subdomain shape and
+    box thickness; raises ``ValueError`` when the thickness leaves no GPU
+    block (nothing is memoized then).
+    """
+    return HybridGeometry(BoxDecomposition(shape, thickness))
 
 
 def hybrid_validate(impl: Implementation, cfg: RunConfig) -> None:
@@ -64,9 +91,10 @@ def hybrid_validate(impl: Implementation, cfg: RunConfig) -> None:
     invalid (threads, thickness) points without running them.
     """
     Implementation.validate(impl, cfg)
-    from repro.decomp.partition import Decomposition
-
-    decomp = Decomposition(cfg.ntasks, cfg.domain)
+    decomp = shared_decomposition(cfg.ntasks, tuple(cfg.domain))
+    # A bare box, not the shared geometry: a sweep validates thicknesses
+    # that no run sets up (and a warm regeneration sets up none), and the
+    # box check is ~40x cheaper than building a HybridGeometry.
     BoxDecomposition(decomp.min_subdomain_shape(), cfg.box_thickness)
 
 
@@ -74,8 +102,8 @@ def hybrid_setup(impl: Implementation, ctx: RankContext):
     """Common §IV-H/I setup: box decomposition, device block, buffers."""
     gpu = ctx.gpu
     st = ctx.state
-    box = BoxDecomposition(ctx.sub.shape, ctx.cfg.box_thickness)
-    st["geom"] = HybridGeometry(box)
+    geom = st["geom"] = hybrid_geometry(ctx.sub.shape, ctx.cfg.box_thickness)
+    box = geom.box
     st["s1"] = gpu.stream("block")
     st["s2"] = gpu.stream("edges")
     # Device-side scratch arena for the separable sweeps over the GPU block

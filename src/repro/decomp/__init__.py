@@ -14,7 +14,6 @@
 
 from repro.decomp.boxdecomp import BoxDecomposition, Wall
 from repro.decomp.halo import (
-    HaloExchangePlan,
     face_message_bytes,
     pack_face,
     unpack_face,
@@ -29,7 +28,6 @@ from repro.decomp.partition import (
 __all__ = [
     "BoxDecomposition",
     "Decomposition",
-    "HaloExchangePlan",
     "Subdomain",
     "Wall",
     "block_range",

@@ -15,15 +15,30 @@ earlier exchanges are exactly the corner values that must propagate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence, Tuple
 
 import numpy as np
 
-__all__ = ["pack_face", "unpack_face", "face_message_bytes", "HaloExchangePlan"]
+__all__ = ["pack_face", "unpack_face", "face_message_bytes", "halo_tag", "HALO_TAGS"]
 
 #: Exchange order; must be ascending for corner propagation to work.
 EXCHANGE_ORDER: Tuple[int, int, int] = (0, 1, 2)
+
+
+def halo_tag(dim: int, travel: int) -> int:
+    """Tag for a halo message in ``dim`` traveling toward side ``travel``.
+
+    A rank sends its ``-x`` boundary to the ``-x`` neighbor with
+    ``halo_tag(0, -1)`` and receives data traveling ``-x`` from its ``+x``
+    neighbor under the same tag — the pairing the mirror backend exploits.
+    """
+    if travel not in (-1, 1):
+        raise ValueError("travel must be -1 or +1")
+    return dim * 2 + (0 if travel < 0 else 1)
+
+
+#: All six halo tags in serialized exchange order (x-, x+, y-, y+, z-, z+).
+HALO_TAGS = tuple(halo_tag(d, s) for d in range(3) for s in (-1, 1))
 
 
 def _boundary_plane_index(field: np.ndarray, dim: int, side: int) -> int:
@@ -69,24 +84,3 @@ def face_message_bytes(shape: Sequence[int], dim: int, itemsize: int = 8) -> int
     full = [int(s) + 2 for s in shape]
     del full[dim]
     return full[0] * full[1] * itemsize
-
-
-@dataclass(frozen=True)
-class HaloExchangePlan:
-    """Precomputed message sizes for a subdomain's serialized exchange."""
-
-    shape: Tuple[int, int, int]
-    itemsize: int = 8
-
-    def message_bytes(self, dim: int) -> int:
-        """Bytes per face message in dimension ``dim`` (one direction)."""
-        return face_message_bytes(self.shape, dim, self.itemsize)
-
-    @property
-    def total_bytes(self) -> int:
-        """Total bytes sent per task per step (6 messages)."""
-        return 2 * sum(self.message_bytes(d) for d in range(3))
-
-    def pack_points(self, dim: int) -> int:
-        """Points copied when packing/unpacking one face in ``dim``."""
-        return self.message_bytes(dim) // self.itemsize

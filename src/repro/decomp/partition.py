@@ -12,6 +12,11 @@ The paper's data-distribution rules, implemented exactly:
   than the smallest";
 * subdomains are aligned, so each task has 26 logical neighbors (a task may
   be its own neighbor for small or prime task counts).
+
+:func:`shared_decomposition` keeps one :class:`Decomposition` per
+``(ntasks, domain)`` for the whole process; it fills per-rank
+:class:`RankLayout` entries and node-0 scans on first use
+(docs/MODEL.md §17).
 """
 
 from __future__ import annotations
@@ -20,7 +25,20 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Dict, Iterator, Sequence, Tuple
 
-__all__ = ["choose_task_grid", "block_range", "Subdomain", "Decomposition"]
+from repro.decomp.halo import face_message_bytes, halo_tag
+
+__all__ = [
+    "choose_task_grid", "block_range", "Subdomain", "RankLayout", "Decomposition",
+    "shared_decomposition",
+]
+
+#: One message batch, ``(peer, tag, nbytes)`` per message (simmpi's ``Plan``).
+Plan = Tuple[Tuple[int, int, int], ...]
+
+#: Layouts one decomposition keeps. Mirror runs touch one rank; a
+#: full-network run over more ranks than this builds the rest once per
+#: run, which bounds what a 12,288-rank run leaves behind.
+MAX_KEPT_LAYOUTS = 64
 
 
 def _factor_triples(n: int) -> Iterator[Tuple[int, int, int]]:
@@ -107,18 +125,45 @@ class Subdomain:
         return s[0] * s[1]
 
 
+@dataclass(frozen=True)
+class RankLayout:
+    """One rank's share of a decomposition: what a run reads per rank.
+
+    Shared by every run that uses the decomposition, so every field is
+    immutable.
+    """
+
+    sub: Subdomain
+    #: face-neighbor ranks per dim, ``(side -1, side +1)``
+    neighbors: Tuple[Tuple[int, int], ...]
+    #: bytes of one face message per dim (planes include the halo rims)
+    face_bytes: Tuple[int, int, int]
+    #: per dim, ``(recv_plan, send_plan)`` of the face exchange, both
+    #: listing the ``-1`` side first. My halo on ``side`` is filled by the
+    #: ``(dim, side)`` neighbor's send toward ``-side``, so a receive from
+    #: that neighbor carries ``halo_tag(dim, -side)``; the send to it
+    #: carries ``halo_tag(dim, side)``.
+    halo_plans: Tuple[Tuple[Plan, Plan], ...]
+
+
 class Decomposition:
     """The full task-grid decomposition of a periodic global domain.
 
     Rank order is x-fastest (``rank = tx + px*(ty + py*tz)``), matching the
     usual Cartesian layout in which consecutive ranks — which job launchers
     place on the same node — are x neighbors.
+
+    Per-rank layouts and node-0 scans are computed on first use and kept.
+    A fill stores an immutable value equal to what any other fill of the
+    same key computes, so threads racing on one key are harmless.
     """
 
     def __init__(self, ntasks: int, domain: Sequence[int] = (420, 420, 420)):
         self.domain = tuple(int(v) for v in domain)
         self.ntasks = int(ntasks)
         self.task_grid = choose_task_grid(self.ntasks, self.domain)
+        self._layouts: Dict[int, RankLayout] = {}
+        self._node0: Dict[int, tuple] = {}
 
     def coords_of(self, rank: int) -> Tuple[int, int, int]:
         """Task-grid coordinates of ``rank``."""
@@ -131,8 +176,39 @@ class Decomposition:
         tx, ty, tz = (int(c) % p for c, p in zip(coords, (px, py, pz)))
         return tx + px * (ty + py * tz)
 
+    def layout(self, rank: int) -> RankLayout:
+        """The :class:`RankLayout` of ``rank``; the first
+        :data:`MAX_KEPT_LAYOUTS` ranks asked for are kept and shared."""
+        lay = self._layouts.get(rank)
+        if lay is None:
+            lay = self._build_layout(rank)
+            if len(self._layouts) < MAX_KEPT_LAYOUTS:
+                self._layouts[rank] = lay
+        return lay
+
+    def _build_layout(self, rank: int) -> RankLayout:
+        sub = self._subdomain(rank)
+        neighbors = tuple(
+            (self.neighbor(rank, d, -1), self.neighbor(rank, d, 1)) for d in range(3)
+        )
+        face_bytes = tuple(face_message_bytes(sub.shape, d) for d in range(3))
+        halo_plans = tuple(
+            (
+                tuple((peer, halo_tag(d, -side), face_bytes[d])
+                      for side, peer in zip((-1, 1), neighbors[d])),
+                tuple((peer, halo_tag(d, side), face_bytes[d])
+                      for side, peer in zip((-1, 1), neighbors[d])),
+            )
+            for d in range(3)
+        )
+        return RankLayout(sub, neighbors, face_bytes, halo_plans)
+
     def subdomain(self, rank: int) -> Subdomain:
         """The :class:`Subdomain` owned by ``rank``."""
+        lay = self._layouts.get(rank)
+        return lay.sub if lay is not None else self._subdomain(rank)
+
+    def _subdomain(self, rank: int) -> Subdomain:
         if not 0 <= rank < self.ntasks:
             raise ValueError(f"rank {rank} out of range for {self.ntasks} tasks")
         coords = self.coords_of(rank)
@@ -150,12 +226,6 @@ class Decomposition:
         coords = list(self.coords_of(rank))
         coords[dim] += side
         return self.rank_of(coords)
-
-    def face_neighbors(self, rank: int) -> Dict[Tuple[int, int], int]:
-        """All six face neighbors, keyed by ``(dim, side)``."""
-        return {
-            (d, s): self.neighbor(rank, d, s) for d in range(3) for s in (-1, 1)
-        }
 
     def all_neighbors(self, rank: int) -> set[int]:
         """The 26 logical neighbor ranks (may include ``rank`` itself)."""
@@ -202,3 +272,45 @@ class Decomposition:
                 for s in (-1, 1)
             )
         return out
+
+    def node0_scan(self, tasks_per_node: int):
+        """``(rep, offnode_by_tag, nic_share_by_tag)`` of node 0, as item tuples.
+
+        What the mirror backend's representative needs
+        (:meth:`repro.simmpi.mirror.MirrorProfile.for_decomposition`):
+        scans the ranks of node 0 (placement is contiguous), picks the one
+        with the most off-node faces, and counts how many node-local
+        transfers contend for the NIC in each dimension's exchange phase.
+        ``tasks_per_node`` must not exceed ``ntasks``. Computed once per
+        placement.
+        """
+        scan = self._node0.get(tasks_per_node)
+        if scan is not None:
+            return scan
+        node_ranks = range(tasks_per_node)
+        off = {r: self.offnode_dims(r, tasks_per_node) for r in node_ranks}
+        rep = max(node_ranks, key=lambda r: sum(sum(d) for d in off[r].values()))
+        offnode_by_tag, nic_share_by_tag = [], []
+        for dim in range(3):
+            # Send messages from this node during the dim exchange phase.
+            node_sends = sum(int(b) for r in node_ranks for b in off[r][dim])
+            for side in (-1, 1):
+                tag = halo_tag(dim, side)
+                offnode_by_tag.append((tag, off[rep][dim][0 if side < 0 else 1]))
+                nic_share_by_tag.append((tag, max(1.0, float(node_sends))))
+        scan = self._node0[tasks_per_node] = (
+            rep, tuple(offnode_by_tag), tuple(nic_share_by_tag)
+        )
+        return scan
+
+
+@lru_cache(maxsize=256)
+def shared_decomposition(ntasks: int, domain: Tuple[int, int, int]) -> Decomposition:
+    """The process-wide :class:`Decomposition` of ``ntasks`` over ``domain``.
+
+    Runs of one ``(ntasks, domain)`` share it, and with it every layout
+    and node-0 scan any of them filled. Bounded like
+    :func:`choose_task_grid`; an evicted decomposition is rebuilt on demand
+    with equal contents.
+    """
+    return Decomposition(ntasks, domain)

@@ -131,8 +131,10 @@ def run_experiments(
     ``cache_dir`` installs the content-addressed run cache
     (:mod:`repro.cache`) for the regeneration — in this process and in
     every scheduler worker; configs already simulated under the current
-    model version are replayed from disk, bit-identically. ``None``
-    leaves the current cache configuration (usually: no cache) untouched.
+    model version are replayed from disk, bit-identically. An active cache
+    that already serves ``cache_dir`` is kept, with its index and counters,
+    so per-experiment calls share one handle. ``None`` leaves the current
+    cache configuration (usually: no cache) untouched.
 
     ``journal`` attaches a resumable result journal to the scheduler this
     call creates (a ``.jsonl`` path for a flat journal, a directory for a
@@ -153,7 +155,8 @@ def run_experiments(
         raise ValueError(f"jobs must be >= 1, got {jobs}")
     from repro import cache as run_cache
 
-    if cache_dir is not None:
+    active = run_cache.active_cache()
+    if cache_dir is not None and (active is None or not active.serves(cache_dir)):
         run_cache.configure(cache_dir)
     if journal is None and (jobs == 1 or len(exp_ids) <= 1):
         return [run_experiment(e, fast=fast) for e in exp_ids]

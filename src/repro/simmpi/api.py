@@ -16,26 +16,12 @@ from __future__ import annotations
 
 from typing import Any, Iterable, List, Optional, Sequence, Tuple
 
+from repro.decomp.halo import HALO_TAGS, halo_tag
+
 __all__ = ["halo_tag", "HALO_TAGS", "Request", "RankComm", "Plan"]
 
 #: One batch of messages: ``(peer, tag, nbytes)`` per message, in post order.
 Plan = Sequence[Tuple[int, int, int]]
-
-
-def halo_tag(dim: int, travel: int) -> int:
-    """Tag for a halo message in ``dim`` traveling toward side ``travel``.
-
-    A rank sends its ``-x`` boundary to the ``-x`` neighbor with
-    ``halo_tag(0, -1)`` and receives data traveling ``-x`` from its ``+x``
-    neighbor under the same tag — the pairing the mirror backend exploits.
-    """
-    if travel not in (-1, 1):
-        raise ValueError("travel must be -1 or +1")
-    return dim * 2 + (0 if travel < 0 else 1)
-
-
-#: All six halo tags in serialized exchange order (x-, x+, y-, y+, z-, z+).
-HALO_TAGS = tuple(halo_tag(d, s) for d in range(3) for s in (-1, 1))
 
 
 class Request:

@@ -19,13 +19,12 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.des import Environment, SimulationError
 from repro.decomp.partition import Decomposition
 from repro.machines.spec import InterconnectSpec, MachineSpec, NodeSpec, ProgressModel
-from repro.simmpi.api import Plan, RankComm, Request, halo_tag
+from repro.simmpi.api import Plan, RankComm, Request
 
 __all__ = ["MirrorProfile", "MirrorComm"]
 
@@ -54,11 +53,12 @@ class MirrorProfile:
     ) -> "MirrorProfile":
         """Build a profile for the comm-heaviest rank of the first node.
 
-        The node-0 scan (:func:`_node0_scan`) is computed once per task
-        grid and placement; each profile gets its own copies of the tables.
+        The node-0 scan (:meth:`Decomposition.node0_scan`) is computed once
+        per decomposition and placement; each profile gets its own copies
+        of the tables.
         """
         tpn = min(tasks_per_node, decomp.ntasks)
-        rep, offnode, share = _node0_scan(decomp.task_grid, decomp.ntasks, tpn)
+        rep, offnode, share = decomp.node0_scan(tpn)
         return cls(
             interconnect=machine.interconnect,
             node=machine.node,
@@ -76,32 +76,6 @@ class MirrorProfile:
     def nic_share(self, tag: int) -> float:
         """NIC contention factor for ``tag``."""
         return self.nic_share_by_tag.get(tag, max(1.0, float(self.tasks_per_node)))
-
-
-@lru_cache(maxsize=256)
-def _node0_scan(task_grid: Tuple[int, int, int], ntasks: int, tpn: int):
-    """``(rep, offnode_by_tag, nic_share_by_tag)`` of node 0, as item tuples.
-
-    Scans the ranks of node 0 (placement is contiguous), picks the one
-    with the most off-node faces as representative, and counts how many
-    node-local transfers contend for the NIC in each dimension's exchange
-    phase. A domain equal to the task grid admits exactly that grid (no
-    factor may exceed its extent), so the rebuilt decomposition has the
-    caller's rank layout.
-    """
-    decomp = Decomposition(ntasks, task_grid)
-    node_ranks = range(tpn)
-    off = {r: decomp.offnode_dims(r, tpn) for r in node_ranks}
-    rep = max(node_ranks, key=lambda r: sum(sum(d) for d in off[r].values()))
-    offnode_by_tag, nic_share_by_tag = [], []
-    for dim in range(3):
-        # Send messages from this node during the dim exchange phase.
-        node_sends = sum(int(b) for r in node_ranks for b in off[r][dim])
-        for side in (-1, 1):
-            tag = halo_tag(dim, side)
-            offnode_by_tag.append((tag, off[rep][dim][0 if side < 0 else 1]))
-            nic_share_by_tag.append((tag, max(1.0, float(node_sends))))
-    return rep, tuple(offnode_by_tag), tuple(nic_share_by_tag)
 
 
 class _MirrorXfer:

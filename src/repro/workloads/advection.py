@@ -16,7 +16,7 @@ import numpy as np
 
 from repro.core.config import RunConfig, RunResult
 from repro.core.data import RankData
-from repro.decomp.partition import Decomposition, Subdomain
+from repro.decomp.partition import Decomposition, Subdomain, shared_decomposition
 from repro.simmpi.mirror import MirrorProfile
 from repro.stencil.analytic import analytic_solution, error_norms
 from repro.stencil.coefficients import FLOPS_PER_POINT
@@ -51,7 +51,8 @@ class AdvectionWorkload(Workload):
         return GPU_KEYS
 
     def decompose(self, cfg: RunConfig) -> Decomposition:
-        return Decomposition(cfg.ntasks, cfg.domain)
+        # One shared, lazily filled decomposition per (ntasks, domain).
+        return shared_decomposition(cfg.ntasks, tuple(cfg.domain))
 
     def make_data(self, cfg: RunConfig, sub: Subdomain) -> RankData:
         return RankData(cfg, sub)

@@ -95,4 +95,4 @@ class TestWallInterior:
 
     def test_thickness_one_walls_are_all_outer(self):
         box = BoxDecomposition((10, 10, 10), 1)
-        assert HybridGeometry(box).wall_interior_points == [0, 0, 0]
+        assert HybridGeometry(box).wall_interior_points == (0, 0, 0)

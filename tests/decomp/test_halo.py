@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.decomp.halo import (
-    HaloExchangePlan,
     face_message_bytes,
     pack_face,
     unpack_face,
@@ -79,9 +78,3 @@ class TestMessageBytes:
         u = make_field((4, 5, 6))
         for dim in range(3):
             assert pack_face(u, dim, -1).nbytes == face_message_bytes((4, 5, 6), dim)
-
-    def test_plan_totals(self):
-        plan = HaloExchangePlan((4, 5, 6))
-        total = 2 * sum(plan.message_bytes(d) for d in range(3))
-        assert plan.total_bytes == total
-        assert plan.pack_points(0) == 7 * 8

@@ -238,6 +238,23 @@ class TestExperimentIntegration:
         run_cache.configure(None)
 
 
+    def test_run_experiments_keeps_the_handle_of_its_directory(self, tmp_path):
+        from repro.experiments import run_experiments
+
+        one, two = str(tmp_path / "one"), str(tmp_path / "two")
+        try:
+            run_experiments(["table1"], cache_dir=one)
+            handle = run_cache.active_cache()
+            run_experiments(["table1"], cache_dir=one)
+            run_experiments(["table1"], cache_dir=os.path.join(one, "."))
+            assert run_cache.active_cache() is handle
+            run_experiments(["table1"], cache_dir=two)
+            assert run_cache.active_cache() is not handle
+            assert run_cache.active_cache().serves(two)
+        finally:
+            run_cache.configure(None)
+
+
 class TestCanonicalErrors:
     def test_type_error_names_the_field_path(self):
         from repro.cache import _canonical
@@ -405,6 +422,66 @@ class TestSegments:
             assert _same_result(handle.get(d), _fake_result(d, 4))
         # Only c, the line the torn bytes fused with, is lost besides b.
         assert RunCache(cache.directory).get(c) is None
+
+
+    def test_misses_do_not_reopen_a_segment_that_has_not_grown(
+        self, cfg, cache, monkeypatch
+    ):
+        """At most one stat per miss; a segment is read again once it grew."""
+        a, b, c = _same_segment(cfg, 3)
+        elsewhere = next(
+            cfg.with_(steps=i) for i in range(1, 5000)
+            if config_key(cfg.with_(steps=i))[:2] != config_key(a)[:2]
+        )
+        assert cache.put(a, _fake_result(a, 1))
+        reader = RunCache(cache.directory)
+        opens, stats = [], []
+        real_open, real_stat = open, os.stat
+
+        def counting_open(path, *args, **kwargs):
+            opens.append(path)
+            return real_open(path, *args, **kwargs)
+
+        def counting_stat(path, *args, **kwargs):
+            if str(path).startswith(cache.directory):
+                stats.append(path)
+            return real_stat(path, *args, **kwargs)
+
+        monkeypatch.setattr(run_cache, "open", counting_open, raising=False)
+        monkeypatch.setattr(os, "stat", counting_stat)
+        for _ in range(5):
+            assert reader.get(b) is None
+            assert reader.get(elsewhere) is None  # no segment file at all
+        assert len(opens) == 1  # the first look read the segment once
+        assert len(stats) == 10
+        assert cache.put(c, _fake_result(c, 3))  # the segment grows
+        assert _same_result(reader.get(c), _fake_result(c, 3))
+        for _ in range(5):
+            assert reader.get(b) is None
+        assert len(opens) == 2
+
+    def test_own_appends_do_not_force_a_reread(self, cfg, cache, monkeypatch):
+        """A handle that saw its segment whole skips it after its own store."""
+        a, b, c, d = _same_segment(cfg, 4)
+        assert cache.put(a, _fake_result(a, 1))
+        handle = RunCache(cache.directory)
+        opens = []
+        real_open = open
+
+        def counting_open(path, *args, **kwargs):
+            opens.append(path)
+            return real_open(path, *args, **kwargs)
+
+        monkeypatch.setattr(run_cache, "open", counting_open, raising=False)
+        assert handle.get(b) is None  # reads the segment once
+        assert handle.put(c, _fake_result(c, 3))
+        for _ in range(5):
+            assert handle.get(b) is None
+        assert len(opens) == 1
+        assert cache.put(d, _fake_result(d, 4))  # a peer's append after it
+        assert _same_result(handle.get(d), _fake_result(d, 4))
+        assert len(opens) == 2
+        assert _same_result(RunCache(cache.directory).get(c), _fake_result(c, 3))
 
 
 def _put_many(directory, first, count, go):
