@@ -200,6 +200,17 @@ def kernel_rate_gflops(
     return min(flop_rate, mem_rate)
 
 
+@lru_cache(maxsize=1024)
+def _kernel_rate(
+    gpu: GpuSpec, block: Tuple[int, int] | None, shape: Tuple[int, ...]
+) -> float:
+    """Delivered flop/s of the stencil kernel (``block`` None: the tile's
+    best block), priced once per device, block and tile shape."""
+    if block is None:
+        block = best_block(gpu, shape)
+    return kernel_rate_gflops(gpu, block, shape) * 1e9
+
+
 def stencil_kernel_time(
     gpu: GpuSpec,
     points: int,
@@ -209,7 +220,4 @@ def stencil_kernel_time(
     """Seconds for the resident/interior stencil kernel over ``points``."""
     if points <= 0:
         return 0.0
-    if block is None:
-        block = best_block(gpu, shape)
-    rate = kernel_rate_gflops(gpu, block, shape) * 1e9
-    return points * FLOPS_PER_POINT / rate
+    return points * FLOPS_PER_POINT / _kernel_rate(gpu, block, tuple(shape))

@@ -12,6 +12,7 @@ CUDA programming model.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence, Tuple
 
@@ -91,7 +92,7 @@ class DeviceMemory:
         GPUDirect RDMA (see :attr:`DeviceArray.registered`).
         """
         shape = tuple(int(s) for s in shape)
-        nbytes = int(np.prod(shape)) * _ITEMSIZE
+        nbytes = math.prod(shape) * _ITEMSIZE
         if nbytes > self.free_bytes:
             raise DeviceMemoryError(
                 f"allocating {name!r} ({nbytes / 1e9:.2f} GB) exceeds device "

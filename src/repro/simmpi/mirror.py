@@ -19,6 +19,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.des import Environment, SimulationError
@@ -78,21 +79,121 @@ class MirrorProfile:
         return self.nic_share_by_tag.get(tag, max(1.0, float(self.tasks_per_node)))
 
 
+class _SendPrice:
+    """The static facts of one send: placement, protocol, latency,
+    background fraction, wire rate, and what follows from them.
+
+    Everything here follows from the tag's placement and NIC share, the
+    size and the interconnect, so it is derived once (:class:`_Pricing`),
+    with the expressions the per-message path used: ``bg_wire`` is
+    ``frac * nbytes / rate`` and ``fg_wire`` is ``remainder / rate``, the
+    floats an unperturbed message computes (a wire factor of 1.0 changes
+    no bit). A perturbed message draws its factors and redoes that
+    arithmetic from ``frac`` and ``rate``.
+    """
+
+    __slots__ = ("local", "unpaired", "buffered", "lat", "frac", "rate",
+                 "bg_wire", "fg_wire", "copy_s")
+
+    def __init__(self, local: bool, eager: bool, lat: float, frac: float,
+                 rate: float, nbytes: int, local_rate: float):
+        self.local = local
+        #: on-node and eager sends start moving before their receive posts.
+        self.unpaired = local or eager
+        #: an off-node eager send completes at once; only its receiver waits.
+        self.buffered = eager and not local
+        self.lat = lat
+        self.frac = frac
+        self.rate = rate
+        #: background wire seconds; 0.0 adds nothing when ``frac == 0``.
+        self.bg_wire = frac * nbytes / rate if frac > 0 else 0.0
+        #: host-driven remainder's wire seconds (off-node), None if none.
+        remainder = (1.0 - frac) * nbytes
+        self.fg_wire = remainder / rate if remainder > 0 else None
+        #: receive-side copy out of the receive/unexpected buffer, or None.
+        self.copy_s = nbytes / local_rate if (local or eager) else None
+
+
+#: Prices one :class:`_Pricing` keeps before it starts over: a bound on
+#: memory (about 310 bytes a price, tracemalloc), five times the most
+#: (416) that a cold fast regeneration leaves in any of its 14 tables.
+_MAX_SHARED_PRICES = 2048
+
+
+class _Pricing:
+    """Send prices under one interconnect and node memcpy rate.
+
+    A price depends on its tag only through the tag's placement and NIC
+    share, so every communicator on the same interconnect shares one
+    table, keyed ``(share, nbytes)`` (``share`` is None on-node). A fill
+    stores what any other fill of the key computes, so communicators on
+    different threads may race on an entry.
+    """
+
+    def __init__(self, ic: InterconnectSpec, local_rate: float):
+        self.local_rate = local_rate
+        self.eager_max = ic.eager_threshold_bytes
+        #: (latency, background fraction) of an off-node send, by ``eager``.
+        self.offnode_terms = (
+            (2.0 * ic.latency_s, ic.background_fraction(False)),
+            (ic.latency_s, ic.background_fraction(True)),
+        )
+        self.nic_bps = ic.bandwidth_bps
+        self.nics_per_node = ic.nics_per_node
+        self._prices: Dict[Tuple[Optional[float], int], _SendPrice] = {}
+
+    def price(self, share: Optional[float], nbytes: int) -> _SendPrice:
+        """An ``nbytes`` send: on-node when ``share`` is None, else off-node
+        behind a NIC that ``share`` concurrent transfers contend for.
+
+        An on-node send is a memcpy with a fixed 0.5 µs start-up, all of it
+        in the background. Off-node, an eager send needs only the sender
+        posted, and how much of the wire then moves without host attention
+        is the progress model's call (manual-poll: nothing — paper ref
+        [1] — a progress engine drains the unexpected queue on its own); a
+        rendezvous send pays a round trip of latency first.
+        """
+        key = (share, nbytes)
+        price = self._prices.get(key)
+        if price is not None:
+            return price
+        eager = nbytes <= self.eager_max
+        if share is None:
+            price = _SendPrice(True, eager, 0.5e-6, 1.0, self.local_rate,
+                               nbytes, self.local_rate)
+        else:
+            if self.nics_per_node > 1:
+                # Multi-rail nodes spread the contending senders across
+                # their NICs (round-robin striping, as in the full backend);
+                # a rail still serves at least its own sender.
+                share = max(1.0, share / self.nics_per_node)
+            lat, frac = self.offnode_terms[eager]
+            price = _SendPrice(False, eager, lat, frac, self.nic_bps / share,
+                               nbytes, self.local_rate)
+        if len(self._prices) >= _MAX_SHARED_PRICES:
+            self._prices.clear()
+        self._prices[key] = price
+        return price
+
+
+@lru_cache(maxsize=16)
+def _pricing(ic: InterconnectSpec, local_rate: float) -> _Pricing:
+    return _Pricing(ic, local_rate)
+
+
 class _MirrorXfer:
-    __slots__ = ("tag", "nbytes", "send_posted", "recv_posted", "bg_t", "fg_t",
-                 "eager", "local")
+    __slots__ = ("tag", "nbytes", "price", "recv_posted", "bg_t", "fg_t")
 
     def __init__(self, tag: int):
         self.tag = tag
         self.nbytes = 0
-        self.send_posted = False
+        #: the send's :class:`_SendPrice`; ``None`` until the send posts.
+        self.price: Optional[_SendPrice] = None
         self.recv_posted = False
         #: absolute completion times of the background part and of the
         #: foreground remainder; ``None`` until that part has started.
         self.bg_t: Optional[float] = None
         self.fg_t: Optional[float] = None
-        self.eager = False
-        self.local = False
 
 
 class MirrorComm(RankComm):
@@ -111,7 +212,10 @@ class MirrorComm(RankComm):
     Timeout, and only if a per-message loop would have yielded at all.
     Perturbation draws and trace records happen in per-message order, at
     the computed times. :meth:`isend`, :meth:`irecv` and :meth:`wait` are
-    batches of one (docs/MODEL.md §4).
+    batches of one (docs/MODEL.md §4). A send's static facts (placement,
+    protocol, latency, background fraction, wire rate) are priced once
+    per ``(tag, nbytes)`` (:class:`_SendPrice`), from a table shared by
+    every communicator on the same interconnect (:class:`_Pricing`).
     """
 
     def __init__(self, env: Environment, profile: MirrorProfile):
@@ -133,93 +237,59 @@ class MirrorComm(RankComm):
         self.bytes_sent = 0
         self.messages_received = 0
         self.bytes_received = 0
-        # Run-invariant message constants, derived once with the same
-        # expressions the per-message paths used, so every float is equal.
         ic = profile.interconnect
         self._overhead_s = ic.per_message_cpu_us * 1e-6
-        self._eager_max = ic.eager_threshold_bytes
-        self._latency_s = ic.latency_s
-        self._rendezvous_latency_s = 2.0 * ic.latency_s
-        #: background_fraction(eager) indexed by ``eager``.
-        self._bg_frac = (ic.background_fraction(False), ic.background_fraction(True))
-        self._local_rate = profile.node.memcpy_bandwidth_gbs * 1e9
         #: trace lane of off-node background wire time, as in World.
         self._bg_lane = (
             "mpi" if ic.progress is ProgressModel.MANUAL_POLL else "progress"
         )
-        #: tag -> stays on-node / NIC wire rate (filled on first use).
-        self._local_by_tag: Dict[int, bool] = {}
-        self._nic_rate_by_tag: Dict[int, float] = {}
+        #: (tag, nbytes) -> _SendPrice, filled on first use.
+        self._prices: Dict[Tuple[int, int], _SendPrice] = {}
+        self._pricing = _pricing(ic, profile.node.memcpy_bandwidth_gbs * 1e9)
 
     # -- helpers --------------------------------------------------------------
-    def _wire_rate(self, xfer: _MirrorXfer) -> float:
-        if xfer.local:
-            return self._local_rate
-        rate = self._nic_rate_by_tag.get(xfer.tag)
-        if rate is None:
-            share = self.profile.nic_share(xfer.tag)
-            npn = self.profile.interconnect.nics_per_node
-            if npn > 1:
-                # Multi-rail nodes spread the contending senders across
-                # their NICs (round-robin striping, as in the full backend);
-                # a rail still serves at least its own sender.
-                share = max(1.0, share / npn)
-            rate = self.profile.interconnect.bandwidth_bps / share
-            self._nic_rate_by_tag[xfer.tag] = rate
-        return rate
+    def _price(self, tag: int, nbytes: int) -> _SendPrice:
+        """Price a ``(tag, nbytes)`` send and keep it for the run."""
+        profile = self.profile
+        share = profile.nic_share(tag) if profile.is_offnode(tag) else None
+        price = self._prices[tag, nbytes] = self._pricing.price(share, nbytes)
+        return price
 
-    def _is_local(self, tag: int) -> bool:
-        local = self._local_by_tag.get(tag)
-        if local is None:
-            local = self._local_by_tag[tag] = not self.profile.is_offnode(tag)
-        return local
+    def _start_background(self, xfer: _MirrorXfer, now: float) -> None:
+        """Start the background part at ``now`` (its side(s) are posted).
 
-    def _maybe_start_background(self, xfer: _MirrorXfer, now: float) -> None:
-        """Start the background part at ``now`` if its side(s) are posted."""
-        if xfer.local:
-            ready = xfer.send_posted
-            frac = 1.0
-            lat = 0.5e-6
-        elif xfer.eager:
-            # Eager sends need only the sender posted; how much of the wire
-            # then moves without host attention is the progress model's call
-            # (manual-poll: nothing — paper ref [1] — a progress engine
-            # drains the unexpected queue on its own).
-            ready = xfer.send_posted
-            frac = self._bg_frac[True]
-            lat = self._latency_s
-        else:
-            ready = xfer.send_posted and xfer.recv_posted
-            frac = self._bg_frac[False]
-            lat = self._rendezvous_latency_s
-        if not ready or xfer.bg_t is not None:
-            return  # an eager/local send started it before its recv posted
-        wire_mult = 1.0
+        An on-node or eager send starts it as it posts; a rendezvous send
+        starts it once both sides are posted.
+        """
+        p = xfer.price
         perturb = self.perturb
-        if perturb is not None and not xfer.local:
-            lat = lat * perturb.latency_factor(self.rank) + perturb.message_delay(
-                self.rank, now
-            )
-            wire_mult = perturb.wire_factor(self.rank)
         # The NIC share is static, so the completion time is known now: the
         # latency lands first, then the background wire time. Two separate
         # additions, ``(now + lat) + wire`` and not ``now + (lat + wire)``:
         # that is the model's float order, which the golden oracles pin
         # (docs/MODEL.md §7).
-        bg_t = now + lat
-        if frac > 0:
-            bg_t = bg_t + frac * xfer.nbytes * wire_mult / self._wire_rate(xfer)
+        if perturb is None or p.local:
+            bg_t = now + p.lat + p.bg_wire
+        else:
+            lat = p.lat * perturb.latency_factor(self.rank) + perturb.message_delay(
+                self.rank, now
+            )
+            wire_mult = perturb.wire_factor(self.rank)
+            bg_t = now + lat
+            if p.frac > 0:
+                bg_t = bg_t + p.frac * xfer.nbytes * wire_mult / p.rate
         xfer.bg_t = bg_t
         tracer = self.tracer
         if tracer is not None:
-            lane = "mpi" if xfer.local else self._bg_lane
+            lane = "mpi" if p.local else self._bg_lane
             tracer.record(
                 lane, f"bg t{xfer.tag}", now, bg_t, group=self.rank, cat="comm",
                 args={"tag": xfer.tag, "nbytes": xfer.nbytes, "stage": "background"},
             )
 
     def _foreground_end(self, xfer: _MirrorXfer, now: float) -> float:
-        """Completion time of the host-driven remainder, fixed at first call.
+        """Completion time of an off-node transfer's host-driven remainder,
+        fixed at first call.
 
         The remainder starts when a waiter first reaches it (at ``now``,
         after the background part), so its end is ``now + remainder / rate``.
@@ -227,18 +297,25 @@ class MirrorComm(RankComm):
         fg_t = xfer.fg_t
         if fg_t is not None:
             return fg_t
-        remainder = (1.0 - self._bg_frac[xfer.eager]) * xfer.nbytes
-        if self.perturb is not None and not xfer.local and remainder > 0:
-            remainder *= self.perturb.wire_factor(self.rank)
-        if remainder > 0:
-            fg_t = now + remainder / self._wire_rate(xfer)
+        p = xfer.price
+        if self.perturb is None:
+            wire = p.fg_wire
+        else:
+            wire = None
+            remainder = (1.0 - p.frac) * xfer.nbytes
+            if remainder > 0:
+                remainder *= self.perturb.wire_factor(self.rank)
+                if remainder > 0:
+                    wire = remainder / p.rate
+        if wire is None:
+            fg_t = now
+        else:
+            fg_t = now + wire
             if self.tracer is not None:
                 self.tracer.record(
                     "mpi", f"fg t{xfer.tag}", now, fg_t, group=self.rank, cat="comm",
                     args={"tag": xfer.tag, "nbytes": xfer.nbytes, "stage": "foreground"},
                 )
-        else:
-            fg_t = now
         xfer.fg_t = fg_t
         return fg_t
 
@@ -293,10 +370,14 @@ class MirrorComm(RankComm):
         t = self.env.now
         overhead = self._overhead_s
         tracer = self.tracer
+        # Unperturbed, untraced: a background part starts with no draw and
+        # no record, so its end is computed right here.
+        quiet = tracer is None and self.perturb is None
         rank = self.rank
         send = kind == "send"
         mine = self._awaiting[kind]
         theirs = self._awaiting["recv" if send else "send"]
+        prices = self._prices
         reqs = []
         total = 0
         for peer, tag, nbytes in plan:
@@ -317,16 +398,21 @@ class MirrorComm(RankComm):
                     cat="comm", args={"tag": tag, "nbytes": nbytes},
                 )
             if send:
+                price = prices.get((tag, nbytes)) or self._price(tag, nbytes)
+                xfer.price = price
                 xfer.nbytes = nbytes
-                xfer.eager = nbytes <= self._eager_max
-                xfer.local = self._is_local(tag)
-                xfer.send_posted = True
-                self._maybe_start_background(xfer, t)
+                start = price.unpaired or xfer.recv_posted
             else:
                 xfer.recv_posted = True
-                if xfer.send_posted:
-                    self._maybe_start_background(xfer, t)
-            reqs.append(Request(kind, rank, peer, tag, nbytes, _xfer=xfer))
+                # An on-node or eager send started it before its recv posted.
+                price = xfer.price
+                start = price is not None and xfer.bg_t is None
+            if start:
+                if quiet:
+                    xfer.bg_t = t + price.lat + price.bg_wire
+                else:
+                    self._start_background(xfer, t)
+            reqs.append(Request(kind, rank, peer, tag, nbytes, None, False, xfer))
         if send:
             self.messages_sent += len(reqs)
             self.bytes_sent += total
@@ -348,6 +434,7 @@ class MirrorComm(RankComm):
         ``None`` per request (there are no payloads).
         """
         t = self.env.now
+        quiet = self.tracer is None and self.perturb is None
         advanced = False
         n = 0
         for request in requests:
@@ -355,7 +442,9 @@ class MirrorComm(RankComm):
             if request.completed:
                 continue
             xfer: _MirrorXfer = request._xfer
-            if xfer.eager and not xfer.local and request.kind == "send":
+            p = xfer.price
+            recv = request.kind == "recv"
+            if not recv and p.buffered:
                 request.completed = True  # buffered; only the receiver waits
                 continue
             bg_t = xfer.bg_t
@@ -363,7 +452,7 @@ class MirrorComm(RankComm):
                 # The representative rank posts both sides itself, so a
                 # transfer its other side has not started by the wait can
                 # never finish.
-                missing = "send" if request.kind == "recv" else "recv"
+                missing = "send" if recv else "recv"
                 raise SimulationError(
                     f"mirror rank {self.rank}: wait on the {request.kind} of tag "
                     f"{xfer.tag} before its matching {missing} was posted"
@@ -371,14 +460,19 @@ class MirrorComm(RankComm):
             if bg_t > t:
                 t = bg_t
                 advanced = True
-            if not xfer.local:
-                fg_t = self._foreground_end(xfer, t)
+            if not p.local:
+                fg_t = xfer.fg_t
+                if fg_t is None:
+                    if quiet:
+                        fg_t = xfer.fg_t = t if p.fg_wire is None else t + p.fg_wire
+                    else:
+                        fg_t = self._foreground_end(xfer, t)
                 if fg_t > t:
                     t = fg_t
                     advanced = True
-            if (xfer.local or xfer.eager) and request.kind == "recv":
+            if recv and p.copy_s is not None:
                 # Copy out of the receive/unexpected buffer.
-                t = t + xfer.nbytes / self._local_rate
+                t = t + p.copy_s
                 advanced = True
             request.completed = True
         if advanced:

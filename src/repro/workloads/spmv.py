@@ -45,7 +45,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -163,15 +163,64 @@ def initial_x(pseed: int, lo: int, hi: int) -> np.ndarray:
     return _unit_floats(_stream_base(pseed, 2), np.arange(lo, hi, dtype=np.int64))
 
 
-def _sorted_unique(a: np.ndarray) -> np.ndarray:
-    """Sorted distinct values of an int array: one sort plus an
-    adjacent-difference mask (NumPy 2's hash-based ``np.unique`` is far
-    slower on these sizes)."""
+def _sorted_unique(a: np.ndarray, span: int) -> np.ndarray:
+    """Sorted distinct values of an int array with values in ``[0, span)``.
+
+    Many values over a small span: an occupancy bitmap (``np.flatnonzero``
+    returns its hits sorted). Few values over a wide span: one sort plus
+    an adjacent-difference mask (NumPy 2's hash-based ``np.unique`` is
+    far slower on these sizes). Both give the same array; the bitmap wins
+    once there is about one value per eight slots.
+    """
+    if 8 * len(a) >= span:
+        seen = np.zeros(span, dtype=bool)
+        seen[a] = True
+        return np.flatnonzero(seen)
     a = np.sort(a)
     keep = np.empty(len(a), dtype=bool)
     keep[:1] = True
     np.not_equal(a[1:], a[:-1], out=keep[1:])
     return a[keep]
+
+
+#: Rows drawn per block when a table grows (bounds the temporaries).
+_DRAW_BLOCK_ROWS = 1 << 16
+
+
+class _ExtrasTable:
+    """The random extra columns of one ``(rows, extras, pseed)`` pattern,
+    each row drawn once while the table is kept.
+
+    Rows are drawn on demand as a growing prefix ``[0, drawn)``: the
+    mirror path only ever asks for node 0's rows, which start at row 0.
+    The buffer is reserved for the whole matrix but untouched pages cost
+    no memory, so a table holds at most ``rows * extras * 8`` bytes, and
+    only once some run asked for the last row block. Views are read-only:
+    every run and every task count of the pattern shares them.
+    """
+
+    def __init__(self, rows: int, extras: int, pseed: int):
+        self.rows, self.extras, self.pseed = rows, extras, pseed
+        self._cols = np.empty((rows, extras), dtype=np.int64)
+        self._drawn = 0
+
+    def cols(self, lo: int, hi: int) -> np.ndarray:
+        """Extra columns of rows ``[lo, hi)``: shape ``(hi-lo, extras)``."""
+        drawn = self._drawn
+        while drawn < hi:
+            end = min(hi, drawn + _DRAW_BLOCK_ROWS)
+            self._cols[drawn:end] = _extra_cols(
+                self.rows, self.extras, self.pseed, drawn, end
+            )
+            drawn = self._drawn = end
+        view = self._cols[lo:hi]
+        view.flags.writeable = False
+        return view
+
+
+@lru_cache(maxsize=2)
+def _extras_table(rows: int, extras: int, pseed: int) -> _ExtrasTable:
+    return _ExtrasTable(rows, extras, pseed)
 
 
 # -- the problem -----------------------------------------------------------
@@ -225,6 +274,12 @@ class SpmvProblem:
         #: ~(2*band+1+extras) values of magnitude <= 1.
         self.x_scale = 1.0 / (2 * band + 1 + extras)
 
+    @property
+    def key(self) -> Tuple[int, int, int, int, int]:
+        """``(rows, band, extras, pseed, ntasks)``: what the problem is a
+        pure function of."""
+        return (self.rows, self.band, self.extras, self.pseed, self.ntasks)
+
     def block(self, rank: int) -> Tuple[int, int]:
         """(first row, row count) of ``rank`` (paper-style balanced split)."""
         return block_range(self.rows, self.ntasks, rank)
@@ -252,7 +307,7 @@ class SpmvProblem:
         win_hi = np.minimum(i + band, rows - 1)
         band_counts = win_hi - win_lo + 1
         nnz = int(band_counts.sum()) + extras * nrows
-        extra = _extra_cols(rows, extras, self.pseed, row0, r1).reshape(-1)
+        extra = _extras_table(rows, extras, self.pseed).cols(row0, r1).reshape(-1)
         banded_remote = np.concatenate(
             [
                 np.arange(max(0, row0 - band), row0, dtype=np.int64),
@@ -260,11 +315,15 @@ class SpmvProblem:
             ]
         )
         extra_remote = np.compress((extra < row0) | (extra >= r1), extra)
-        remote = _sorted_unique(np.concatenate([banded_remote, extra_remote]))
+        remote = _sorted_unique(np.concatenate([banded_remote, extra_remote]), rows)
         # Sorted columns have sorted owners: split at the owner changes.
         owners = self.owner_of(remote)
         heads = np.flatnonzero(np.diff(owners, prepend=-1))
-        gather_cols = dict(zip(owners[heads].tolist(), np.split(remote, heads[1:])))
+        ends = heads[1:].tolist() + [len(remote)]
+        gather_cols = {
+            p: remote[a:b]
+            for p, a, b in zip(owners[heads].tolist(), heads.tolist(), ends)
+        }
         # Entry-granular local/non-local split (Schubert's matrix parts):
         # the band's overhang outside [row0, r1) plus the remote extras.
         band_overhang = np.maximum(row0 - win_lo, 0) + np.maximum(
@@ -302,13 +361,13 @@ class SpmvProblem:
             bounds = self._starts[:tpn + 1]
             over = np.clip(np.minimum(bounds[1:] + self.band, rows) - split, 0, None)
             row_rank = np.repeat(np.arange(tpn), np.diff(bounds))
-            extra = _extra_cols(rows, self.extras, self.pseed, 0, split)
+            extra = _extras_table(rows, self.extras, self.pseed).cols(0, split)
             # Distinct (rank, column) pairs keyed rank * rows + column;
             # np.compress beats boolean indexing on a random mask.
             far = extra >= (split + over[row_rank])[:, None]
             keys = _sorted_unique(np.compress(
                 far.ravel(), (extra + (row_rank * rows)[:, None]).ravel()
-            ))
+            ), tpn * rows)
             per_rank = np.diff(np.searchsorted(keys, np.arange(tpn + 1) * rows))
             rep = int(np.argmax(over + per_rank))
         self._representative[tpn] = rep
@@ -339,7 +398,7 @@ class SpmvProblem:
         steps[row_starts] = win_lo - np.concatenate(([0], win_hi[:-1]))
         band_cols = np.cumsum(steps)
         band_rows = np.repeat(np.arange(nrows, dtype=np.int64), band_counts)
-        extra = _extra_cols(rows, extras, self.pseed, row0, r1)
+        extra = _extras_table(rows, extras, self.pseed).cols(row0, r1)
         extra_rows = np.repeat(np.arange(nrows, dtype=np.int64), extras)
         cols = np.concatenate([band_cols, extra.reshape(-1)])
         rws = np.concatenate([band_rows, extra_rows])
@@ -360,6 +419,50 @@ class SpmvProblem:
 @lru_cache(maxsize=8)
 def _problem(rows: int, band: int, extras: int, pseed: int, ntasks: int) -> SpmvProblem:
     return SpmvProblem(rows, band, extras, pseed, ntasks)
+
+
+class GatherSummary(NamedTuple):
+    """What a timed (non-functional) run needs of one rank's coupling."""
+
+    nnz: int
+    nnz_interior: int
+    nnz_boundary: int
+    #: ``(peer, gather_tag, nbytes)`` of each gather, peers ascending.
+    recv_plan: Tuple[Tuple[int, int, int], ...]
+    recv_bytes: int
+
+
+def _summarize(coupling: SpmvCoupling, ntasks: int) -> GatherSummary:
+    """The :class:`GatherSummary` of one rank's coupling."""
+    me = coupling.rank
+    plan = tuple(
+        (p, gather_tag(me, p, ntasks), coupling.gather_bytes(p))
+        for p in coupling.peers
+    )
+    return GatherSummary(
+        coupling.nnz, coupling.nnz_interior, coupling.nnz_boundary, plan,
+        sum(n for _, _, n in plan),
+    )
+
+
+@lru_cache(maxsize=256)
+def _gather_summary(
+    rows: int, band: int, extras: int, pseed: int, ntasks: int, rank: int
+) -> GatherSummary:
+    """One rank's summary, kept apart from the problem instance, so an
+    evicted ``_problem`` entry costs no redraw."""
+    problem = _problem(rows, band, extras, pseed, ntasks)
+    return _summarize(problem.coupling(rank), ntasks)
+
+
+@lru_cache(maxsize=256)
+def _mirror_pick(
+    rows: int, band: int, extras: int, pseed: int, ntasks: int, tpn: int
+) -> Tuple[int, Tuple[Tuple[int, bool], ...]]:
+    """The representative of a placement and its ``(tag, off-node)`` flags."""
+    rep = _problem(rows, band, extras, pseed, ntasks).representative(tpn)
+    summary = _gather_summary(rows, band, extras, pseed, ntasks, rep)
+    return rep, tuple((tag, p // tpn != 0) for p, tag, _ in summary.recv_plan)
 
 
 def spmv_params(cfg: RunConfig) -> Tuple[int, int, int, int]:
@@ -438,13 +541,15 @@ class SpmvRankData:
     """One rank's matrix block, vectors and gather plans (or shadow no-ops).
 
     The communication plan is data, not implementation logic, so all
-    three variants share it, built once per run: ``recv_plan`` lists
-    ``(peer, gather_tag, nbytes)`` of the gathers this rank posts and
-    ``send_plan`` the same triples of what it serves, with the served
-    column indices in ``send_cols`` (``None`` where no payload moves).
-    In mirror mode the send plan mirrors the receive plan (symmetric
-    sizing, see module doc); in full mode it is the exact inverse map of
-    every peer's gather.
+    three variants share it: ``recv_plan`` lists ``(peer, gather_tag,
+    nbytes)`` of the gathers this rank posts and ``send_plan`` the same
+    triples of what it serves, with the served column indices in
+    ``send_cols`` (``None`` where no payload moves). In mirror mode the
+    plans and the nonzero split come from the process-wide
+    :class:`GatherSummary` of the rank, and the send plan mirrors the
+    receive plan (symmetric sizing, see module doc); in full mode they are
+    built per run from the couplings, the send plan as the exact inverse
+    map of every peer's gather.
     """
 
     def __init__(self, cfg: RunConfig, problem: SpmvProblem, block: RowBlock):
@@ -452,18 +557,18 @@ class SpmvRankData:
         self.problem = problem
         self.block = block
         self.functional = cfg.functional
-        coupling = problem.coupling(block.rank)
-        self.coupling = coupling
         me, ntasks = block.rank, problem.ntasks
-        self.recv_plan: List[Tuple[int, int, int]] = [
-            (p, gather_tag(me, p, ntasks), coupling.gather_bytes(p))
-            for p in coupling.peers
-        ]
-        self.recv_bytes = sum(n for _, _, n in self.recv_plan)
+        #: the full coupling (column arrays); only full-network runs read it.
+        self.coupling: Optional[SpmvCoupling] = None
+        self.send_plan: Sequence[Tuple[int, int, int]]
+        self.send_cols: Sequence[Optional[np.ndarray]]
         if cfg.network == "mirror":
-            self.send_plan: List[Tuple[int, int, int]] = list(self.recv_plan)
-            self.send_cols: List[Optional[np.ndarray]] = [None] * len(self.send_plan)
+            summary = _gather_summary(*problem.key, me)
+            self.send_plan = summary.recv_plan
+            self.send_cols = (None,) * len(self.send_plan)
         else:
+            self.coupling = problem.coupling(me)
+            summary = _summarize(self.coupling, ntasks)
             self.send_plan, self.send_cols = [], []
             for p in range(ntasks):
                 if p == me:
@@ -472,6 +577,8 @@ class SpmvRankData:
                 if cols is not None and len(cols):
                     self.send_plan.append((p, gather_tag(me, p, ntasks), 8 * len(cols)))
                     self.send_cols.append(cols)
+        (self.nnz, self.nnz_interior, self.nnz_boundary, self.recv_plan,
+         self.recv_bytes) = summary
         self.send_bytes = sum(n for _, _, n in self.send_plan)
         self._remote_cols: Optional[np.ndarray] = None
         if self.functional:
@@ -638,7 +745,7 @@ class SpmvBulk(Implementation):
         data: SpmvRankData = ctx.data
         recvs, sends = yield from _post_gather(ctx)
         yield from _complete_gather(ctx, recvs, sends)
-        yield _sweep_cost(ctx, data.coupling.nnz)
+        yield _sweep_cost(ctx, data.nnz)
         data.compute_all()
         yield _x_update_cost(ctx)
         data.update_x()
@@ -659,10 +766,10 @@ class SpmvNonblocking(Implementation):
     def step(self, ctx: RankContext, index: int):
         data: SpmvRankData = ctx.data
         recvs, sends = yield from _post_gather(ctx)
-        yield _sweep_cost(ctx, data.coupling.nnz_interior)
+        yield _sweep_cost(ctx, data.nnz_interior)
         data.compute_interior()
         yield from _complete_gather(ctx, recvs, sends)
-        yield _sweep_cost(ctx, data.coupling.nnz_boundary, boundary=True,
+        yield _sweep_cost(ctx, data.nnz_boundary, boundary=True,
                           phase="boundary")
         data.compute_boundary()
         yield _x_update_cost(ctx)
@@ -701,7 +808,7 @@ class SpmvHybridOverlap(Implementation):
         st = ctx.state
         st["s1"] = gpu.stream("s1")
         st["s2"] = gpu.stream("s2")
-        matrix_bytes = int(SPMV_MATRIX_BYTES_PER_NNZ * data.coupling.nnz)
+        matrix_bytes = int(SPMV_MATRIX_BYTES_PER_NNZ * data.nnz)
         x_bytes = 8 * data.block.nrows
         yield ctx.launch_cost(1)
         ev = ctx.h2d(st["s1"], matrix_bytes + x_bytes)
@@ -717,7 +824,7 @@ class SpmvHybridOverlap(Implementation):
         # 1) Local-rows kernel to stream 1: no gather dependency.
         yield ctx.launch_cost(1)
         t_local = spmv_kernel_seconds(
-            spec, data.coupling.nnz_interior, SPMV_GPU_MEM_EFFICIENCY
+            spec, data.nnz_interior, SPMV_GPU_MEM_EFFICIENCY
         )
         local_ev = gpu.launch_kernel(s1, t_local * ctx.gpu_share, None, "spmv-local")
 
@@ -732,7 +839,7 @@ class SpmvHybridOverlap(Implementation):
         if data.recv_bytes and not ctx.gpudirect:
             ctx.h2d(s2, data.recv_bytes)
         t_remote = spmv_kernel_seconds(
-            spec, data.coupling.nnz_boundary, SPMV_GPU_REMOTE_EFFICIENCY
+            spec, data.nnz_boundary, SPMV_GPU_REMOTE_EFFICIENCY
         )
         remote_ev = gpu.launch_kernel(s2, t_remote * ctx.gpu_share, None, "spmv-remote")
         if not local_ev.processed:
@@ -790,12 +897,7 @@ class SpmvWorkload(Workload):
     def mirror_profile(self, cfg: RunConfig, decomp: SpmvPartition) -> MirrorProfile:
         problem = decomp.problem
         tpn = min(cfg.tasks_per_node, problem.ntasks)
-        rep = problem.representative(tpn)
-        coupling = problem.coupling(rep)
-        offnode_by_tag = {
-            gather_tag(rep, p, problem.ntasks): (p // tpn != 0)
-            for p in coupling.peers
-        }
+        rep, offnode = _mirror_pick(*problem.key, tpn)
         # No per-tag NIC share: the whole gather phase is one burst in
         # which every node-resident rank drives the NIC, which is exactly
         # the MirrorProfile fallback (max(1, tasks_per_node)).
@@ -804,7 +906,7 @@ class SpmvWorkload(Workload):
             node=cfg.machine.node,
             nranks=problem.ntasks,
             tasks_per_node=tpn,
-            offnode_by_tag=offnode_by_tag,
+            offnode_by_tag=dict(offnode),
             nic_share_by_tag={},
             representative_rank=rep,
         )

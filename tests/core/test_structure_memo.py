@@ -1,11 +1,15 @@
-"""The process-wide structure memo: shared decompositions and box geometry.
+"""The process-wide structure memos.
 
 Runs of one ``(ntasks, domain)`` share a :class:`Decomposition` whose
 per-rank layouts are filled on first use, and runs of one ``(subdomain
-shape, box thickness)`` share a :class:`HybridGeometry`. These tests hold
-the memo to two promises: a memoized entry equals the one computed from
-scratch, and a run's result does not depend on what earlier runs left in
-the memo.
+shape, box thickness)`` share a :class:`HybridGeometry`. SpMV runs share
+each pattern's random extras, drawn once per row, and the mirror
+profile's inputs per ``(problem, tasks per node)``; GPU runs share the
+stencil kernel rate per ``(device, block, tile shape)``; mirror
+communicators share send prices per interconnect. These tests
+hold the memos to two promises: a memoized entry equals the one computed
+from scratch, and a run's result does not depend on what earlier runs
+left in the memos.
 """
 
 import dataclasses
@@ -26,13 +30,28 @@ from repro.decomp.partition import (
     block_range,
     shared_decomposition,
 )
-from repro.machines import JAGUARPF, LENS
+from repro.des import Environment
+from repro.machines import A100_SXM, JAGUARPF, LENS, ProgressModel
 from repro.perturb import NoiseSpec
+from repro.simmpi import MirrorComm, MirrorProfile, mirror
+from repro.simmpi.mirror import _Pricing, _pricing
+from repro.simgpu.blockmodel import _kernel_rate
+from repro.workloads import spmv
+from repro.workloads.spmv import SpmvProblem, _extra_cols, gather_tag
 
 
 def clear_memo():
     shared_decomposition.cache_clear()
     hybrid_geometry.cache_clear()
+    _kernel_rate.cache_clear()
+    _pricing.cache_clear()
+    clear_spmv_memo()
+
+
+def clear_spmv_memo():
+    for memo in (spmv._problem, spmv._extras_table, spmv._gather_summary,
+                 spmv._mirror_pick):
+        memo.cache_clear()
 
 
 def fresh_layout(decomp, rank):
@@ -128,10 +147,179 @@ class TestMemoEqualsFresh:
         assert decomp._layouts == {}
 
 
+def fresh_coupling(rows, band, extras, pseed, ntasks, rank):
+    """Nonzero split and per-peer gather columns of one rank, literally:
+    every stored column listed, extras drawn straight from the counter
+    generator, remote columns deduped with ``np.unique``."""
+    row0, nrows = block_range(rows, ntasks, rank)
+    r1 = row0 + nrows
+    extra = _extra_cols(rows, extras, pseed, row0, r1)
+    cols = np.array([
+        c
+        for i in range(row0, r1)
+        for c in [*range(max(0, i - band), min(rows - 1, i + band) + 1),
+                  *extra[i - row0].tolist()]
+    ], dtype=np.int64)
+    remote_mask = (cols < row0) | (cols >= r1)
+    remote = np.unique(cols[remote_mask])
+    starts = [block_range(rows, ntasks, r)[0] for r in range(ntasks)]
+    owners = np.searchsorted(starts, remote, side="right") - 1
+    gather = {int(p): remote[owners == p] for p in np.unique(owners)}
+    nnz_boundary = int(remote_mask.sum())
+    return len(cols), len(cols) - nnz_boundary, nnz_boundary, gather
+
+
+def fresh_profile_inputs(rows, band, extras, pseed, ntasks, tpn):
+    """(representative, summary, off-node flags) by the per-rank scan."""
+    couplings = [fresh_coupling(rows, band, extras, pseed, ntasks, r)
+                 for r in range(tpn)]
+
+    def offnode_bytes(r):
+        return sum(8 * len(c) for p, c in couplings[r][3].items() if p // tpn != 0)
+
+    rep = 0 if tpn in (1, ntasks) else max(range(tpn), key=offnode_bytes)
+    nnz, interior, boundary, gather = couplings[rep]
+    plan = tuple((p, gather_tag(rep, p, ntasks), 8 * len(gather[p]))
+                 for p in sorted(gather))
+    offnode = tuple((tag, p // tpn != 0) for p, tag, _ in plan)
+    recv_bytes = sum(n for _, _, n in plan)
+    return rep, (nnz, interior, boundary, plan, recv_bytes), offnode
+
+
+@st.composite
+def _spmv_cases(draw):
+    rows = draw(st.integers(1, 300))
+    ntasks = draw(st.integers(1, min(rows, 12)))
+    return (rows, draw(st.integers(0, 20)), draw(st.integers(0, 5)),
+            draw(st.integers(1, 3)), ntasks, draw(st.integers(1, ntasks)))
+
+
+def _evict_problems(key):
+    """Push ``key``'s problem out of the ``_problem`` memo with problems of
+    the same pattern table (other bands)."""
+    rows, band, extras, pseed, ntasks = key
+    for n in range(1, spmv._problem.cache_info().maxsize + 2):
+        spmv._problem(rows, band + n, extras, pseed, ntasks)
+
+
+class TestSpmvMemoEqualsFresh:
+    @given(_spmv_cases(), st.sampled_from(["cleared", "warm", "evicted"]))
+    @settings(max_examples=120, deadline=None)
+    def test_profile_inputs_and_coupling_match_a_fresh_computation(self, case, state):
+        *key, tpn = case
+        key = tuple(key)
+        want_rep, want_summary, want_offnode = fresh_profile_inputs(*key, tpn)
+        if state == "cleared":
+            clear_spmv_memo()
+        elif state == "evicted":
+            spmv._mirror_pick(*key, tpn)
+            _evict_problems(key)
+            spmv._gather_summary.cache_clear()
+            spmv._mirror_pick.cache_clear()
+        rep, offnode = spmv._mirror_pick(*key, tpn)
+        summary = spmv._gather_summary(*key, rep)
+        assert (rep, tuple(summary), offnode) == (want_rep, want_summary, want_offnode)
+        # Warm: the second ask is the memo, and it is the same object.
+        assert spmv._mirror_pick(*key, tpn) is spmv._mirror_pick(*key, tpn)
+        assert spmv._gather_summary(*key, rep) is summary
+        # Every rank's coupling, from a problem built on the shared table.
+        problem = SpmvProblem(*key)
+        for r in range(key[4]):
+            nnz, interior, boundary, gather = fresh_coupling(*key, r)
+            c = problem.coupling(r)
+            assert (c.nnz, c.nnz_interior, c.nnz_boundary) == (nnz, interior, boundary)
+            assert list(c.gather_cols) == list(gather)
+            for p in gather:
+                assert np.array_equal(c.gather_cols[p], gather[p])
+
+    @given(st.integers(1, 5000), st.integers(0, 6), st.integers(0, 4),
+           st.lists(st.tuples(st.integers(0, 5000), st.integers(0, 5000)),
+                    min_size=1, max_size=6))
+    @settings(max_examples=80, deadline=None)
+    def test_extras_table_matches_direct_draws(self, rows, extras, pseed, spans):
+        table = spmv._ExtrasTable(rows, extras, pseed)
+        for a, b in spans:
+            lo, hi = sorted((a % (rows + 1), b % (rows + 1)))
+            got = table.cols(lo, hi)
+            assert not got.flags.writeable and got.shape == (hi - lo, extras)
+            want = _extra_cols(rows, extras, pseed, lo, hi)
+            assert np.array_equal(got.ravel(), want.ravel())
+
+    def test_shared_entries_are_read_only(self):
+        key = (4096, 8, 2, 1, 16)
+        rep, offnode = spmv._mirror_pick(*key, 4)
+        assert isinstance(offnode, tuple)
+        summary = spmv._gather_summary(*key, rep)
+        assert isinstance(summary, tuple) and isinstance(summary.recv_plan, tuple)
+        with pytest.raises(ValueError, match="read-only"):
+            spmv._extras_table(4096, 2, 1).cols(0, 8)[0, 0] = 1
+
+    def test_an_evicted_problem_costs_no_redraw(self, monkeypatch):
+        key = (4096, 8, 2, 1, 16)
+        spmv._mirror_pick(*key, 4)
+        draws = []
+        real = spmv._extra_cols
+        monkeypatch.setattr(spmv, "_extra_cols",
+                            lambda *a: draws.append(a) or real(*a))
+        _evict_problems(key)
+        spmv._mirror_pick.cache_clear()
+        spmv._gather_summary.cache_clear()
+        spmv._mirror_pick(*key, 4)
+        assert draws == []
+
+
+_PRICE_FIELDS = ("local", "unpaired", "buffered", "lat", "frac", "rate",
+                 "bg_wire", "fg_wire", "copy_s")
+
+
+def price_fields(price):
+    return tuple(getattr(price, name) for name in _PRICE_FIELDS)
+
+
+class TestSharedSendPrices:
+    """Mirror send prices are shared per (interconnect, memcpy rate)."""
+
+    @given(st.sampled_from([JAGUARPF, LENS, A100_SXM]),
+           st.sampled_from(list(ProgressModel)),
+           st.lists(st.tuples(st.sampled_from([None, 1.0, 2.0, 3.0, 12.0]),
+                              st.sampled_from([0, 1, 1_000, 24_576, 24_577,
+                                               100_000, 10**7])),
+                    min_size=1, max_size=12),
+           st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_shared_prices_match_fresh_ones(self, machine, progress, asks, cleared):
+        ic = dataclasses.replace(machine.interconnect, progress=progress)
+        rate = machine.node.memcpy_bandwidth_gbs * 1e9
+        if cleared:
+            _pricing.cache_clear()
+        shared = _pricing(ic, rate)
+        for share, nbytes in asks:
+            got = shared.price(share, nbytes)
+            assert shared.price(share, nbytes) is got
+            want = _Pricing(ic, rate).price(share, nbytes)
+            assert price_fields(got) == price_fields(want)
+
+    def test_a_full_table_starts_over_with_equal_prices(self, monkeypatch):
+        monkeypatch.setattr(mirror, "_MAX_SHARED_PRICES", 4)
+        pricing = _Pricing(JAGUARPF.interconnect, 4.5e9)
+        first = [price_fields(pricing.price(2.0, n)) for n in range(10)]
+        assert len(pricing._prices) <= 4
+        assert [price_fields(pricing.price(2.0, n)) for n in range(10)] == first
+
+    def test_communicators_on_one_interconnect_share_prices(self):
+        decomp = Decomposition(64, (420, 420, 420))
+        profile = MirrorProfile.for_decomposition(JAGUARPF, decomp, 4)
+        a = MirrorComm(Environment(), profile)
+        b = MirrorComm(Environment(), profile)
+        tag = halo_tag(1, -1)
+        assert a._price(tag, 100_000) is b._price(tag, 100_000)
+
+
 def _configs():
     lens = dict(machine=LENS, cores=32, threads_per_task=4, steps=2,
                 domain=(48, 48, 48), box_thickness=2)
     small = dict(lens, domain=(24, 24, 24), network="full", functional=True)
+    spmv_kw = dict(steps=2, workload="spmv", workload_params=(("rows", 1 << 15),))
     return [
         # Mirror: two implementations on one 16-task JaguarPF decomposition.
         RunConfig(machine=JAGUARPF, implementation="bulk", cores=96,
@@ -144,6 +332,15 @@ def _configs():
         # Full network, seeded, on the same decomposition and geometry.
         RunConfig(implementation="hybrid_overlap", network="full", seed=5,
                   noise=NoiseSpec.preset("low"), **lens),
+        # SpMV mirror: a CPU and the GPU variant on one problem and
+        # placement, and a seeded CPU run of the same problem at another.
+        RunConfig(machine=A100_SXM, implementation="hybrid_overlap", cores=256,
+                  threads_per_task=16, **spmv_kw),
+        RunConfig(machine=A100_SXM, implementation="nonblocking", cores=256,
+                  threads_per_task=16, **spmv_kw),
+        RunConfig(machine=A100_SXM, implementation="bulk", cores=256,
+                  threads_per_task=8, seed=3, noise=NoiseSpec.preset("high"),
+                  **spmv_kw),
         # Full network, functional: two codes on one 8-task decomposition.
         RunConfig(implementation="hybrid_overlap", **small),
         RunConfig(implementation="nonblocking", **small),
@@ -168,6 +365,9 @@ class TestRunsIgnoreMemoState:
         forward = [_outcome(_run_uncached(cfg)) for cfg in configs]
         assert shared_decomposition.cache_info().hits > 0
         assert hybrid_geometry.cache_info().hits > 0
+        assert spmv._mirror_pick.cache_info().hits > 0
+        assert _kernel_rate.cache_info().hits > 0
+        assert _pricing.cache_info().hits > 0
         backward = [_outcome(_run_uncached(cfg)) for cfg in reversed(configs)]
         backward.reverse()
         for cfg, a, b, c in zip(configs, cleared, forward, backward):

@@ -294,6 +294,49 @@ class TestCompletionTimes:
             t = t + nbytes / memcpy_rate  # the receive-side copy
         assert seen["done"] == t  # exact: the same float arithmetic
 
+    @pytest.mark.parametrize("progress", list(ProgressModel))
+    @pytest.mark.parametrize("tag", [halo_tag(0, -1), halo_tag(1, -1)])
+    def test_one_tag_at_several_sizes_is_priced_per_size(self, progress, tag):
+        """Sends are priced per (tag, nbytes): a tag reused at another size,
+        across the eager threshold and back, is timed by its own size."""
+        ic = replace(JAGUARPF.interconnect, progress=progress)
+        env, comm, prof = make_comm(machine=replace(JAGUARPF, interconnect=ic))
+        memcpy_rate = JAGUARPF.node.memcpy_bandwidth_gbs * 1e9
+        overhead = ic.per_message_cpu_us * 1e-6
+        local = not prof.is_offnode(tag)
+        sizes = (1_000, 100_000, 1_000, 0, 100_000)
+        seen = []
+
+        def prog():
+            for nbytes in sizes:
+                t0 = env.now
+                yield from comm.isend(8, tag, nbytes)
+                rreq = yield from comm.irecv(7, tag, nbytes)
+                yield from comm.wait(rreq)
+                seen.append((t0, env.now))
+
+        env.run(until=env.process(prog()))
+        for nbytes, (t0, done) in zip(sizes, seen):
+            eager = nbytes <= ic.eager_threshold_bytes
+            if local:
+                lat, frac, rate = 0.5e-6, 1.0, memcpy_rate
+            else:
+                lat = ic.latency_s if eager else 2.0 * ic.latency_s
+                frac = ic.background_fraction(eager)
+                rate = ic.bandwidth_bps / prof.nic_share(tag)
+            send_t = t0 + overhead
+            recv_t = send_t + overhead
+            bg_end = (send_t if local or eager else recv_t) + lat
+            if frac > 0:
+                bg_end = bg_end + frac * nbytes / rate
+            t = max(recv_t, bg_end)
+            remainder = (1.0 - frac) * nbytes
+            if not local and remainder > 0:
+                t = t + remainder / rate
+            if local or eager:
+                t = t + nbytes / memcpy_rate
+            assert done == t, nbytes
+
     @pytest.mark.parametrize("kind,tag,nbytes", _MESSAGES)
     def test_recv_wait_before_send_posted_raises(self, kind, tag, nbytes):
         env, comm, _ = make_comm()

@@ -266,9 +266,6 @@ class TestMultiNic:
         assert elapsed(2) < elapsed(1)
 
     def test_mirror_divides_nic_share(self):
-        from types import SimpleNamespace
-
-        xfer = SimpleNamespace(local=False, tag=1)
         ic = replace(YONA.interconnect, nics_per_node=2)
         base = MirrorProfile(
             interconnect=YONA.interconnect, node=YONA.node, nranks=8,
@@ -280,4 +277,4 @@ class TestMultiNic:
         c1 = MirrorComm(env1, base)
         c2 = MirrorComm(env2, multi)
         # halving the contenders per rail raises the per-rank wire rate
-        assert c2._wire_rate(xfer) > c1._wire_rate(xfer)
+        assert c2._price(1, 10**6).rate > c1._price(1, 10**6).rate

@@ -10,7 +10,7 @@ from repro.core.config import RunConfig
 from repro.core.runner import run
 from repro.machines import A100_SXM, JAGUARPF, YONA
 from repro.obs.invariants import assert_invariants
-from repro.workloads import get_workload
+from repro.workloads import get_workload, spmv
 from repro.workloads.spmv import (
     DEFAULT_SPMV_PARAMS,
     SpmvProblem,
@@ -182,6 +182,10 @@ class TestRepresentative:
         wl = get_workload("spmv")
         part = wl.decompose(cfg)
         part.problem._coupling.clear()
+        # A profile whose inputs an earlier run left in the process-wide
+        # memos builds nothing; clear them so this one has to build.
+        spmv._mirror_pick.cache_clear()
+        spmv._gather_summary.cache_clear()
         prof = wl.mirror_profile(cfg, part)
         assert set(part.problem._coupling) == {prof.representative_rank}
 
