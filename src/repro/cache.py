@@ -27,7 +27,16 @@ round-trip), so keys are stable across processes and sessions.
 Entries store ``elapsed_s``/``phases``/``comm_stats`` as plain JSON floats
 (exact round-trip in CPython), so a cache *hit reproduces the uncached
 RunResult bit-for-bit*. Runs that carry non-scalar artifacts (functional
-fields, tracers) bypass the cache.
+fields, tracers) bypass :meth:`RunCache.get`/:meth:`RunCache.put`.
+
+A traced config may instead hold a *summary entry*
+(:meth:`RunCache.get_summary`/:meth:`RunCache.put_summary`): the same
+line under the traced config's own key, plus ``overlap``, the run's
+:class:`~repro.obs.metrics.OverlapMetrics` as ``to_dict`` renders it.
+The timeline itself is never stored. Callers that need a traced run's
+numbers but not its timeline read them through
+:func:`repro.core.runner.overlap_summary`; ``run()`` on a traced config
+still simulates and returns its tracer.
 
 The cache is **opt-in**: nothing is read or written unless
 :func:`configure` installs an active cache (the CLI does this for
@@ -38,7 +47,8 @@ On-disk layout
 Entries are JSON lines in 256 append-only segment files named by the
 cache-key prefix, ``<dir>/<key[:2]>.jsonl``. Each line starts with its
 ``key`` and carries the payload (``model_version``, ``elapsed_s``,
-``phases``, ``comm_stats``, machine/implementation/cores). A store is
+``phases``, ``comm_stats``, machine/implementation/cores, and
+``overlap`` on a summary entry). A store is
 one ``os.write`` of the whole line to the segment opened with
 ``O_APPEND``: no file is created per entry and nothing is renamed or
 fsynced (the cache is a memo; the journal is the durable record). The
@@ -486,7 +496,23 @@ class RunCache:
         """
         if not cacheable(cfg):
             return None
+        return self._lookup(cfg, record_miss, summary=False)
+
+    def get_summary(self, cfg: "RunConfig") -> Optional["RunResult"]:
+        """A traced config's summary entry (scalars plus overlap), or None.
+
+        The result carries ``overlap`` but no ``tracer``: the timeline is
+        never stored. An entry without ``overlap`` is a miss.
+        """
+        if cfg.functional or not cfg.trace:
+            return None
+        return self._lookup(cfg, True, summary=True)
+
+    def _lookup(
+        self, cfg: "RunConfig", record_miss: bool, summary: bool
+    ) -> Optional["RunResult"]:
         from repro.core.config import RunResult
+        from repro.obs.metrics import OverlapMetrics
 
         payload = _decode(self._line(config_key(cfg)))
         try:
@@ -495,6 +521,9 @@ class RunCache:
                 elapsed_s=float(payload["elapsed_s"]),
                 phases={k: float(v) for k, v in payload["phases"].items()},
                 comm_stats={k: int(v) for k, v in payload["comm_stats"].items()},
+                overlap=(
+                    OverlapMetrics.from_dict(payload["overlap"]) if summary else None
+                ),
             )
         except (KeyError, TypeError, ValueError, AttributeError):
             # No entry (payload None), or a corrupt, torn, foreign or
@@ -516,6 +545,19 @@ class RunCache:
         """
         if not cacheable(cfg):
             return False
+        return self._append(cfg, result, {})
+
+    def put_summary(self, cfg: "RunConfig", result: "RunResult") -> bool:
+        """Store a traced run's summary: :meth:`put`'s line plus ``overlap``.
+
+        The tracer is dropped; False (nothing stored) for an untraced or
+        functional config, or a result without overlap metrics.
+        """
+        if cfg.functional or not cfg.trace or result.overlap is None:
+            return False
+        return self._append(cfg, result, {"overlap": result.overlap.to_dict()})
+
+    def _append(self, cfg: "RunConfig", result: "RunResult", extra: dict) -> bool:
         key = config_key(cfg)
         doc = {
             "key": key,  # first: segment readers index lines by this head
@@ -526,6 +568,7 @@ class RunCache:
             "elapsed_s": result.elapsed_s,
             "phases": dict(result.phases),
             "comm_stats": dict(result.comm_stats),
+            **extra,
         }
         line = json.dumps(doc, separators=(",", ":")).encode("utf-8")
         prefix = key[:SHARD_PREFIX_CHARS]

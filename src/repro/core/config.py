@@ -222,10 +222,13 @@ class RunResult:
     global_field: Optional[np.ndarray] = None
     #: error norms vs the analytic solution (functional runs only)
     norms: Optional[Dict[str, float]] = None
-    #: execution timeline of the run (trace=True runs only)
+    #: execution timeline of the run (trace=True runs simulated through
+    #: :func:`repro.core.runner.run` only; never cached, and never set on
+    #: a :func:`repro.core.runner.overlap_summary` result)
     tracer: Optional["Tracer"] = None
     #: derived overlap metrics (:class:`repro.obs.metrics.OverlapMetrics`,
-    #: trace=True runs only)
+    #: trace=True runs only); :func:`repro.core.runner.overlap_summary`
+    #: may replay them from the run cache's summary entry
     overlap: Optional[object] = None
     #: representative rank's MPI counters (messages/bytes sent/received)
     comm_stats: Dict[str, int] = field(default_factory=dict)

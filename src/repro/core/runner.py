@@ -18,6 +18,7 @@ committed dump oracle
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 from typing import Dict, List, Optional, Tuple
 
 from repro.core.base import Implementation
@@ -31,7 +32,7 @@ from repro.simmpi.mirror import MirrorComm
 from repro.simmpi.world import World
 from repro.workloads import DEFAULT_WORKLOAD, Workload, get_workload
 
-__all__ = ["run", "run_replicated"]
+__all__ = ["run", "overlap_summary", "run_replicated"]
 
 
 def _rank_main(impl: Implementation, ctx: RankContext, record: Dict[str, float]):
@@ -212,16 +213,8 @@ def run(cfg: RunConfig) -> RunResult:
     """
     from repro.cache import active_cache
     from repro.obs.capture import active_capture
-    from repro.perturb import forced_override
 
-    forced = forced_override()
-    if forced is not None and cfg.seed is None and cfg.noise is None:
-        # Process-global perturbation sweep (repro.perturb.forced_noise):
-        # applied before the cache lookup so perturbed runs never collide
-        # with noiseless cache entries. Configs carrying their own seed or
-        # noise keep them.
-        cfg = cfg.with_(seed=forced[0], noise=forced[1])
-
+    cfg = _forced(cfg)
     capture = active_capture()
     if capture is not None:
         # Trace capture observes every run: force tracing (bypassing the
@@ -239,6 +232,46 @@ def run(cfg: RunConfig) -> RunResult:
     if cache is not None:
         cache.put(cfg, result)
     return result
+
+
+def overlap_summary(cfg: RunConfig) -> RunResult:
+    """A traced run's scalar result and overlap metrics, without its timeline.
+
+    ``cfg`` is run traced. With a run cache installed, the summary is
+    read from the traced config's summary entry
+    (:meth:`repro.cache.RunCache.get_summary`); on a miss the config is
+    simulated through :func:`run` and its summary stored. The result
+    carries ``overlap`` but never a ``tracer``, hit or miss. Trace
+    capture bypasses the cache: it observes every run it is given.
+    """
+    from repro.cache import active_cache
+    from repro.obs.capture import active_capture
+
+    cfg = _forced(cfg if cfg.trace else cfg.with_(trace=True))
+    cache = active_cache() if active_capture() is None else None
+    if cache is not None:
+        cached = cache.get_summary(cfg)
+        if cached is not None:
+            return cached
+    result = replace(run(cfg), tracer=None)
+    if cache is not None:
+        cache.put_summary(cfg, result)
+    return result
+
+
+def _forced(cfg: RunConfig) -> RunConfig:
+    """``cfg`` under the process-global perturbation sweep, if one is set.
+
+    (:func:`repro.perturb.forced_noise`.) Applied before any cache lookup
+    so perturbed runs never collide with noiseless cache entries. Configs
+    carrying their own seed or noise keep them.
+    """
+    from repro.perturb import forced_override
+
+    forced = forced_override()
+    if forced is not None and cfg.seed is None and cfg.noise is None:
+        return cfg.with_(seed=forced[0], noise=forced[1])
+    return cfg
 
 
 def _run_uncached(cfg: RunConfig) -> RunResult:
@@ -318,8 +351,6 @@ def run_replicated(cfg: RunConfig, replicas: int) -> RunResult:
     other work in the session and parallel with ``jobs > 1`` — with each
     replica's result bit-identical to a direct ``run`` of its seed.
     """
-    from dataclasses import replace as _replace
-
     from repro.perturb.rng import derive_seed
     from repro.perturb.stats import replication_stats
     from repro.sched import active_scheduler
@@ -336,4 +367,4 @@ def run_replicated(cfg: RunConfig, replicas: int) -> RunResult:
         results = [run(c) for c in seeded]
     stats = replication_stats([r.elapsed_s for r in results])
     # A fresh record (never mutate a possibly cached result object).
-    return _replace(results[0], config=cfg, stats=stats)
+    return replace(results[0], config=cfg, stats=stats)

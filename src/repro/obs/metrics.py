@@ -199,6 +199,24 @@ class OverlapMetrics:
             "critical_path": dict(self.critical_path),
         }
 
+    @classmethod
+    def from_dict(cls, doc: Dict[str, Any]) -> "OverlapMetrics":
+        """Exact inverse of :meth:`to_dict`.
+
+        No lane name contains ``'+'``, so each joined key splits back
+        into its pair; a key that does not is a ``ValueError``.
+        """
+        pairs = {}
+        for key, seconds in doc["overlap_s"].items():
+            a, b = key.split("+")
+            pairs[(a, b)] = seconds
+        return cls(
+            occupancy=dict(doc["occupancy"]),
+            overlap_s=pairs,
+            overlap_fraction=doc["overlap_fraction"],
+            critical_path=dict(doc["critical_path"]),
+        )
+
     def summary(self) -> str:
         """Short human-readable rendering."""
         occ = "  ".join(f"{k}={v:.0%}" for k, v in sorted(self.occupancy.items()))
