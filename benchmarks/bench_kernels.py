@@ -8,8 +8,22 @@ reference is benchmarked alongside it so the speedup stays visible, and
 ``test_bench_advance_throughput_floor`` asserts the separable path never
 regresses below the acceptance floor (2.5x the dense seed). The 256^3
 acceptance measurement lives in ``tests/perf/test_kernel_throughput.py``.
+
+Run as a script, it prints the per-block tables of ``docs/MODEL.md`` §5:
+µs per call and Mpts/s for the block shapes the implementations sweep on
+a 48^3 rank and for one nonblocking step, best of 15 rounds of 5 calls,
+at the paper's ν (the default velocity's x axis is then a unit tap) and
+at 0.8 of it. ``--baseline path/to/kernels.py`` loads a second copy of the kernel
+module (say, from a checkout of an earlier commit) and times it in the
+same process, rounds alternating, so both columns share the host load::
+
+    PYTHONPATH=src python benchmarks/bench_kernels.py \
+        --baseline ../old/src/repro/stencil/kernels.py
 """
 
+import argparse
+import importlib.util
+import sys
 import time
 
 import numpy as np
@@ -118,3 +132,95 @@ def test_bench_overlap_tiling(benchmark):
     if getattr(benchmark, "stats", None):  # None under --benchmark-disable
         mpts = rank_shape[0] ** 3 / benchmark.stats.stats.min / 1e6
         benchmark.extra_info["mpts_per_s"] = round(mpts, 1)
+
+
+# -- the MODEL.md §5 per-block table ------------------------------------------
+
+RANK = (48, 48, 48)
+#: (x×y×z, where it is swept, lo, hi) on a 48^3 rank
+TABLE_BLOCKS = (
+    ("48×48×48", "bulk, whole interior", (0, 0, 0), (48, 48, 48)),
+    ("46×46×46", "gpu_streams core", (1, 1, 1), (47, 47, 47)),
+    ("46×46×15", "nonblocking z-third", (1, 1, 1), (47, 47, 16)),
+    ("1×48×48", "x slab", (0, 0, 0), (1, 48, 48)),
+    ("46×1×48", "y slab", (1, 0, 0), (47, 1, 48)),
+    ("46×46×1", "z slab", (1, 1, 0), (47, 47, 1)),
+)
+
+
+def _nonblocking_blocks():
+    cfg = RunConfig(machine=LENS, implementation="nonblocking", cores=16,
+                    domain=RANK)
+    rank = RankData(cfg, Subdomain(0, (0, 0, 0), (0, 0, 0), RANK))
+    return rank.core_thirds() + rank.boundary_slabs()
+
+
+def _load_kernels(path: str):
+    spec = importlib.util.spec_from_file_location("baseline_kernels", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def block_table(coeffs, baseline=None, rounds: int = 15, calls: int = 5):
+    """Rows ``(label, where, points, {engine: best µs per call})``."""
+    engines = {"this": apply_stencil_block}
+    if baseline is not None:
+        engines["baseline"] = _load_kernels(baseline).apply_stencil_block
+    u = _field(RANK[0])
+    fill_periodic_halo(u)
+    out = np.zeros_like(u)
+    arenas = {name: ScratchArena() for name in engines}
+    rows = [(label, where, [(lo, hi)]) for label, where, lo, hi in TABLE_BLOCKS]
+    rows.append(("3 z-thirds + 6 slabs", "one nonblocking step",
+                 _nonblocking_blocks()))
+    table = []
+    for label, where, blocks in rows:
+        best = dict.fromkeys(engines, float("inf"))
+        for _ in range(rounds):
+            for name, apply in engines.items():
+                arena = arenas[name]
+                for lo, hi in blocks:  # warm this round's leases
+                    apply(u, coeffs, out, lo, hi, arena=arena)
+                t0 = time.perf_counter()
+                for _ in range(calls):
+                    for lo, hi in blocks:
+                        apply(u, coeffs, out, lo, hi, arena=arena)
+                best[name] = min(best[name], (time.perf_counter() - t0) / calls)
+        points = sum(
+            (h[0] - l[0]) * (h[1] - l[1]) * (h[2] - l[2]) for l, h in blocks
+        )
+        table.append((label, where, points, {k: v * 1e6 for k, v in best.items()}))
+    return table
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--baseline", help="another kernels.py to time beside this one")
+    args = parser.parse_args(argv)
+    for nu_fraction in (1.0, 0.8):
+        cfg = RunConfig(machine=LENS, implementation="bulk", cores=16,
+                        nu_fraction=nu_fraction)
+        coeffs = tensor_product_coefficients(cfg.velocity, cfg.nu)
+        table = block_table(coeffs, args.baseline)
+        engines = list(table[0][3])
+        head = ["block (x×y×z)", "where"]
+        for name in engines:
+            head += [f"{name} µs", f"{name} Mpts/s"]
+        if args.baseline:
+            head.append("speedup")
+        print(f"\nvelocity {cfg.velocity}, nu = {nu_fraction} x stable maximum\n")
+        print("| " + " | ".join(head) + " |")
+        print("|" + "---|" * len(head))
+        for label, where, points, us in table:
+            cells = [label, where]
+            for name in engines:
+                cells += [f"{us[name]:.0f}", f"{points / us[name]:.1f}"]
+            if args.baseline:
+                cells.append(f"{us['baseline'] / us['this']:.2f}×")
+            print("| " + " | ".join(cells) + " |")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

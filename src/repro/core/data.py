@@ -21,7 +21,7 @@ from repro.core.config import RunConfig
 from repro.decomp.partition import Subdomain
 from repro.stencil.arena import ScratchArena
 from repro.stencil.coefficients import StencilCoefficients, tensor_product_coefficients
-from repro.stencil.grid import Grid3D, allocate_field
+from repro.stencil.grid import Grid3D, allocate_field, gaussian_field
 from repro.stencil.kernels import (
     apply_stencil_block,
     fill_periodic_halo,
@@ -34,26 +34,12 @@ __all__ = ["RankData", "local_initial_condition"]
 
 def local_initial_condition(cfg: RunConfig, sub: Subdomain) -> np.ndarray:
     """The Gaussian initial condition restricted to ``sub`` (no halo)."""
-    grid = Grid3D(cfg.domain)
-    L = grid.length
-    center = (0.5 * L,) * 3
-    coords = []
-    for d in range(3):
-        n_global = cfg.domain[d]
-        idx = np.arange(sub.offset[d], sub.offset[d] + sub.shape[d])
-        coords.append((idx + 0.5) * (L / n_global))
-    x = coords[0][:, None, None]
-    y = coords[1][None, :, None]
-    z = coords[2][None, None, :]
-    s2 = (cfg.sigma * L) ** 2
-
-    def wrapped_sq(coord, c0):
-        dd = np.abs(coord - c0)
-        dd = np.minimum(dd, L - dd)
-        return dd * dd
-
-    r2 = wrapped_sq(x, center[0]) + wrapped_sq(y, center[1]) + wrapped_sq(z, center[2])
-    return np.exp(-r2 / (2.0 * s2))
+    L = Grid3D(cfg.domain).length
+    coords = [
+        (np.arange(o, o + n) + 0.5) * (L / n_global)
+        for o, n, n_global in zip(sub.offset, sub.shape, cfg.domain)
+    ]
+    return gaussian_field(coords, (0.5 * L,) * 3, cfg.sigma, L)
 
 
 class RankData:
@@ -114,9 +100,15 @@ class RankData:
         self.apply_block((0, 0, 0), self.sub.shape)
 
     def copy_state(self) -> None:
-        """Step 3 of §IV-A: new state becomes current state (interior only)."""
-        if self.u is not None:
-            interior(self.u)[...] = interior(self.unew)
+        """Step 3 of §IV-A: new state becomes current state.
+
+        A buffer flip, as in :func:`~repro.stencil.kernels.advance` and the
+        GPU-resident program: ``u`` and ``unew`` swap, so read them through
+        this object after a step rather than holding either array across
+        one. The halo ``u`` inherits is stale; every program refills the
+        whole halo (exchange or local fill) before it next reads it.
+        """
+        self.u, self.unew = self.unew, self.u
 
     def copy_region(self, lo: Tuple[int, int, int], hi: Tuple[int, int, int]) -> None:
         """Copy ``unew`` over ``u`` on the interior box [lo, hi) only."""

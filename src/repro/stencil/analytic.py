@@ -39,14 +39,16 @@ def error_norms(computed: np.ndarray, exact: np.ndarray) -> Dict[str, float]:
     """L1, L2 and Linf norms of ``computed - exact`` (grid-normalized).
 
     L1 and L2 are normalized by the point count so they are resolution
-    comparable (discrete approximations of the continuous norms).
+    comparable (discrete approximations of the continuous norms). One
+    buffer holds ``|computed - exact|`` for both L1 and Linf, then its
+    square (``|d| * |d| == d * d`` exactly) for L2.
     """
     if computed.shape != exact.shape:
         raise ValueError(f"shape mismatch: {computed.shape} vs {exact.shape}")
-    diff = computed - exact
+    diff = np.subtract(computed, exact)
+    np.abs(diff, out=diff)
     npts = diff.size
-    return {
-        "l1": float(np.abs(diff).sum() / npts),
-        "l2": float(np.sqrt((diff * diff).sum() / npts)),
-        "linf": float(np.abs(diff).max()),
-    }
+    l1 = float(diff.sum() / npts)
+    linf = float(diff.max())
+    np.multiply(diff, diff, out=diff)
+    return {"l1": l1, "l2": float(np.sqrt(diff.sum() / npts)), "linf": linf}

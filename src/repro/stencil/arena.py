@@ -1,10 +1,12 @@
 """Reusable scratch-buffer arena for the separable stencil engine.
 
 The separable execution path in :mod:`repro.stencil.kernels` sweeps each
-block in compact scratch: two ping-pong buffers (source → second
-intermediate, first intermediate → result) plus one tap buffer for in-place
-fused multiply-accumulate emulation (``np.multiply(..., out=tap)`` followed
-by ``np.add(acc, tap, out=acc)``). Allocating those per call would dominate
+block as one flat buffer: a copy of the padded block (``sep.a``, skipped
+when a whole C-ordered field is read in place), ping-pong sweep outputs
+(``sep.b``, then ``sep.a`` again) and one tap buffer (``sep.tap``) for
+in-place fused multiply-accumulate emulation (``np.multiply(..., out=tap)``
+followed by ``np.add(acc, tap, out=acc)``). Each lease is 1-D and as long
+as the sweep output it holds. Allocating those per call would dominate
 the runtime of the functional kernels (a 256^3 haloed double field is
 ~137 MB), so all scratch space is leased from a :class:`ScratchArena`.
 

@@ -19,7 +19,7 @@ from typing import Sequence, Tuple
 
 import numpy as np
 
-__all__ = ["Grid3D", "allocate_field", "gaussian_initial_condition"]
+__all__ = ["Grid3D", "allocate_field", "gaussian_field", "gaussian_initial_condition"]
 
 #: Halo (ghost) width required by the 3x3x3 stencil.
 HALO = 1
@@ -100,14 +100,40 @@ def gaussian_initial_condition(
     """
     if center is None:
         center = (0.5 * grid.length,) * 3
-    x, y, z = grid.mesh()
-    L = grid.length
+    return gaussian_field(grid.coordinates(), center, sigma, grid.length, amplitude)
+
+
+def gaussian_field(
+    coords: Sequence[np.ndarray],
+    center: Sequence[float],
+    sigma: float,
+    length: float,
+    amplitude: float = 1.0,
+) -> np.ndarray:
+    """``amplitude * exp(-r^2 / (2 (sigma L)^2))`` on the tensor grid ``coords``.
+
+    ``coords`` are the cell-centre coordinate vectors of x, y and z; ``r``
+    is the minimum-image distance to ``center`` on the torus of edge
+    ``length``. The field is built in one buffer: the squared distances
+    are summed as ``(wx + wy) + wz`` straight into it, then negated,
+    divided and exponentiated in place, the same operations in the same
+    order as the whole-array expression, so the values are bit-identical
+    to it. ``amplitude`` 1.0 is no pass at all (``x * 1.0 == x``).
+    """
+    L = length
 
     def wrapped_sq(coord, c0):
         d = np.abs(coord - c0)
         d = np.minimum(d, L - d)  # minimum-image distance on the torus
         return d * d
 
-    s2 = (sigma * L) ** 2
-    r2 = wrapped_sq(x, center[0]) + wrapped_sq(y, center[1]) + wrapped_sq(z, center[2])
-    return amplitude * np.exp(-r2 / (2.0 * s2))
+    x, y, z = coords
+    wxy = wrapped_sq(x, center[0])[:, None] + wrapped_sq(y, center[1])[None, :]
+    field = np.empty((x.size, y.size, z.size))
+    np.add(wxy[:, :, None], wrapped_sq(z, center[2]), out=field)
+    np.negative(field, out=field)
+    np.divide(field, 2.0 * (sigma * L) ** 2, out=field)
+    np.exp(field, out=field)
+    if amplitude != 1.0:
+        np.multiply(field, amplitude, out=field)
+    return field

@@ -24,8 +24,8 @@ Equation 2 is the tensor product of three 1-D Lax-Wendroff operators
 (``a_{ijk} = A_i(c_x) A_j(c_y) A_k(c_z)``, paper Table I), so whenever the
 coefficients carry factor triples (:attr:`StencilCoefficients.factors`) the
 kernels run the **separable engine**: an x sweep, a y sweep, then a z sweep,
-each a 3-tap 1-D stencil applied with in-place ufuncs through a
-:class:`~repro.stencil.arena.ScratchArena`, performing zero array
+each a 3-tap 1-D stencil applied with in-place ufuncs over flat scratch
+from a :class:`~repro.stencil.arena.ScratchArena`, performing zero array
 allocations in steady state. That turns 27 strided reads plus 27 temporary
 allocations per point into 9 contiguous-ish passes, a >3x throughput win at
 256^3 (see ``benchmarks/bench_kernels.py`` and
@@ -36,42 +36,54 @@ The **dense 27-point kernel** (:func:`apply_stencil_dense`,
 reference and as the execution path for non-separable coefficient tensors
 (``coeffs.factors is None``).
 
-Sub-box index algebra: a block ``[lo, hi)`` of extents ``(bx, by, bz)``
-(interior coordinates ``lo=(x0,y0,z0)``, ``hi=(x1,y1,z1)``; haloed-array
-coordinates are shifted by +1) reads ``u[x0:x1+2, y0:y1+2, z0:z1+2]``, the
-block plus its one-point halo, which is always in bounds for a block inside
-the interior. That box is copied once into compact scratch ``S`` of shape
-``(bx+2, by+2, bz+2)`` and the sweeps shrink it one axis at a time, each
-needing intermediate values one layer beyond the block in the dimensions
-not yet swept:
+Flat sweeps: a block ``[lo, hi)`` of extents ``(bx, by, bz)`` (interior
+coordinates; haloed-array coordinates are shifted by +1) reads
+``u[x0:x1+2, y0:y1+2, z0:z1+2]``, the block plus its one-point halo, which
+is always in bounds for a block inside the interior. That padded box
+lives in one flat buffer with its axes ordered by block extent, longest
+innermost (ties keep x, y, z order, so a cube is C-ordered): a thin slab
+or a z-third then gets long contiguous runs instead of one short NumPy
+loop per row. Each 1-D sweep is a 3-tap operation over the whole flat
+buffer at the swept axis's stride ``s``: tap ``d`` (0, 1, 2 for offsets
+-1, 0, +1) reads the source at ``d*s`` to ``d*s + n``, and the output
+span ``n`` is the source's minus ``2*s``. Output index ``j`` holds the
+padded point ``j + s`` of its source, so after the x, y and z sweeps
+index ``i*sx + j*sy + k*sz`` holds block point ``(i, j, k)``: a strided
+view of the last buffer that is copied into ``out``'s block once,
+leaving ``out``'s halo untouched. Points whose coordinate on an
+already-swept axis lies in the halo mix neighbouring rows, but a later
+tap moves along another axis only, so none of them reaches the block:
+the pad of the two inner axes is the only wasted work.
 
-* x sweep: ``S -> t1`` of shape ``(bx, by+2, bz+2)``;
-* y sweep: ``t1 -> t2`` of shape ``(bx, by, bz+2)``;
-* z sweep: ``t2 -> r`` of shape ``(bx, by, bz)``, copied into ``out`` on
-  the block.
+Three things keep the passes few:
 
-In every sweep, tap ``d`` (0, 1, 2 for offsets -1, 0, +1) reads the source
-at index ``d`` to ``d + n`` along the swept axis, ``n`` the destination's
-extent there. ``S``/``t2`` and ``t1``/``r`` are ping-pong leases of two
-arena buffers, so scratch never exceeds three haloed fields.
+* a whole-field block of a C-contiguous float64 ``u`` whose storage order
+  is x, y, z is already in this layout and is read in place, without the
+  copy-in;
+* a factor whose only nonzero tap is 1.0 is an index offset into the
+  source, not a pass (``x * 1.0 == x`` exactly; the default velocity puts
+  the x axis at unit CFL);
+* the ping-pong buffers and the tap buffer are leased from a
+  :class:`~repro.stencil.arena.ScratchArena` at the length of the
+  largest sweep output they hold, so the steady state allocates nothing
+  and a whole 48^3 rank holds 2.88 MB of scratch.
 
-Memory-order rule: all scratch of one block is stored with its axes
-ordered by block extent, longest innermost (ties keep x, y, z order, so a
-cube stays C-ordered). A thin slab or a z-third is then swept with long
-contiguous inner loops instead of one short NumPy loop per row.
+Each block extent's strides are computed once (:func:`_geometry`).
 
 Every point still sees the identical ufunc sequence whatever the block
-bounds and the scratch memory order: the first nonzero tap multiplied into
-the accumulator, each further tap multiplied into the tap buffer and
-added, zero taps skipped. The block path is therefore *bit-identical* to
-the full-field path (the property tests assert this, and
-``tests/stencil/test_kernel_digests.py`` pins the fields across commits),
-which preserves the repo's cross-implementation bit-exactness oracle.
+bounds, the scratch memory order and whether the source was copied: the
+first nonzero tap multiplied into the accumulator, each further tap
+multiplied into the tap buffer and added, zero taps skipped. The block
+path is therefore *bit-identical* to the full-field path (the property
+tests assert this, and ``tests/stencil/test_kernel_digests.py`` pins the
+fields across commits), which preserves the repo's cross-implementation
+bit-exactness oracle.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Tuple
+from functools import lru_cache
+from typing import NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -120,38 +132,34 @@ def fill_periodic_halo(field: np.ndarray, dims: Sequence[int] = (0, 1, 2)) -> No
 # ---------------------------------------------------------------------------
 
 
-def _sweep(
-    src: np.ndarray,
-    dst: np.ndarray,
-    taps: np.ndarray,
-    axis: int,
-    tap: np.ndarray,
-) -> None:
-    """One 3-tap 1-D sweep: ``dst = sum_d taps[d] * src[shifted d along axis]``.
+class _Geometry(NamedTuple):
+    """Flat storage of one block extent's padded box."""
 
-    ``src`` is ``dst`` grown by one point on each side of ``axis``. ``tap``
-    is scratch shaped like ``dst`` used to emulate a fused multiply-add
-    without temporaries: ``np.multiply(src_shifted, c, out=tap);
-    np.add(dst, tap, out=dst)``.
+    #: the block plus its one-point halo, ``(bx + 2, by + 2, bz + 2)``
+    padded: Tuple[int, int, int]
+    #: points in ``padded``
+    size: int
+    #: flat element stride of the x, y and z axes
+    strides: Tuple[int, int, int]
+    #: the same strides in float64 bytes
+    byte_strides: Tuple[int, int, int]
+    #: the storage order is x, y, z (the padded box is C-ordered)
+    xyz: bool
 
-    Zero taps are skipped (exactly like the dense kernel skips zero
-    coefficients), which keeps the unit-CFL exact-shift oracle bit-exact.
-    """
-    nonzero = [(d, c) for d, c in enumerate(taps.tolist()) if c != 0.0]
-    if not nonzero:
-        dst.fill(0.0)
-        return
-    n = dst.shape[axis]
-    lead = (slice(None),) * axis
 
-    def shifted(d: int) -> np.ndarray:
-        return src[lead + (slice(d, d + n),)]
-
-    d0, c0 = nonzero[0]
-    np.multiply(shifted(d0), c0, out=dst)
-    for d, c in nonzero[1:]:
-        np.multiply(shifted(d), c, out=tap)
-        np.add(dst, tap, out=dst)
+@lru_cache(maxsize=64)
+def _geometry(ext: Tuple[int, int, int]) -> _Geometry:
+    """Storage of a block of extents ``ext``: longest axis innermost."""
+    padded = tuple(n + 2 for n in ext)
+    # Memory order, outermost first: extents ascending, ties in x, y, z order.
+    order = sorted(range(3), key=lambda a: (ext[a], a))
+    strides = [0, 0, 0]
+    size = 1
+    for a in reversed(order):
+        strides[a] = size
+        size *= padded[a]
+    return _Geometry(padded, size, tuple(strides),
+                     tuple(8 * s for s in strides), order == [0, 1, 2])
 
 
 def _apply_separable_block(
@@ -164,37 +172,51 @@ def _apply_separable_block(
 ) -> None:
     """Three 1-D sweeps (x, y, z) over the interior sub-box ``[lo, hi)``.
 
-    The block and its one-point halo are copied once into compact scratch
-    stored with the block's longest axis innermost, swept there on
-    contiguous operands, and the result is copied into ``out`` once (see
-    the module docstring). Two ping-pong buffers and one tap buffer are
-    leased from ``arena``, so every block of a partition shares the same
-    three allocations.
+    The padded block is swept as one flat buffer, each sweep at its axis's
+    stride, and the result is copied into ``out`` once (see the module
+    docstring). A whole C-ordered field is read in place, and a unit
+    single-tap factor is an offset instead of a pass. Zero taps are
+    skipped, exactly like the dense kernel skips zero coefficients, which
+    keeps the unit-CFL exact-shift oracle bit-exact.
     """
     (x0, y0, z0), (x1, y1, z1) = lo, hi
     ext = (x1 - x0, y1 - y0, z1 - z0)
-    # Memory order, outermost first: extents ascending, ties in x, y, z order.
-    order = sorted(range(3), key=lambda a: (ext[a], a))
-    axes = (order.index(0), order.index(1), order.index(2))
-
-    def lease(name: str, shape: Tuple[int, int, int]) -> np.ndarray:
-        stored = (shape[order[0]], shape[order[1]], shape[order[2]])
-        return arena.get(name, stored).transpose(axes)
-
-    ax, ay, az = factors
-    bx, by, bz = ext
-    src = lease("sep.a", (bx + 2, by + 2, bz + 2))
-    src[...] = u[x0 : x1 + 2, y0 : y1 + 2, z0 : z1 + 2]
-    # x sweep: y/z still carry their halo layers.
-    t1 = lease("sep.b", (bx, by + 2, bz + 2))
-    _sweep(src, t1, ax, 0, lease("sep.tap", t1.shape))
-    # y sweep: z still carries its halo layers.
-    t2 = lease("sep.a", (bx, by, bz + 2))
-    _sweep(t1, t2, ay, 1, lease("sep.tap", t2.shape))
-    # z sweep: lands exactly on the block.
-    res = lease("sep.b", ext)
-    _sweep(t2, res, az, 2, lease("sep.tap", ext))
-    out[1 + x0 : 1 + x1, 1 + y0 : 1 + y1, 1 + z0 : 1 + z1] = res
+    geo = _geometry(ext)
+    if (geo.xyz and u.shape == geo.padded and u.dtype == np.float64
+            and u.flags.c_contiguous):
+        src = u.reshape(-1)  # the whole field, already in sweep layout
+    else:
+        src = arena.get("sep.a", (geo.size,))
+        np.ndarray(geo.padded, np.float64, src, strides=geo.byte_strides)[...] = (
+            u[x0 : x1 + 2, y0 : y1 + 2, z0 : z1 + 2]
+        )
+    dsts = iter(("sep.b", "sep.a", "sep.b"))
+    tap = None
+    n = geo.size
+    for taps, s in zip(factors, geo.strides):
+        n -= 2 * s
+        nonzero = [(d * s, c) for d, c in enumerate(taps.tolist()) if c != 0.0]
+        if len(nonzero) == 1 and nonzero[0][1] == 1.0:
+            k = nonzero[0][0]
+            src = src[k : k + n]
+            continue
+        dst = arena.get(next(dsts), (n,))
+        if not nonzero:
+            dst.fill(0.0)
+        else:
+            k, c = nonzero[0]
+            np.multiply(src[k : k + n], c, out=dst)
+            if len(nonzero) > 1:
+                if tap is None:  # the first such sweep's output is the longest
+                    tap = arena.get("sep.tap", (n,))
+                t = tap[:n]
+                for k, c in nonzero[1:]:
+                    np.multiply(src[k : k + n], c, out=t)
+                    np.add(dst, t, out=dst)
+        src = dst
+    out[1 + x0 : 1 + x1, 1 + y0 : 1 + y1, 1 + z0 : 1 + z1] = np.ndarray(
+        ext, np.float64, src, strides=geo.byte_strides
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -99,8 +99,9 @@ class TestAcceptance256:
 # A partitioned step (nonblocking: three z-thirds + six thickness-1 slabs)
 # must not fall far behind one whole-interior sweep of the same rank.
 # Sweeping blocks through strided full-field scratch ran it at 0.34x;
-# compact per-block scratch with the longest axis innermost runs it at
-# 0.89x (2-vCPU Xeon guest, docs/MODEL.md §5).
+# compact per-block scratch with the longest axis innermost ran it at
+# 0.89x, and flat per-block sweeps (whole field read in place) at 0.86x
+# (2-vCPU Xeon guest, docs/MODEL.md §5).
 RANK = (48, 48, 48)
 FLOOR_TILED_RATIO = 0.6
 
