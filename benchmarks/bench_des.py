@@ -5,7 +5,7 @@ report regeneration. Its hot path uses bare callback slots and
 callback-chained transfers on time-bucket cohorts with tombstone
 cancellation and allocation-free steady-state scheduling
 (docs/MODEL.md §12). The transfer workload below simulates halo
-transfers the way ``World._wire`` moves bytes and is gated at an
+transfers the way ``World``'s on-node copies move bytes and is gated at an
 absolute events/s floor, :data:`FLOOR_EVENTS_PER_S`. Host-speed drift
 between runs is tracked by the performance ledger's host reference
 (``benchmarks/ledger/hostref.py``), not by a second engine.
@@ -49,7 +49,7 @@ _LAT, _WIRE = 1e-6, 3e-6
 def _drive_transfers(env: Environment, n: int = N_TRANSFERS) -> int:
     """Callback-chained transfers, no mover process.
 
-    Matches ``World._wire``/``_start_background``: the latency hop is a
+    Matches ``World._start_background`` on-node: the latency hop is a
     bare ``schedule`` slot whose callback schedules the wire hop, which
     triggers the completion event; a waiter process resumes on it and
     takes a zero-delay turnaround that joins the live cohort.

@@ -230,7 +230,10 @@ class RunResult:
     #: trace=True runs only); :func:`repro.core.runner.overlap_summary`
     #: may replay them from the run cache's summary entry
     overlap: Optional[object] = None
-    #: representative rank's MPI counters (messages/bytes sent/received)
+    #: MPI counters (messages/bytes sent/received) summed over the
+    #: simulated ranks: the representative rank's own traffic under
+    #: ``network="mirror"``, every rank's (the global traffic) under
+    #: ``network="full"``. One meaning for both is ROADMAP item 3.
     comm_stats: Dict[str, int] = field(default_factory=dict)
     #: Monte-Carlo replication summary (mean/std/p95/ci95 of elapsed_s over
     #: N seeded replicas; see repro.perturb.stats). Only set by

@@ -29,7 +29,7 @@ from repro.machines.cpu_model import (
     task_compute_time,
     task_memory_bandwidth,
 )
-from repro.machines.calibration import BOUNDARY_LOOP_EFFICIENCY, COPY_BYTES_PER_POINT
+from repro.machines.calibration import COPY_BYTES_PER_POINT
 from repro.simgpu.blockmodel import stencil_kernel_time
 from repro.simgpu.device import Gpu, Stream
 from repro.simmpi.api import Plan, RankComm
@@ -247,16 +247,6 @@ class RankContext:
         paper-era machine, preserving their §IV-F/G staging bit-for-bit.
         """
         return self.gpu is not None and self.cfg.machine.interconnect.gpudirect
-
-    @property
-    def gpu_block(self) -> Tuple[int, int]:
-        """The thread block this run uses (config override or device best)."""
-        gpu = self._require_gpu()
-        if self.cfg.block is not None:
-            return self.cfg.block
-        from repro.simgpu.blockmodel import best_block
-
-        return best_block(gpu.spec, self.sub.shape)
 
     def launch_cost(self, n_ops: int = 1) -> Event:
         """Host time to issue ``n_ops`` device operations."""

@@ -32,7 +32,6 @@ from repro.core.thread_overlap_mpi import ThreadOverlapMPI
 __all__ = [
     "IMPLEMENTATIONS",
     "get_implementation",
-    "implementation_keys",
     "CPU_KEYS",
     "GPU_KEYS",
     "PAPER_KEYS",
@@ -65,13 +64,6 @@ EXTENSION_KEYS = ("bulk_direct",)
 CPU_KEYS = ("single", "bulk", "nonblocking", "thread_overlap", "bulk_direct")
 #: GPU implementation keys (plotted on Lens and Yona only).
 GPU_KEYS = ("gpu_resident", "gpu_bulk", "gpu_streams", "hybrid_bulk", "hybrid_overlap")
-
-
-def implementation_keys(workload: str = "advection"):
-    """Sorted implementation keys of one workload."""
-    from repro.workloads import get_workload
-
-    return sorted(get_workload(workload).implementations)
 
 
 def get_implementation(key: str, workload: str = "advection") -> Implementation:

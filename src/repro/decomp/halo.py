@@ -61,7 +61,7 @@ def pack_face(field: np.ndarray, dim: int, side: int) -> np.ndarray:
         raise ValueError("side must be -1 or +1")
     idx: list = [slice(None)] * 3
     idx[dim] = _boundary_plane_index(field, dim, side)
-    return np.ascontiguousarray(field[tuple(idx)])
+    return field[tuple(idx)].copy()
 
 
 def unpack_face(field: np.ndarray, dim: int, side: int, buf: np.ndarray) -> None:

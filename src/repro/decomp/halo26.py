@@ -101,7 +101,7 @@ def total_exchange_bytes(shape: Sequence[int], itemsize: int = 8) -> int:
 def pack_region(field: np.ndarray, d: Sequence[int]) -> np.ndarray:
     """Contiguous copy of the boundary region sent toward ``d``."""
     shape = tuple(s - 2 for s in field.shape)
-    return np.ascontiguousarray(field[_send_slices(shape, d)])
+    return field[_send_slices(shape, d)].copy()
 
 
 def unpack_region(field: np.ndarray, d: Sequence[int], buf: np.ndarray) -> None:

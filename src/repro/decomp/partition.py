@@ -118,11 +118,6 @@ class Subdomain:
         sx, sy, sz = self.shape
         return sx * sy * sz
 
-    def face_points(self, dim: int) -> int:
-        """Points on one face perpendicular to ``dim`` (without halo rims)."""
-        s = list(self.shape)
-        del s[dim]
-        return s[0] * s[1]
 
 
 @dataclass(frozen=True)
@@ -226,24 +221,6 @@ class Decomposition:
         coords = list(self.coords_of(rank))
         coords[dim] += side
         return self.rank_of(coords)
-
-    def all_neighbors(self, rank: int) -> set[int]:
-        """The 26 logical neighbor ranks (may include ``rank`` itself)."""
-        out = set()
-        tx, ty, tz = self.coords_of(rank)
-        for dx in (-1, 0, 1):
-            for dy in (-1, 0, 1):
-                for dz in (-1, 0, 1):
-                    if dx == dy == dz == 0:
-                        continue
-                    out.add(self.rank_of((tx + dx, ty + dy, tz + dz)))
-        return out
-
-    def max_subdomain_shape(self) -> Tuple[int, int, int]:
-        """Shape of the largest subdomain (the strong-scaling critical rank)."""
-        return tuple(
-            block_range(self.domain[d], self.task_grid[d], 0)[1] for d in range(3)
-        )
 
     def min_subdomain_shape(self) -> Tuple[int, int, int]:
         """Shape of the smallest subdomain."""

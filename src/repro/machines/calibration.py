@@ -47,10 +47,6 @@ __all__ = [
 STENCIL_BYTES_PER_POINT = 32.0
 #: DRAM traffic per point for the Step-3 state copy (read + write + RFO).
 COPY_BYTES_PER_POINT = 24.0
-#: Efficiency factor for boundary-shell loops (short, strided inner trips),
-#: used by the overlap implementations that compute boundaries separately.
-#: (Default; NodeSpec.boundary_loop_efficiency overrides per machine.)
-BOUNDARY_LOOP_EFFICIENCY = 0.45
 #: While the master thread communicates (§IV-D), its MPI-internal copies
 #: contend with the worker threads for memory bandwidth; workers run at
 #: this fraction of their normal rate during the communication window.

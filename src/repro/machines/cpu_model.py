@@ -21,8 +21,6 @@ import math
 from typing import Optional
 
 from repro.machines.calibration import (
-    BOUNDARY_LOOP_EFFICIENCY,
-    COPY_BYTES_PER_POINT,
     GUIDED_SCHEDULE_OVERHEAD,
     STENCIL_BYTES_PER_POINT,
 )
@@ -34,8 +32,6 @@ __all__ = [
     "omp_region_overhead",
     "task_compute_time",
     "memcpy_time",
-    "boundary_compute_time",
-    "copy_state_time",
 ]
 
 
@@ -101,24 +97,6 @@ def task_compute_time(
     if region_overhead:
         t += omp_region_overhead(node, threads)
     return t
-
-
-def boundary_compute_time(node: NodeSpec, threads: int, points: int) -> float:
-    """Sweep time for boundary-shell points (short strided loops, §IV-C/D)."""
-    return task_compute_time(
-        node, threads, points, efficiency=BOUNDARY_LOOP_EFFICIENCY
-    )
-
-
-def copy_state_time(node: NodeSpec, threads: int, points: int) -> float:
-    """Step 3 of §IV-A: copy the new state over the current state."""
-    return task_compute_time(
-        node,
-        threads,
-        points,
-        bytes_per_point=COPY_BYTES_PER_POINT,
-        flops_per_point=0.25,  # effectively pure data movement
-    )
 
 
 def memcpy_time(

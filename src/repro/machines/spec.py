@@ -180,10 +180,11 @@ class InterconnectSpec(KeyMemo):
         """Fraction of a message's wire bytes that move without host help.
 
         The single point where the progress model meets the transfer
-        engines: both MPI backends (:mod:`repro.simmpi.world`,
-        :mod:`repro.simmpi.mirror`) call this for the background start
-        *and* the foreground remainder, so the two always agree.  Local
-        (shared-memory) transfers never consult it — they are memcpys.
+        engines: the send price both MPI backends share
+        (:mod:`repro.simmpi.message`) calls this once per protocol, for
+        the background start *and* the foreground remainder, so the two
+        always agree.  Local (shared-memory) transfers never consult it —
+        they are memcpys.
         """
         if self.progress is ProgressModel.MANUAL_POLL:
             # 2011 behaviour: eager sends sit in the receive queue until
@@ -314,24 +315,3 @@ class MachineSpec(KeyMemo):
     def total_cores(self) -> int:
         """All CPU cores in the machine."""
         return self.compute_nodes * self.node.cores
-
-    @property
-    def cores_per_gpu(self) -> int:
-        """CPU cores sharing one GPU (16 on Lens, 12 on Yona)."""
-        if not self.gpus_per_node:
-            raise ValueError(f"{self.name} has no GPUs")
-        return self.node.cores // self.gpus_per_node
-
-    def nodes_for_cores(self, cores: int) -> int:
-        """Nodes needed to host ``cores`` (fully-packed allocation)."""
-        per = self.node.cores
-        if cores % per and cores > per:
-            raise ValueError(f"{cores} cores is not a whole number of {per}-core nodes")
-        return max(1, cores // per)
-
-    def validate_threads(self, threads: int) -> None:
-        """Reject thread counts the node cannot host."""
-        if threads < 1 or threads > self.node.cores:
-            raise ValueError(
-                f"{threads} threads/task impossible on {self.node.cores}-core nodes"
-            )

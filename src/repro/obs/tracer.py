@@ -244,14 +244,6 @@ class Tracer:
         b = self.merged_intervals(lane_b, group_b)
         return intervals_intersection(a, b)
 
-    def counter_series(self, name: str, group: Optional[int] = None) -> List[Tuple[float, float]]:
-        """(time, value) samples of one counter, in recording order."""
-        return [
-            (c.time, c.value)
-            for c in self.counters
-            if c.name == name and (group is None or c.group == group)
-        ]
-
     # -- rendering --------------------------------------------------------------
     def timeline_text(
         self,

@@ -53,15 +53,6 @@ class DeviceArray:
         """True when this array carries real values."""
         return self.data is not None
 
-    def require_data(self) -> np.ndarray:
-        """The payload, or an error if running in shadow mode."""
-        if self.data is None:
-            raise DeviceMemoryError(
-                f"device array {self.name!r} has no payload (shadow mode)"
-            )
-        if self.freed:
-            raise DeviceMemoryError(f"use-after-free of device array {self.name!r}")
-        return self.data
 
 
 class DeviceMemory:

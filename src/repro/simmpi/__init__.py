@@ -15,6 +15,13 @@ Two interchangeable backends expose the same per-rank API
   the ensemble per-step time; this is what makes 49 152-core simulations
   tractable.
 
+A backend implements three batch calls (``irecv_all``/``isend_all``/
+``waitall``); ``isend``/``irecv``/``wait`` are batches of one. Both
+backends time a send from one model, :mod:`~repro.simmpi.message`: its
+placement and protocol, start-up latency, background fraction and
+receive-side copy are priced once per ``(NIC share, nbytes)``, and
+perturbation is applied by the same helpers.
+
 Progress model (the paper's central MPI subtlety, refs [1], [2] therein):
 a rendezvous transfer starts when both endpoints have posted; a fraction
 ``overlap_fraction`` of the wire work proceeds in the background (RDMA),

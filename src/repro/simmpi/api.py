@@ -14,7 +14,7 @@ order (docs/MODEL.md §2).
 
 from __future__ import annotations
 
-from typing import Any, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Iterable, Optional, Sequence, Tuple
 
 from repro.decomp.halo import HALO_TAGS, halo_tag
 
@@ -62,61 +62,51 @@ class Request:
 class RankComm:
     """Abstract per-rank communicator. See backend docs for semantics.
 
-    The batch calls :meth:`irecv_all`, :meth:`isend_all` and
-    :meth:`waitall` mean exactly "the single-message call, once per entry,
-    in order"; their default bodies are those loops, so a backend that
-    only implements :meth:`isend`, :meth:`irecv` and :meth:`wait` (the
-    full backend) times a batch message by message. A backend whose
-    completion times are numbers up front (the mirror backend) overrides
-    them with a closed form that ends at the same times.
+    A backend implements the batch calls :meth:`irecv_all`,
+    :meth:`isend_all` and :meth:`waitall`; the single-message calls
+    :meth:`isend`, :meth:`irecv` and :meth:`wait` are batches of one.
     """
 
     rank: int
     nranks: int
+    #: Statistics (protocol-conformance checks and reports), counted per
+    #: posted message by the backend.
+    messages_sent = 0
+    bytes_sent = 0
+    messages_received = 0
+    bytes_received = 0
+
+    def irecv_all(self, plan: Plan):
+        """Generator: post one receive per plan entry, in order; returns them."""
+        raise NotImplementedError
+
+    def isend_all(self, plan: Plan, payloads: Optional[Sequence[Any]] = None):
+        """Generator: post one send per plan entry, in order; returns them.
+        ``payloads`` (functional runs only) runs parallel to ``plan``."""
+        raise NotImplementedError
+
+    def waitall(self, requests: Iterable[Request]):
+        """Generator: complete each request in turn (MPI_Waitall); returns the
+        payloads in request order (``None`` for sends and in shadow mode)."""
+        raise NotImplementedError
 
     def isend(self, dst: int, tag: int, nbytes: int, payload: Any = None):
         """Generator: post a nonblocking send; returns a :class:`Request`."""
-        raise NotImplementedError
+        reqs = yield from self.isend_all(
+            ((dst, tag, nbytes),), None if payload is None else (payload,)
+        )
+        return reqs[0]
 
     def irecv(self, src: int, tag: int, nbytes: int):
         """Generator: post a nonblocking receive; returns a :class:`Request`."""
-        raise NotImplementedError
+        reqs = yield from self.irecv_all(((src, tag, nbytes),))
+        return reqs[0]
 
     def wait(self, request: Request):
-        """Generator: block until ``request`` completes.
-
-        For receives, returns the payload (``None`` in shadow mode).
-        """
-        raise NotImplementedError
-
-    def irecv_all(self, plan: Plan):
-        """Generator: post one receive per plan entry; returns the Requests."""
-        reqs: List[Request] = []
-        for peer, tag, nbytes in plan:
-            reqs.append((yield from self.irecv(peer, tag, nbytes)))
-        return reqs
-
-    def isend_all(self, plan: Plan, payloads: Optional[Sequence[Any]] = None):
-        """Generator: post one send per plan entry; returns the Requests.
-
-        ``payloads`` (functional runs only) runs parallel to ``plan``.
-        """
-        reqs: List[Request] = []
-        for i, (peer, tag, nbytes) in enumerate(plan):
-            payload = None if payloads is None else payloads[i]
-            reqs.append((yield from self.isend(peer, tag, nbytes, payload)))
-        return reqs
-
-    def waitall(self, requests: Iterable[Request]):
-        """Generator: wait on each request in turn (MPI_Waitall).
-
-        Returns the payloads in request order (``None`` for sends and in
-        shadow mode).
-        """
-        payloads = []
-        for r in requests:
-            payloads.append((yield from self.wait(r)))
-        return payloads
+        """Generator: block until ``request`` completes; returns a receive's
+        payload (``None`` in shadow mode)."""
+        payloads = yield from self.waitall((request,))
+        return payloads[0]
 
     def barrier(self):
         """Generator: dissemination barrier across all ranks."""

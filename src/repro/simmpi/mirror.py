@@ -19,13 +19,18 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.des import Environment, SimulationError
 from repro.decomp.partition import Decomposition
-from repro.machines.spec import InterconnectSpec, MachineSpec, NodeSpec, ProgressModel
+from repro.machines.spec import InterconnectSpec, MachineSpec, NodeSpec
 from repro.simmpi.api import Plan, RankComm, Request
+from repro.simmpi.message import (
+    _SendPrice,
+    perturbed_background,
+    perturbed_remainder,
+    pricing,
+)
 
 __all__ = ["MirrorProfile", "MirrorComm"]
 
@@ -79,108 +84,6 @@ class MirrorProfile:
         return self.nic_share_by_tag.get(tag, max(1.0, float(self.tasks_per_node)))
 
 
-class _SendPrice:
-    """The static facts of one send: placement, protocol, latency,
-    background fraction, wire rate, and what follows from them.
-
-    Everything here follows from the tag's placement and NIC share, the
-    size and the interconnect, so it is derived once (:class:`_Pricing`),
-    with the expressions the per-message path used: ``bg_wire`` is
-    ``frac * nbytes / rate`` and ``fg_wire`` is ``remainder / rate``, the
-    floats an unperturbed message computes (a wire factor of 1.0 changes
-    no bit). A perturbed message draws its factors and redoes that
-    arithmetic from ``frac`` and ``rate``.
-    """
-
-    __slots__ = ("local", "unpaired", "buffered", "lat", "frac", "rate",
-                 "bg_wire", "fg_wire", "copy_s")
-
-    def __init__(self, local: bool, eager: bool, lat: float, frac: float,
-                 rate: float, nbytes: int, local_rate: float):
-        self.local = local
-        #: on-node and eager sends start moving before their receive posts.
-        self.unpaired = local or eager
-        #: an off-node eager send completes at once; only its receiver waits.
-        self.buffered = eager and not local
-        self.lat = lat
-        self.frac = frac
-        self.rate = rate
-        #: background wire seconds; 0.0 adds nothing when ``frac == 0``.
-        self.bg_wire = frac * nbytes / rate if frac > 0 else 0.0
-        #: host-driven remainder's wire seconds (off-node), None if none.
-        remainder = (1.0 - frac) * nbytes
-        self.fg_wire = remainder / rate if remainder > 0 else None
-        #: receive-side copy out of the receive/unexpected buffer, or None.
-        self.copy_s = nbytes / local_rate if (local or eager) else None
-
-
-#: Prices one :class:`_Pricing` keeps before it starts over: a bound on
-#: memory (about 310 bytes a price, tracemalloc), five times the most
-#: (416) that a cold fast regeneration leaves in any of its 14 tables.
-_MAX_SHARED_PRICES = 2048
-
-
-class _Pricing:
-    """Send prices under one interconnect and node memcpy rate.
-
-    A price depends on its tag only through the tag's placement and NIC
-    share, so every communicator on the same interconnect shares one
-    table, keyed ``(share, nbytes)`` (``share`` is None on-node). A fill
-    stores what any other fill of the key computes, so communicators on
-    different threads may race on an entry.
-    """
-
-    def __init__(self, ic: InterconnectSpec, local_rate: float):
-        self.local_rate = local_rate
-        self.eager_max = ic.eager_threshold_bytes
-        #: (latency, background fraction) of an off-node send, by ``eager``.
-        self.offnode_terms = (
-            (2.0 * ic.latency_s, ic.background_fraction(False)),
-            (ic.latency_s, ic.background_fraction(True)),
-        )
-        self.nic_bps = ic.bandwidth_bps
-        self.nics_per_node = ic.nics_per_node
-        self._prices: Dict[Tuple[Optional[float], int], _SendPrice] = {}
-
-    def price(self, share: Optional[float], nbytes: int) -> _SendPrice:
-        """An ``nbytes`` send: on-node when ``share`` is None, else off-node
-        behind a NIC that ``share`` concurrent transfers contend for.
-
-        An on-node send is a memcpy with a fixed 0.5 µs start-up, all of it
-        in the background. Off-node, an eager send needs only the sender
-        posted, and how much of the wire then moves without host attention
-        is the progress model's call (manual-poll: nothing — paper ref
-        [1] — a progress engine drains the unexpected queue on its own); a
-        rendezvous send pays a round trip of latency first.
-        """
-        key = (share, nbytes)
-        price = self._prices.get(key)
-        if price is not None:
-            return price
-        eager = nbytes <= self.eager_max
-        if share is None:
-            price = _SendPrice(True, eager, 0.5e-6, 1.0, self.local_rate,
-                               nbytes, self.local_rate)
-        else:
-            if self.nics_per_node > 1:
-                # Multi-rail nodes spread the contending senders across
-                # their NICs (round-robin striping, as in the full backend);
-                # a rail still serves at least its own sender.
-                share = max(1.0, share / self.nics_per_node)
-            lat, frac = self.offnode_terms[eager]
-            price = _SendPrice(False, eager, lat, frac, self.nic_bps / share,
-                               nbytes, self.local_rate)
-        if len(self._prices) >= _MAX_SHARED_PRICES:
-            self._prices.clear()
-        self._prices[key] = price
-        return price
-
-
-@lru_cache(maxsize=16)
-def _pricing(ic: InterconnectSpec, local_rate: float) -> _Pricing:
-    return _Pricing(ic, local_rate)
-
-
 class _MirrorXfer:
     __slots__ = ("tag", "nbytes", "price", "recv_posted", "bg_t", "fg_t")
 
@@ -211,11 +114,10 @@ class MirrorComm(RankComm):
     the per-message rules. Each batch then yields one absolute-time
     Timeout, and only if a per-message loop would have yielded at all.
     Perturbation draws and trace records happen in per-message order, at
-    the computed times. :meth:`isend`, :meth:`irecv` and :meth:`wait` are
-    batches of one (docs/MODEL.md §4). A send's static facts (placement,
-    protocol, latency, background fraction, wire rate) are priced once
-    per ``(tag, nbytes)`` (:class:`_SendPrice`), from a table shared by
-    every communicator on the same interconnect (:class:`_Pricing`).
+    the computed times (docs/MODEL.md §4). A send's static facts
+    (placement, protocol, latency, background fraction, wire rate) are
+    priced once per ``(tag, nbytes)`` from the table the full backend
+    shares (:mod:`repro.simmpi.message`).
     """
 
     def __init__(self, env: Environment, profile: MirrorProfile):
@@ -232,20 +134,11 @@ class MirrorComm(RankComm):
         #: optional repro.perturb injector: per-message latency/bandwidth
         #: jitter, progress stalls, drop/retransmit faults (off-node only).
         self.perturb = None
-        # Statistics (protocol-conformance checks and reports).
-        self.messages_sent = 0
-        self.bytes_sent = 0
-        self.messages_received = 0
-        self.bytes_received = 0
         ic = profile.interconnect
         self._overhead_s = ic.per_message_cpu_us * 1e-6
-        #: trace lane of off-node background wire time, as in World.
-        self._bg_lane = (
-            "mpi" if ic.progress is ProgressModel.MANUAL_POLL else "progress"
-        )
         #: (tag, nbytes) -> _SendPrice, filled on first use.
         self._prices: Dict[Tuple[int, int], _SendPrice] = {}
-        self._pricing = _pricing(ic, profile.node.memcpy_bandwidth_gbs * 1e9)
+        self._pricing = pricing(ic, profile.node)
 
     # -- helpers --------------------------------------------------------------
     def _price(self, tag: int, nbytes: int) -> _SendPrice:
@@ -271,19 +164,16 @@ class MirrorComm(RankComm):
         if perturb is None or p.local:
             bg_t = now + p.lat + p.bg_wire
         else:
-            lat = p.lat * perturb.latency_factor(self.rank) + perturb.message_delay(
-                self.rank, now
-            )
-            wire_mult = perturb.wire_factor(self.rank)
+            lat, wire_mult = perturbed_background(p, perturb, self.rank, now)
             bg_t = now + lat
             if p.frac > 0:
                 bg_t = bg_t + p.frac * xfer.nbytes * wire_mult / p.rate
         xfer.bg_t = bg_t
         tracer = self.tracer
         if tracer is not None:
-            lane = "mpi" if p.local else self._bg_lane
             tracer.record(
-                lane, f"bg t{xfer.tag}", now, bg_t, group=self.rank, cat="comm",
+                self._pricing.lane(p), f"bg t{xfer.tag}", now, bg_t,
+                group=self.rank, cat="comm",
                 args={"tag": xfer.tag, "nbytes": xfer.nbytes, "stage": "background"},
             )
 
@@ -301,12 +191,8 @@ class MirrorComm(RankComm):
         if self.perturb is None:
             wire = p.fg_wire
         else:
-            wire = None
-            remainder = (1.0 - p.frac) * xfer.nbytes
-            if remainder > 0:
-                remainder *= self.perturb.wire_factor(self.rank)
-                if remainder > 0:
-                    wire = remainder / p.rate
+            remainder = perturbed_remainder(p, xfer.nbytes, self.perturb, self.rank)
+            wire = remainder / p.rate if remainder > 0 else None
         if wire is None:
             fg_t = now
         else:
@@ -320,23 +206,6 @@ class MirrorComm(RankComm):
         return fg_t
 
     # -- API ---------------------------------------------------------------
-    # The single-message calls are batches of one; the batch calls below
-    # are the one code path.
-    def isend(self, dst: int, tag: int, nbytes: int, payload: Any = None):
-        """Post the representative rank's send; mirrors the matching recv."""
-        reqs = yield from self.isend_all(((dst, tag, nbytes),), (payload,))
-        return reqs[0]
-
-    def irecv(self, src: int, tag: int, nbytes: int):
-        """Post a receive; pairs with this rank's own send of ``tag``."""
-        reqs = yield from self.irecv_all(((src, tag, nbytes),))
-        return reqs[0]
-
-    def wait(self, request: Request):
-        """Block until the mirrored transfer completes."""
-        yield from self.waitall((request,))
-        return None
-
     def isend_all(self, plan: Plan, payloads: Optional[Sequence[Any]] = None):
         """Post one send per plan entry, in order, with one engine wait.
 
@@ -481,25 +350,22 @@ class MirrorComm(RankComm):
 
     def barrier(self):
         """Log-depth barrier cost (no peers to actually synchronize)."""
-        t_enter = self.env.now
-        ic = self.profile.interconnect
-        rounds = max(1, math.ceil(math.log2(max(2, self.nranks))))
-        yield self.env.timeout(rounds * (ic.latency_s + ic.per_message_cpu_us * 1e-6))
-        if self.tracer is not None:
-            self.tracer.record(
-                "mpi-sync", "barrier", t_enter, self.env.now,
-                group=self.rank, cat="sync",
-            )
+        yield from self._sync("barrier", 1)
 
     def allreduce_max(self, value: float):
         """Reduction cost; the representative's value is the result."""
+        yield from self._sync("allreduce", 2)
+        return value
+
+    def _sync(self, name: str, depth: int):
+        """Pay ``depth`` log-depth rounds of latency and message overhead."""
         t_enter = self.env.now
         ic = self.profile.interconnect
         rounds = max(1, math.ceil(math.log2(max(2, self.nranks))))
-        yield self.env.timeout(2 * rounds * (ic.latency_s + ic.per_message_cpu_us * 1e-6))
+        yield self.env.timeout(
+            depth * rounds * (ic.latency_s + ic.per_message_cpu_us * 1e-6)
+        )
         if self.tracer is not None:
             self.tracer.record(
-                "mpi-sync", "allreduce", t_enter, self.env.now,
-                group=self.rank, cat="sync",
+                "mpi-sync", name, t_enter, self.env.now, group=self.rank, cat="sync"
             )
-        return value

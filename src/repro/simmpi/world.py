@@ -18,11 +18,17 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, Iterable, Optional, Sequence, Tuple
 
 from repro.des import Environment, Event, SharedBandwidth
-from repro.machines.spec import InterconnectSpec, NodeSpec, ProgressModel
-from repro.simmpi.api import RankComm, Request
+from repro.machines.spec import InterconnectSpec, NodeSpec
+from repro.simmpi.api import Plan, RankComm, Request
+from repro.simmpi.message import (
+    _SendPrice,
+    perturbed_background,
+    perturbed_remainder,
+    pricing,
+)
 
 __all__ = ["World"]
 
@@ -30,32 +36,20 @@ __all__ = ["World"]
 class _Xfer:
     """One message in flight."""
 
-    __slots__ = (
-        "src",
-        "dst",
-        "tag",
-        "nbytes",
-        "payload",
-        "eager",
-        "local",
-        "both_posted",
-        "bg_done",
-        "fg_done",
-        "fg_started",
-    )
+    __slots__ = ("src", "dst", "tag", "nbytes", "payload", "price",
+                 "both_posted", "bg_done", "fg_done")
 
-    def __init__(self, src, dst, tag, nbytes, payload, eager, local, env):
+    def __init__(self, src, dst, tag, nbytes, payload, price: _SendPrice, env):
         self.src = src
         self.dst = dst
         self.tag = tag
         self.nbytes = nbytes
         self.payload = payload
-        self.eager = eager
-        self.local = local
+        self.price = price
         self.both_posted = False
         self.bg_done: Event = env.event()
+        #: the in-wait remainder's completion, created when it starts
         self.fg_done: Optional[Event] = None
-        self.fg_started = False
 
 
 class World:
@@ -99,31 +93,20 @@ class World:
             for n in range(nnodes)
             for j in range(self._npn)
         ]
-        #: Background wire intervals land on the "mpi" lane under the
-        #: paper-era manual-poll model and on the "progress" lane when an
-        #: engine (thread or NIC) advances them — the obs layer separates
-        #: library-attended from autonomously-progressed traffic.
-        self._bg_lane = (
-            "mpi" if interconnect.progress is ProgressModel.MANUAL_POLL
-            else "progress"
-        )
+        #: Send prices shared with every communicator on this interconnect.
+        #: An off-node send is priced at a NIC share of one; its wire time
+        #: comes from the NIC's fair share instead (the price's ``rate`` is
+        #: unused here).
+        self._pricing = pricing(interconnect, node)
         self._posted_sends: Dict[Tuple[int, int, int], deque] = {}
         self._posted_recvs: Dict[Tuple[int, int, int], deque] = {}
-        # Barrier / allreduce state.
-        self._bar_count = 0
-        self._bar_event = env.event()
-        self._red_count = 0
-        self._red_event = env.event()
-        self._red_acc: Optional[float] = None
+        #: barrier/allreduce name -> [ranks entered, release event, max value].
+        self._syncs: Dict[str, list] = {}
 
     # -- topology -------------------------------------------------------------
     def node_of(self, rank: int) -> int:
         """Node hosting ``rank`` (contiguous placement)."""
         return rank // self.tasks_per_node
-
-    def is_local(self, src: int, dst: int) -> bool:
-        """True when both ranks share a node (message moves at memory speed)."""
-        return self.node_of(src) == self.node_of(dst)
 
     def comm(self, rank: int) -> "WorldRankComm":
         """Per-rank communicator handle."""
@@ -131,17 +114,14 @@ class World:
             raise ValueError(f"rank {rank} out of range")
         return WorldRankComm(self, rank)
 
-    # -- wire -----------------------------------------------------------------
-    def _memcpy_rate(self) -> float:
-        return self.node.memcpy_bandwidth_gbs * 1e9
+    def _price(self, src: int, dst: int, nbytes: int) -> _SendPrice:
+        """Price an ``nbytes`` send: on-node when both ranks share a node."""
+        local = self.node_of(src) == self.node_of(dst)
+        return self._pricing.price(None if local else 1.0, nbytes)
 
-    def _wire(self, src: int, nbytes: float, local: bool) -> Event:
-        """Move ``nbytes`` (through the sender's NIC if off-node)."""
-        if local:
-            done = self.env.event()
-            # Slot-scheduled completion — no mover process per on-node copy.
-            self.env.schedule(nbytes / self._memcpy_rate(), done.succeed)
-            return done
+    # -- wire -----------------------------------------------------------------
+    def _nic_transfer(self, src: int, nbytes: float) -> Event:
+        """Move ``nbytes`` through the sender's NIC."""
         nic = self.node_of(src) * self._npn + (src % self._npn)
         return self.nics[nic].transfer(nbytes)
 
@@ -152,33 +132,17 @@ class World:
         callback) replace the per-transfer ``bg()`` generator process of the
         seed engine.
         """
-        if xfer.local:
-            frac = 1.0  # on-node: a plain memcpy, fully asynchronous is moot
-            lat = 0.5e-6
-        else:
-            # How much of the wire moves without host attention is the
-            # progress model's call (manual-poll: nothing for eager — the
-            # paper's ref [1], "Where's the overlap?" — and the calibrated
-            # in-library fraction for rendezvous).
-            frac = self.ic.background_fraction(xfer.eager)
-            lat = (
-                self.ic.latency_s if xfer.eager
-                else 2.0 * self.ic.latency_s  # rendezvous handshake round trip
-            )
-
-        wire_mult = 1.0
+        p = xfer.price
+        lat, wire_mult = p.lat, 1.0
         perturb = self.perturb
-        if perturb is not None and not xfer.local:
-            lat = lat * perturb.latency_factor(xfer.src) + perturb.message_delay(
-                xfer.src, self.env.now
-            )
-            wire_mult = perturb.wire_factor(xfer.src)
+        if perturb is not None and not p.local:
+            lat, wire_mult = perturbed_background(p, perturb, xfer.src, self.env.now)
 
         bg_done = xfer.bg_done
         tracer = self.tracer
         if tracer is not None:
             start = self.env.now
-            lane = "mpi" if xfer.local else self._bg_lane
+            lane = self._pricing.lane(p)
             bg_done.callbacks.append(
                 lambda _ev, s=start, x=xfer, lane=lane: tracer.record(
                     lane, f"bg d{x.dst} t{x.tag}", s, self.env.now,
@@ -187,9 +151,14 @@ class World:
                           "nbytes": x.nbytes, "stage": "background"},
                 )
             )
-        if frac > 0:
-            def after_latency(_arg, *, xfer=xfer, frac=frac, mult=wire_mult):
-                wire = self._wire(xfer.src, frac * xfer.nbytes * mult, xfer.local)
+        if p.frac > 0:
+            def after_latency(_arg, *, xfer=xfer, mult=wire_mult):
+                if p.local:
+                    # Slot-scheduled memcpy: no mover process per on-node copy.
+                    wire = self.env.event()
+                    self.env.schedule(p.bg_wire, wire.succeed)
+                else:
+                    wire = self._nic_transfer(xfer.src, p.frac * xfer.nbytes * mult)
                 wire.callbacks.append(lambda _ev: bg_done.succeed())
 
             self.env.schedule(lat, after_latency)
@@ -197,15 +166,12 @@ class World:
             self.env.schedule(lat, bg_done.succeed)
 
     def _ensure_foreground(self, xfer: _Xfer) -> Event:
-        """Start (once) the in-wait remainder of a rendezvous transfer."""
+        """Start (once) the in-wait remainder of an off-node transfer."""
         if xfer.fg_done is None:
             xfer.fg_done = self.env.event()
-        if not xfer.fg_started:
-            xfer.fg_started = True
-            bg_frac = self.ic.background_fraction(xfer.eager)
-            remainder = (1.0 - bg_frac) * xfer.nbytes
-            if self.perturb is not None and not xfer.local and remainder > 0:
-                remainder *= self.perturb.wire_factor(xfer.src)
+            remainder = perturbed_remainder(
+                xfer.price, xfer.nbytes, self.perturb, xfer.src
+            )
             done = xfer.fg_done
             tracer = self.tracer
             if tracer is not None and remainder > 0:
@@ -219,7 +185,7 @@ class World:
                     )
                 )
             if remainder > 0:
-                wire = self._wire(xfer.src, remainder, xfer.local)
+                wire = self._nic_transfer(xfer.src, remainder)
                 wire.callbacks.append(lambda _ev: done.succeed())
             else:
                 done.succeed()
@@ -239,7 +205,7 @@ class World:
                 match_ev.succeed()
         else:
             self._posted_sends.setdefault(key, deque()).append(xfer)
-        if xfer.eager or xfer.local or xfer.both_posted:
+        if xfer.price.unpaired or xfer.both_posted:
             self._start_background(xfer)
 
     def _post_recv(self, req: Request) -> None:
@@ -249,7 +215,7 @@ class World:
             xfer = sends.popleft()
             req._xfer = xfer
             req.payload = xfer.payload
-            if not (xfer.eager or xfer.local):
+            if not xfer.price.unpaired:
                 xfer.both_posted = True
                 self._start_background(xfer)
         else:
@@ -265,11 +231,6 @@ class WorldRankComm(RankComm):
         self.world = world
         self.rank = rank
         self.nranks = world.nranks
-        # Statistics (protocol-conformance checks and reports).
-        self.messages_sent = 0
-        self.bytes_sent = 0
-        self.messages_received = 0
-        self.bytes_received = 0
 
     @property
     def env(self) -> Environment:
@@ -280,104 +241,113 @@ class WorldRankComm(RankComm):
         return self.env.timeout(self.world.ic.per_message_cpu_us * 1e-6)
 
     # -- point to point -----------------------------------------------------
-    def isend(self, dst: int, tag: int, nbytes: int, payload: Any = None):
-        """Post a nonblocking send (generator; returns a Request)."""
-        yield self._overhead()
+    # Message by message: each post pays its own overhead Timeout, and each
+    # wait yields on its match, background, foreground and copy in turn.
+    def isend_all(self, plan: Plan, payloads: Optional[Sequence[Any]] = None):
+        """Post one nonblocking send per plan entry (generator; returns the
+        Requests)."""
         w = self.world
-        local = w.is_local(self.rank, dst)
-        eager = nbytes <= w.ic.eager_threshold_bytes
-        xfer = _Xfer(self.rank, dst, tag, nbytes, payload, eager, local, self.env)
-        self.messages_sent += 1
-        self.bytes_sent += nbytes
-        if w.tracer is not None:
-            w.tracer.mark(
-                "mpi", "isend", self.env.now, group=self.rank, cat="comm",
-                args={"src": self.rank, "dst": dst, "tag": tag, "nbytes": nbytes},
-            )
-        w._post_send(xfer)
-        return Request("send", self.rank, dst, tag, nbytes, payload, _xfer=xfer)
+        rank = self.rank
+        reqs = []
+        for i, (dst, tag, nbytes) in enumerate(plan):
+            yield self._overhead()
+            payload = None if payloads is None else payloads[i]
+            xfer = _Xfer(rank, dst, tag, nbytes, payload,
+                         w._price(rank, dst, nbytes), self.env)
+            self.messages_sent += 1
+            self.bytes_sent += nbytes
+            if w.tracer is not None:
+                w.tracer.mark(
+                    "mpi", "isend", self.env.now, group=rank, cat="comm",
+                    args={"src": rank, "dst": dst, "tag": tag, "nbytes": nbytes},
+                )
+            w._post_send(xfer)
+            reqs.append(Request("send", rank, dst, tag, nbytes, payload, _xfer=xfer))
+        return reqs
 
-    def irecv(self, src: int, tag: int, nbytes: int):
-        """Post a nonblocking receive (generator; returns a Request)."""
-        yield self._overhead()
-        req = Request("recv", self.rank, src, tag, nbytes)
-        self.messages_received += 1
-        self.bytes_received += nbytes
-        if self.world.tracer is not None:
-            self.world.tracer.mark(
-                "mpi", "irecv", self.env.now, group=self.rank, cat="comm",
-                args={"src": src, "dst": self.rank, "tag": tag, "nbytes": nbytes},
-            )
-        self.world._post_recv(req)
-        return req
-
-    def wait(self, request: Request):
-        """Block until ``request`` completes; returns payload for receives."""
+    def irecv_all(self, plan: Plan):
+        """Post one nonblocking receive per plan entry (generator; returns
+        the Requests)."""
         w = self.world
-        if request.completed:
-            return request.payload
-        if request.kind == "recv" and request._xfer is None:
-            yield request._match_event
-        xfer: _Xfer = request._xfer
-        if xfer.eager and not xfer.local and request.kind == "send":
-            # Eager sends complete as soon as the data is buffered; only the
-            # receiver is exposed to the wire.
+        rank = self.rank
+        reqs = []
+        for src, tag, nbytes in plan:
+            yield self._overhead()
+            req = Request("recv", rank, src, tag, nbytes)
+            self.messages_received += 1
+            self.bytes_received += nbytes
+            if w.tracer is not None:
+                w.tracer.mark(
+                    "mpi", "irecv", self.env.now, group=rank, cat="comm",
+                    args={"src": src, "dst": rank, "tag": tag, "nbytes": nbytes},
+                )
+            w._post_recv(req)
+            reqs.append(req)
+        return reqs
+
+    def waitall(self, requests: Iterable[Request]):
+        """Complete each request in turn; returns the receives' payloads
+        (``None`` per send)."""
+        w = self.world
+        out = []
+        for request in requests:
+            if request.completed:
+                out.append(request.payload)
+                continue
+            recv = request.kind == "recv"
+            if recv and request._xfer is None:
+                yield request._match_event
+            xfer: _Xfer = request._xfer
+            p = xfer.price
+            if not recv and p.buffered:
+                # Eager sends complete as soon as the data is buffered; only
+                # the receiver is exposed to the wire.
+                request.completed = True
+                out.append(None)
+                continue
+            if not xfer.bg_done.processed:
+                yield xfer.bg_done
+            if not p.local:
+                # Finish the wire work MPI could not progress in the background.
+                yield w._ensure_foreground(xfer)
+            if recv:
+                if p.copy_s is not None:
+                    # Copy out of the receive/unexpected buffer.
+                    yield self.env.timeout(p.copy_s)
+                request.payload = xfer.payload
             request.completed = True
-            return None
-        if not xfer.bg_done.processed:
-            yield xfer.bg_done
-        if not xfer.local:
-            # Finish the wire work MPI could not progress in the background.
-            yield w._ensure_foreground(xfer)
-        if (xfer.local or xfer.eager) and request.kind == "recv":
-            # Copy out of the receive/unexpected buffer.
-            yield self.env.timeout(xfer.nbytes / w._memcpy_rate())
-        request.payload = xfer.payload if request.kind == "recv" else request.payload
-        request.completed = True
-        return request.payload if request.kind == "recv" else None
+            out.append(request.payload if recv else None)
+        return out
 
     # -- collectives ---------------------------------------------------------
-    def _log_rounds(self) -> int:
-        return max(1, math.ceil(math.log2(max(2, self.nranks))))
-
     def barrier(self):
         """Dissemination barrier: completes after the last rank arrives."""
-        t_enter = self.env.now
-        yield self._overhead()
-        w = self.world
-        ev = w._bar_event
-        w._bar_count += 1
-        if w._bar_count == w.nranks:
-            w._bar_count = 0
-            w._bar_event = self.env.event()
-            ev.succeed()
-        yield ev
-        yield self.env.timeout(self._log_rounds() * w.ic.latency_s)
-        if w.tracer is not None:
-            w.tracer.record(
-                "mpi-sync", "barrier", t_enter, self.env.now,
-                group=self.rank, cat="sync",
-            )
+        yield from self._sync("barrier", 0.0, 1)
 
     def allreduce_max(self, value: float):
         """Max-allreduce of a scalar across all ranks."""
+        return (yield from self._sync("allreduce", value, 2))
+
+    def _sync(self, name: str, value: float, depth: int):
+        """Release every rank once the last enters ``name``, then pay
+        ``depth`` log-depth rounds of latency; returns the largest value."""
         t_enter = self.env.now
         yield self._overhead()
         w = self.world
-        ev = w._red_event
-        w._red_acc = value if w._red_acc is None else max(w._red_acc, value)
-        w._red_count += 1
-        if w._red_count == w.nranks:
-            result = w._red_acc
-            w._red_count = 0
-            w._red_acc = None
-            w._red_event = self.env.event()
-            ev.succeed(result)
+        state = w._syncs.get(name)
+        if state is None:
+            state = w._syncs[name] = [0, self.env.event(), None]
+        ev = state[1]
+        state[0] += 1
+        state[2] = value if state[2] is None else max(state[2], value)
+        if state[0] == w.nranks:
+            w._syncs[name] = [0, self.env.event(), None]
+            ev.succeed(state[2])
         result = yield ev
-        yield self.env.timeout(2 * self._log_rounds() * w.ic.latency_s)
+        rounds = max(1, math.ceil(math.log2(max(2, self.nranks))))
+        yield self.env.timeout(depth * rounds * w.ic.latency_s)
         if w.tracer is not None:
             w.tracer.record(
-                "mpi-sync", "allreduce", t_enter, self.env.now,
-                group=self.rank, cat="sync",
+                "mpi-sync", name, t_enter, self.env.now, group=self.rank, cat="sync"
             )
         return result

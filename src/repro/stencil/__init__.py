@@ -18,8 +18,9 @@ This package is the *numerical* core of the reproduction (paper §II):
   makes the separable path allocation-free in steady state.
 * :mod:`~repro.stencil.analytic` — the exact solution (the Gaussian
   translated at velocity ``c`` with periodic wraparound) and error norms.
-* :mod:`~repro.stencil.verification` — convergence-order estimation and the
-  unit-CFL exact-shift identity used as a strong correctness oracle.
+* :mod:`~repro.stencil.verification` — the single-domain reference run and
+  convergence-order estimation (the unit-CFL exact-shift oracle runs in
+  :mod:`repro.validation`).
 """
 
 from repro.stencil.analytic import analytic_solution, error_norms

@@ -5,7 +5,8 @@ Three independent oracles:
 * **Unit-CFL exact shift** — when ``|c_i| * nu = 1`` for an axis-aligned
   velocity, the Lax-Wendroff coefficients collapse to a pure one-cell shift,
   so each step must reproduce the initial field exactly (to roundoff),
-  circularly shifted. This catches indexing and halo bugs bit-for-bit.
+  circularly shifted. This catches indexing and halo bugs bit-for-bit
+  (:func:`repro.validation.validate_implementation` checks it).
 * **Convergence order** — global error at fixed simulated time must shrink
   as O(delta^2) under simultaneous refinement of delta and Delta (paper:
   the method is O(Delta^2) for a fixed simulated time).
@@ -25,7 +26,7 @@ from repro.stencil.coefficients import max_stable_nu, tensor_product_coefficient
 from repro.stencil.grid import Grid3D, allocate_field, gaussian_initial_condition
 from repro.stencil.kernels import advance, interior
 
-__all__ = ["run_reference", "convergence_order", "exact_shift_steps"]
+__all__ = ["run_reference", "convergence_order"]
 
 
 def run_reference(
@@ -78,24 +79,3 @@ def convergence_order(
     slope, _ = np.polyfit(np.log(deltas), np.log(errs), 1)
     return float(slope)
 
-
-def exact_shift_steps(
-    n: int, axis: int, sign: int, steps: int, sigma: float = 0.1
-) -> float:
-    """Max abs deviation from the exact circular shift at unit CFL.
-
-    With velocity = ``sign`` along ``axis`` and ``nu = 1``, each step is an
-    exact one-cell shift; returns ``max |computed - shifted_initial|``,
-    which should be at roundoff level (~1e-15).
-    """
-    velocity = [0.0, 0.0, 0.0]
-    velocity[axis] = float(sign)
-    grid = Grid3D(n)
-    coeffs = tensor_product_coefficients(velocity, nu=1.0)
-    u = allocate_field(grid.n)
-    u0 = gaussian_initial_condition(grid, sigma=sigma)
-    interior(u)[...] = u0
-    u = advance(u, coeffs, steps=steps)
-    # Positive velocity moves the wave in +axis; grid values shift by +steps.
-    expected = np.roll(u0, sign * steps, axis=axis)
-    return float(np.abs(interior(u) - expected).max())

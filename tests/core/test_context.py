@@ -151,16 +151,6 @@ class TestGpuCosts:
         with pytest.raises(RuntimeError, match="no GPU"):
             ctx.launch_cost()
 
-    def test_gpu_block_override(self):
-        ctx = make_ctx(block=(32, 4))
-        assert ctx.gpu_block == (32, 4)
-
-    def test_gpu_block_default_is_device_best(self):
-        ctx = make_ctx()
-        from repro.simgpu.blockmodel import best_block
-
-        assert ctx.gpu_block == best_block(YONA.gpu, ctx.sub.shape)
-
     def test_launch_cost_scales(self):
         ctx = make_ctx()
 

@@ -103,13 +103,6 @@ class TestTwoLevelRegistry:
         with pytest.raises(KeyError, match="did you mean 'advection'"):
             get_workload("Advection")
 
-    def test_implementation_keys_per_workload(self):
-        from repro.core.registry import implementation_keys
-
-        assert implementation_keys() == sorted(IMPLEMENTATIONS)
-        assert implementation_keys("spmv") == \
-            ["bulk", "hybrid_overlap", "nonblocking"]
-
 
 class TestFrozenSingletons:
     """Registry instances are shared across interleaved runs; writing to

@@ -33,8 +33,8 @@ from repro.decomp.partition import (
 from repro.des import Environment
 from repro.machines import A100_SXM, JAGUARPF, LENS, ProgressModel
 from repro.perturb import NoiseSpec
-from repro.simmpi import MirrorComm, MirrorProfile, mirror
-from repro.simmpi.mirror import _Pricing, _pricing
+from repro.simmpi import MirrorComm, MirrorProfile, message
+from repro.simmpi.message import _Pricing, _pricing
 from repro.simgpu.blockmodel import _kernel_rate
 from repro.workloads import spmv
 from repro.workloads.spmv import SpmvProblem, _extra_cols, gather_tag
@@ -300,7 +300,7 @@ class TestSharedSendPrices:
             assert price_fields(got) == price_fields(want)
 
     def test_a_full_table_starts_over_with_equal_prices(self, monkeypatch):
-        monkeypatch.setattr(mirror, "_MAX_SHARED_PRICES", 4)
+        monkeypatch.setattr(message, "_MAX_SHARED_PRICES", 4)
         pricing = _Pricing(JAGUARPF.interconnect, 4.5e9)
         first = [price_fields(pricing.price(2.0, n)) for n in range(10)]
         assert len(pricing._prices) <= 4

@@ -5,12 +5,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.decomp.halo26 import OFFSETS26
 from repro.decomp.partition import (
     Decomposition,
     _factor_triples,
     block_range,
     choose_task_grid,
 )
+
+
+def neighbors26(decomp, rank):
+    """The ranks a direct 26-neighbor exchange talks to (may include ``rank``)."""
+    coords = decomp.coords_of(rank)
+    return {decomp.rank_of(tuple(c + dd for c, dd in zip(coords, d)))
+            for d in OFFSETS26}
 
 
 def _min_largest_factor(n):
@@ -136,17 +144,17 @@ class TestDecomposition:
     def test_all_neighbors_at_most_26(self):
         d = Decomposition(64, (64, 64, 64))
         for r in (0, 21, 63):
-            nbrs = d.all_neighbors(r)
+            nbrs = neighbors26(d, r)
             assert len(nbrs) <= 26
             assert r not in nbrs or d.ntasks < 27
 
     def test_26_neighbors_for_large_grid(self):
         d = Decomposition(4 * 4 * 4, (64, 64, 64))
-        assert len(d.all_neighbors(0)) == 26
+        assert len(neighbors26(d, 0)) == 26
 
     def test_max_min_shapes(self):
         d = Decomposition(8, (10, 10, 10))
-        mx = d.max_subdomain_shape()
+        mx = d.subdomain(0).shape  # block_range puts the remainder first
         mn = d.min_subdomain_shape()
         assert all(a - b <= 1 for a, b in zip(mx, mn))
         assert mx == (5, 5, 5)
@@ -155,13 +163,6 @@ class TestDecomposition:
         d = Decomposition(8)
         with pytest.raises(ValueError):
             d.subdomain(8)
-
-    def test_face_points(self):
-        d = Decomposition(1, (10, 12, 14))
-        sub = d.subdomain(0)
-        assert sub.face_points(0) == 12 * 14
-        assert sub.face_points(2) == 10 * 12
-        assert sub.points == 10 * 12 * 14
 
     def test_node_mapping(self):
         d = Decomposition(8)

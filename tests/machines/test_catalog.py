@@ -56,10 +56,9 @@ class TestTable2Transcription:
 
     def test_cores_per_gpu(self):
         """Paper: one GPU per 16 cores on Lens, per 12 on Yona."""
-        assert LENS.cores_per_gpu == 16
-        assert YONA.cores_per_gpu == 12
-        with pytest.raises(ValueError):
-            JAGUARPF.cores_per_gpu
+        assert LENS.node.cores // LENS.gpus_per_node == 16
+        assert YONA.node.cores // YONA.gpus_per_node == 12
+        assert not JAGUARPF.gpus_per_node
 
     def test_thread_options_match_section_vb(self):
         assert JAGUARPF.thread_options == (1, 2, 3, 6, 12)
@@ -100,21 +99,9 @@ class TestLookup:
         with pytest.raises(KeyError):
             get_machine("bluegene")
 
-    def test_nodes_for_cores(self):
-        assert YONA.nodes_for_cores(12) == 1
-        assert YONA.nodes_for_cores(48) == 4
-        with pytest.raises(ValueError):
-            YONA.nodes_for_cores(18)
-
     def test_total_cores(self):
         assert JAGUARPF.total_cores == 18688 * 12
         assert HOPPER.total_cores == 6392 * 24
-
-    def test_validate_threads(self):
-        YONA.validate_threads(6)
-        with pytest.raises(ValueError):
-            YONA.validate_threads(13)
-
 
 class TestKeyNormalization:
     """Regression: registration stripped only spaces while lookup stripped

@@ -3,9 +3,8 @@
 import pytest
 
 from repro.machines import HOPPER, JAGUARPF
+from repro.machines.calibration import COPY_BYTES_PER_POINT
 from repro.machines.cpu_model import (
-    boundary_compute_time,
-    copy_state_time,
     memcpy_time,
     omp_region_overhead,
     task_compute_time,
@@ -61,9 +60,10 @@ class TestComputeTime:
 
     def test_boundary_slower_than_interior(self):
         node = JAGUARPF.node
-        assert boundary_compute_time(node, 6, 10**5) > task_compute_time(
-            node, 6, 10**5
+        boundary = task_compute_time(
+            node, 6, 10**5, efficiency=node.boundary_loop_efficiency
         )
+        assert boundary > task_compute_time(node, 6, 10**5)
 
     def test_region_overhead_only_for_parallel(self):
         node = JAGUARPF.node
@@ -73,7 +73,11 @@ class TestComputeTime:
 
     def test_copy_state_cheaper_than_sweep(self):
         node = JAGUARPF.node
-        assert copy_state_time(node, 6, 10**6) < task_compute_time(node, 6, 10**6)
+        # Step 3's cost as RankContext.copy_state_cost charges it
+        copy = task_compute_time(
+            node, 6, 10**6, bytes_per_point=COPY_BYTES_PER_POINT, flops_per_point=0.25
+        )
+        assert copy < task_compute_time(node, 6, 10**6)
 
 
 class TestMemcpy:

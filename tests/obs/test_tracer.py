@@ -129,14 +129,6 @@ class TestAnalysis:
         t.record("gpu", "b", 0.5, 1.5)
         assert t.span() == (0.5, 2.0)
 
-    def test_counter_series(self):
-        t = Tracer()
-        t.counter("nic.in_flight", 0.0, 1, group=3)
-        t.counter("nic.in_flight", 1.0, 2, group=3)
-        t.counter("other", 0.5, 9, group=3)
-        assert t.counter_series("nic.in_flight") == [(0.0, 1.0), (1.0, 2.0)]
-        assert t.counter_series("nic.in_flight", group=4) == []
-
     def test_intervals_intersection(self):
         a = [(0.0, 2.0), (4.0, 6.0)]
         b = [(1.0, 5.0)]

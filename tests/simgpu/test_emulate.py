@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.simgpu.emulate import emulate_tiled_kernel
 from repro.stencil.coefficients import tensor_product_coefficients
 from repro.stencil.grid import allocate_field
 from repro.stencil.kernels import (
@@ -14,6 +13,8 @@ from repro.stencil.kernels import (
     fill_periodic_halo,
     interior,
 )
+
+from tiled_emulation import emulate_tiled_kernel
 
 
 def make_field(shape, seed=0):

@@ -4,12 +4,28 @@ import numpy as np
 import pytest
 
 from repro.stencil.analytic import analytic_solution, error_norms
-from repro.stencil.grid import Grid3D, gaussian_initial_condition
-from repro.stencil.verification import (
-    convergence_order,
-    exact_shift_steps,
-    run_reference,
-)
+from repro.stencil.coefficients import tensor_product_coefficients
+from repro.stencil.grid import Grid3D, allocate_field, gaussian_initial_condition
+from repro.stencil.kernels import advance, interior
+from repro.stencil.verification import convergence_order, run_reference
+
+
+def exact_shift_steps(n, axis, sign, steps, sigma=0.1):
+    """Max abs deviation from the exact circular shift at unit CFL.
+
+    With velocity = ``sign`` along ``axis`` and ``nu = 1``, each step is an
+    exact one-cell shift, so the result should be at roundoff level.
+    """
+    velocity = [0.0, 0.0, 0.0]
+    velocity[axis] = float(sign)
+    grid = Grid3D(n)
+    u = allocate_field(grid.n)
+    u0 = gaussian_initial_condition(grid, sigma=sigma)
+    interior(u)[...] = u0
+    u = advance(u, tensor_product_coefficients(velocity, nu=1.0), steps=steps)
+    # Positive velocity moves the wave in +axis; grid values shift by +steps.
+    expected = np.roll(u0, sign * steps, axis=axis)
+    return float(np.abs(interior(u) - expected).max())
 
 
 class TestAnalyticSolution:
