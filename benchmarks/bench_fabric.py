@@ -1,38 +1,32 @@
-"""Sweep-fabric hot paths: group-commit appends and warm parent lookups.
+"""Sweep-fabric hot paths: journal commits and warm parent lookups.
 
-Million-config sweeps live or die on two rates (docs/MODEL.md §13): how
-fast completed results reach durable journal storage (group commit — one
-``write+flush+fsync`` per batch instead of per line) and how fast a
-resumed or deduplicated sweep can re-key and short-circuit warm configs
-in the scheduler parent (memoized cache keys + sharded journal lookups,
-no worker round-trip). Both are gated here: warm lookups at
-:data:`FLOOR_WARM_LOOKUPS_PER_S`, group-commit appends at
-:data:`FLOOR_GROUP_COMMIT_SPEEDUP` times the one-fsync-per-line baseline.
+Million-config sweeps live or die on two costs (docs/MODEL.md §13): how
+often completed results are fsynced on their way to durable journal
+storage, and how fast a resumed or deduplicated sweep can re-key and
+short-circuit warm configs in the scheduler parent (memoized cache keys
++ journal segment lookups, no worker round-trip). The first is counted,
+not timed: a commit of :data:`N_CONFIGS` appended lines makes exactly
+one fsync per segment they landed in, and nothing is fsynced before the
+commit. The second is gated at :data:`FLOOR_WARM_LOOKUPS_PER_S`.
 """
 
 from __future__ import annotations
 
+import os
 import time
 
 import pytest
 
-from repro.cache import config_key
+from repro.cache import SHARD_PREFIX_CHARS, config_key
 from repro.core.config import RunConfig
 from repro.machines import get_machine
 from repro.sched import Scheduler, ShardedJournal
-from repro.sched.journal import Journal
 
 #: Warm cached lookups/s through the scheduler parent path, best of 3.
 FLOOR_WARM_LOOKUPS_PER_S = 20_000
 
-#: Group-commit appends/s over one-fsync-per-line appends/s.
-FLOOR_GROUP_COMMIT_SPEEDUP = 10.0
-
-#: Distinct configs mapped warm, and records appended with group commit.
+#: Distinct configs mapped warm, and lines appended before one commit.
 N_CONFIGS = 4096
-
-#: Records appended with one fsync each (bounded so slow disks stay quick).
-N_PER_LINE = 256
 
 
 @pytest.fixture(scope="module")
@@ -52,34 +46,34 @@ def configs():
     return cfgs, keys, payloads
 
 
-def _append_rate(path, flush_max, keys, payloads):
-    journal = Journal(str(path), flush_max_records=flush_max,
-                      flush_interval=3600.0)
+def test_bench_journal_commit_fsyncs(configs, tmp_path, monkeypatch):
+    """One fsync per dirty segment per commit, none while appending."""
+    _, keys, payloads = configs
+    synced = []
+    real = os.fsync
+    monkeypatch.setattr(os, "fsync", lambda fd: synced.append(real(fd)))
+    journal = ShardedJournal(str(tmp_path / "journal"))
     t0 = time.perf_counter()
     for key, payload in zip(keys, payloads):
         journal.record(key, payload)
-    journal.close()  # the final flush belongs in the measurement
-    return len(keys) / (time.perf_counter() - t0)
-
-
-def test_bench_journal_group_commit(configs, tmp_path):
-    """Group-commit appends vs the one-fsync-per-line baseline."""
-    _, keys, payloads = configs
-    baseline = _append_rate(tmp_path / "per-line.jsonl", 1,
-                            keys[:N_PER_LINE], payloads[:N_PER_LINE])
-    grouped = _append_rate(tmp_path / "grouped.jsonl", 256, keys, payloads)
-    speedup = grouped / baseline
-    assert speedup >= FLOOR_GROUP_COMMIT_SPEEDUP, (
-        f"group commit {grouped:,.0f}/s is {speedup:.1f}x per-line fsync "
-        f"{baseline:,.0f}/s < {FLOOR_GROUP_COMMIT_SPEEDUP:.0f}x floor"
-    )
+    appended = len(synced)
+    journal.flush()
+    elapsed = time.perf_counter() - t0
+    segments = {key[:SHARD_PREFIX_CHARS] for key in keys}
+    print(f"\n{len(keys)} lines appended and committed in {elapsed:.3f}s "
+          f"({len(keys) / elapsed:,.0f}/s), {len(synced)} fsyncs")
+    assert appended == 0
+    assert len(synced) == len(segments)
+    journal.flush()  # nothing appended since the last commit
+    assert len(synced) == len(segments)
+    journal.close()
 
 
 def test_bench_warm_parent_lookups(configs, tmp_path):
     """Warm map() throughput: memoized keys + journal hits, no workers."""
     cfgs, keys, payloads = configs
     jroot = str(tmp_path / "journal")
-    journal = ShardedJournal(jroot, flush_max_records=1024)
+    journal = ShardedJournal(jroot)
     for key, payload in zip(keys, payloads):
         journal.record(key, payload)
     journal.close()

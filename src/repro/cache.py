@@ -50,8 +50,11 @@ cache-key prefix, ``<dir>/<key[:2]>.jsonl``. Each line starts with its
 ``phases``, ``comm_stats``, machine/implementation/cores, and
 ``overlap`` on a summary entry). A store is
 one ``os.write`` of the whole line to the segment opened with
-``O_APPEND``: no file is created per entry and nothing is renamed or
-fsynced (the cache is a memo; the journal is the durable record). The
+``O_APPEND``: no file is created per entry and nothing is renamed. A
+plain cache never fsyncs: it is a memo. The scheduler's journal
+(:class:`repro.sched.journal.ShardedJournal`) is a directory of the same
+segments whose handle adds a durable commit, an fsync of every segment
+it appended to, before results are surfaced. The
 layout assumes a local Linux file system, where one ``O_APPEND`` write
 is never interleaved with another appender's, so scheduler workers,
 serve threads and concurrent CLI processes can share a directory.
@@ -60,9 +63,10 @@ A handle indexes segments lazily, keeping each entry's raw line bytes
 (decoded only on a hit), and on an index miss reads just the bytes
 appended since its last look, up to the last complete line; a segment
 whose size has not changed since then, or that grew only by the handle's
-own stores, is not opened again. A torn,
-corrupt or foreign line is a miss, never a crash, and re-storing the
-key appends a line that supersedes it. Entries of the older
+own stores, is not opened again. A complete line that does not start
+with its key or end with its closing brace is counted in ``torn`` and
+skipped; any other corrupt or foreign line is a miss, never a crash,
+and re-storing the key appends a line that supersedes it. Entries of the older
 one-file-per-entry layouts (``<dir>/<key>.json`` and
 ``<dir>/<key[:2]>/<key>.json``) are never read — a one-time cold
 regeneration — and ``prune`` deletes them.
@@ -100,7 +104,7 @@ import operator
 import os
 import tempfile
 import threading
-from typing import TYPE_CHECKING, Any, Dict, Optional
+from typing import TYPE_CHECKING, Any, Dict, Optional, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
     from repro.core.config import RunConfig, RunResult
@@ -131,8 +135,8 @@ MODEL_VERSION = "pr3-obs-copy-engines-1"
 #: CLI; override with ``--cache-dir`` or ``REPRO_CACHE_DIR``.
 DEFAULT_CACHE_DIR = ".repro-cache"
 
-#: Hex characters of the cache key naming an entry's shard directory
-#: (2 -> 256 shards). Shared by the sharded journal and the lease fabric.
+#: Hex characters of the cache key naming an entry's segment file
+#: (2 -> 256 segments). Shared by the journal and the lease fabric.
 SHARD_PREFIX_CHARS = 2
 
 
@@ -363,21 +367,41 @@ _COUNTERS = ("hits", "misses", "stores", "write_errors")
 log = logging.getLogger("repro.cache")
 
 
-def _decode(line: Optional[bytes]) -> Optional[dict]:
-    """A line's payload when it is a current-version entry, else None."""
-    if line is None:
+def _entry_line(key: str, fields: dict) -> bytes:
+    """One segment line: the key first (readers index by that head), the
+    model version, then ``fields``."""
+    doc = {"key": key, "model_version": MODEL_VERSION, **fields}
+    return json.dumps(doc, separators=(",", ":")).encode("utf-8")
+
+
+def _fields(line: Optional[bytes], summary: bool = False) -> Optional[dict]:
+    """A line's result fields when it is a usable current-version entry.
+
+    ``elapsed_s``, ``phases`` and ``comm_stats``, plus ``overlap`` for a
+    ``summary`` (an entry without it is unusable); None otherwise.
+    """
+    if line is None:  # no entry: the common miss, without an exception
         return None
     try:
-        payload = json.loads(line)
-    except ValueError:  # torn, fused or garbage bytes (incl. bad UTF-8)
+        doc = json.loads(line)
+        if doc["model_version"] != MODEL_VERSION:
+            # Defense in depth: the version is part of the key, so this
+            # only triggers on a corrupted/forged entry.
+            return None
+        out = {
+            "elapsed_s": float(doc["elapsed_s"]),
+            "phases": {k: float(v) for k, v in doc["phases"].items()},
+            "comm_stats": {k: int(v) for k, v in doc["comm_stats"].items()},
+        }
+        if summary:
+            from repro.obs.metrics import OverlapMetrics
+
+            out["overlap"] = OverlapMetrics.from_dict(doc["overlap"])
+    except (KeyError, TypeError, ValueError, AttributeError):
+        # A torn, fused, garbage (bad UTF-8 included) or wrong-shape
+        # entry: a plain miss, never a crash.
         return None
-    if not isinstance(payload, dict) or (
-        payload.get("model_version") != MODEL_VERSION
-    ):
-        # Defense in depth: the version is part of the key, so this only
-        # triggers on a corrupted/forged entry.
-        return None
-    return payload
+    return out
 
 
 class RunCache:
@@ -394,6 +418,9 @@ class RunCache:
     def __init__(self, directory: str):
         self.directory = str(directory)
         self.hits = self.misses = self.stores = self.write_errors = 0
+        #: complete lines the segment reader could not index (no key
+        #: head, or cut before the closing brace)
+        self.torn = 0
         os.makedirs(self.directory, exist_ok=True)
         self._index: Dict[str, bytes] = {}
         #: bytes of each segment consumed so far (always a line boundary)
@@ -419,9 +446,10 @@ class RunCache:
         pattern = os.path.join(self.directory, "?" * SHARD_PREFIX_CHARS + ".jsonl")
         return [os.path.basename(p)[:SHARD_PREFIX_CHARS] for p in glob.glob(pattern)]
 
-    def _read_lines(self, prefix: str, offset: int, index: dict) -> int:
-        """Index a segment's complete lines from ``offset``; returns the new offset.
+    def _read_lines(self, prefix: str, offset: int, index: dict) -> Tuple[int, int]:
+        """Index a segment's complete lines from ``offset``.
 
+        Returns the new offset and how many complete lines were unusable.
         A peer's line still being written (no ``\\n`` yet) is left for a
         later read. Later lines win, so a re-stored key supersedes its
         corrupt predecessor.
@@ -431,14 +459,17 @@ class RunCache:
                 fh.seek(offset)
                 tail = fh.read()
         except OSError:
-            return offset
+            return offset, 0
         end = tail.rfind(b"\n") + 1
         head = len(_KEY_HEAD)
+        torn = 0
         for line in tail[:end].split(b"\n"):
-            if line.startswith(_KEY_HEAD):
+            if line.startswith(_KEY_HEAD) and line.endswith(b"}"):
                 key = line[head : line.find(b'"', head)]
                 index[key.decode("ascii", "replace")] = line
-        return offset + end
+            elif line:
+                torn += 1
+        return offset + end, torn
 
     def _refresh(self, prefix: str) -> None:
         """Catch the index up with a segment's new lines (lock held).
@@ -453,9 +484,10 @@ class RunCache:
         if self._sizes.get(prefix) == size:
             return
         self._sizes[prefix] = size
-        self._offsets[prefix] = self._read_lines(
+        self._offsets[prefix], torn = self._read_lines(
             prefix, self._offsets.get(prefix, 0), self._index
         )
+        self.torn += torn
 
     def _line(self, key: str) -> Optional[bytes]:
         """The raw entry line stored for ``key``, or None."""
@@ -483,20 +515,24 @@ class RunCache:
         """How many of ``keys`` have an entry (``sweep --dry-run`` split)."""
         return len(self.warm_keys(keys))
 
-    def get(
-        self, cfg: "RunConfig", record_miss: bool = True
-    ) -> Optional["RunResult"]:
-        """Return the cached result for ``cfg``, or ``None`` on a miss.
+    def replay(self, key: str) -> Optional[Dict[str, Any]]:
+        """The result fields stored under ``key``, or None.
 
-        ``record_miss=False`` makes the lookup a *probe*: a miss is not
-        charged to the counters. The scheduler uses this for its parent-side
-        short-circuit check — when the probe misses, the worker that ends up
-        simulating the config performs (and counts) the authoritative
-        lookup, so misses are counted exactly once. Hits are always counted.
+        ``elapsed_s``, ``phases`` and ``comm_stats``, as :meth:`get`
+        reads them. A hit is counted, a miss is not: the scheduler's
+        intake ladder replays through this, and the worker that ends up
+        simulating a missed config counts the authoritative miss.
         """
+        payload = _fields(self._line(key))
+        if payload is not None:
+            self.hits += 1
+        return payload
+
+    def get(self, cfg: "RunConfig") -> Optional["RunResult"]:
+        """Return the cached result for ``cfg``, or ``None`` on a miss."""
         if not cacheable(cfg):
             return None
-        return self._lookup(cfg, record_miss, summary=False)
+        return self._lookup(cfg, summary=False)
 
     def get_summary(self, cfg: "RunConfig") -> Optional["RunResult"]:
         """A traced config's summary entry (scalars plus overlap), or None.
@@ -506,33 +542,18 @@ class RunCache:
         """
         if cfg.functional or not cfg.trace:
             return None
-        return self._lookup(cfg, True, summary=True)
+        return self._lookup(cfg, summary=True)
 
-    def _lookup(
-        self, cfg: "RunConfig", record_miss: bool, summary: bool
-    ) -> Optional["RunResult"]:
+    def _lookup(self, cfg: "RunConfig", summary: bool) -> Optional["RunResult"]:
         from repro.core.config import RunResult
-        from repro.obs.metrics import OverlapMetrics
 
-        payload = _decode(self._line(config_key(cfg)))
-        try:
-            result = RunResult(
-                config=cfg,
-                elapsed_s=float(payload["elapsed_s"]),
-                phases={k: float(v) for k, v in payload["phases"].items()},
-                comm_stats={k: int(v) for k, v in payload["comm_stats"].items()},
-                overlap=(
-                    OverlapMetrics.from_dict(payload["overlap"]) if summary else None
-                ),
-            )
-        except (KeyError, TypeError, ValueError, AttributeError):
-            # No entry (payload None), or a corrupt, torn, foreign or
-            # wrong-shape one: a plain miss, never a crash — the run is
-            # re-simulated and a fresh line appended.
-            self.misses += record_miss
+        fields = _fields(self._line(config_key(cfg)), summary)
+        if fields is None:
+            # The run is re-simulated and a fresh line appended.
+            self.misses += 1
             return None
         self.hits += 1
-        return result
+        return RunResult(config=cfg, **fields)
 
     def put(self, cfg: "RunConfig", result: "RunResult") -> bool:
         """Append ``result`` to its segment; False when nothing was stored.
@@ -545,7 +566,7 @@ class RunCache:
         """
         if not cacheable(cfg):
             return False
-        return self._append(cfg, result, {})
+        return self._store(cfg, result, {})
 
     def put_summary(self, cfg: "RunConfig", result: "RunResult") -> bool:
         """Store a traced run's summary: :meth:`put`'s line plus ``overlap``.
@@ -555,13 +576,11 @@ class RunCache:
         """
         if cfg.functional or not cfg.trace or result.overlap is None:
             return False
-        return self._append(cfg, result, {"overlap": result.overlap.to_dict()})
+        return self._store(cfg, result, {"overlap": result.overlap.to_dict()})
 
-    def _append(self, cfg: "RunConfig", result: "RunResult", extra: dict) -> bool:
+    def _store(self, cfg: "RunConfig", result: "RunResult", extra: dict) -> bool:
         key = config_key(cfg)
-        doc = {
-            "key": key,  # first: segment readers index lines by this head
-            "model_version": MODEL_VERSION,
+        line = _entry_line(key, {
             "machine": cfg.machine.name,
             "implementation": cfg.implementation,
             "cores": cfg.cores,
@@ -569,23 +588,9 @@ class RunCache:
             "phases": dict(result.phases),
             "comm_stats": dict(result.comm_stats),
             **extra,
-        }
-        line = json.dumps(doc, separators=(",", ":")).encode("utf-8")
-        prefix = key[:SHARD_PREFIX_CHARS]
+        })
         try:
-            flags = os.O_WRONLY | os.O_APPEND | os.O_CREAT
-            fd = os.open(self._segment_path(prefix), flags, 0o666)
-            try:
-                data = line + b"\n"
-                if os.write(fd, data) < len(data):
-                    # Terminate the torn line so only this entry is lost,
-                    # not the next one appended after it.
-                    os.write(fd, b"\n")
-                    raise OSError(errno.EIO, f"short write to {prefix}.jsonl")
-                # O_APPEND left the offset just past this line.
-                end = os.lseek(fd, 0, os.SEEK_CUR)
-            finally:
-                os.close(fd)
+            self._append(key, line)
         except OSError as exc:
             self.write_errors += 1
             if not self._warned:
@@ -593,6 +598,29 @@ class RunCache:
                 log.warning("run cache %s: write failed (%s); results are "
                             "not memoized", self.directory, exc)
             return False
+        self.stores += 1
+        return True
+
+    def _append(self, key: str, line: bytes, lead: bytes = b"") -> None:
+        """Append ``lead``, ``line`` and a newline to ``key``'s segment.
+
+        One ``os.write`` to the segment opened with ``O_APPEND``; the line
+        is indexed once it landed. Raises ``OSError`` when it did not.
+        """
+        prefix = key[:SHARD_PREFIX_CHARS]
+        data = lead + line + b"\n"
+        flags = os.O_WRONLY | os.O_APPEND | os.O_CREAT
+        fd = os.open(self._segment_path(prefix), flags, 0o666)
+        try:
+            if os.write(fd, data) < len(data):
+                # Terminate the torn line so only this entry is lost,
+                # not the next one appended after it.
+                os.write(fd, b"\n")
+                raise OSError(errno.EIO, f"short write to {prefix}.jsonl")
+            # O_APPEND left the offset just past this line.
+            end = os.lseek(fd, 0, os.SEEK_CUR)
+        finally:
+            os.close(fd)
         with self._lock:
             self._index[key] = line
             seen = self._offsets.get(prefix, 0)
@@ -600,8 +628,6 @@ class RunCache:
                 # Nothing was appended between the last read and this line,
                 # so a later miss need not read the segment for it.
                 self._sizes[prefix] = self._offsets[prefix] = end
-        self.stores += 1
-        return True
 
     # -- maintenance --------------------------------------------------------
     def __len__(self) -> int:
@@ -615,7 +641,7 @@ class RunCache:
         """Drop stale and unreadable entries; returns entries removed.
 
         Each segment is rewritten atomically (temp file + ``os.replace``)
-        with the last line of every key whose entry decodes under the
+        with the last line of every key that is a usable entry under the
         current :data:`MODEL_VERSION`; a line a peer appends meanwhile is
         lost (a later miss). Entries of the one-file-per-entry layouts,
         which lookups never read, are deleted.
@@ -628,7 +654,7 @@ class RunCache:
             for prefix in self._segment_prefixes():
                 lines: Dict[str, bytes] = {}
                 self._read_lines(prefix, 0, lines)
-                keep = [ln for ln in lines.values() if _decode(ln) is not None]
+                keep = [ln for ln in lines.values() if _fields(ln) is not None]
                 removed += len(lines) - len(keep)
                 fd, tmp = tempfile.mkstemp(dir=self.directory, suffix=".tmp")
                 try:

@@ -102,9 +102,9 @@ def build_parser() -> argparse.ArgumentParser:
                       help="write the series as long-form CSV (suffixed as "
                            "for --json)")
     expp.add_argument("--journal", metavar="PATH", default=None,
-                      help="resumable journal for the regeneration (a .jsonl "
-                           "path is a single file, anything else a sharded "
-                           "journal directory); a killed regeneration "
+                      help="resumable journal directory for the "
+                           "regeneration (an old single-file journal there "
+                           "is imported once); a killed regeneration "
                            "restarted with the same journal replays its "
                            "finished configs")
     expp.add_argument("--no-cache", action="store_true",
@@ -138,10 +138,10 @@ def build_parser() -> argparse.ArgumentParser:
                              "config is simulated at most once per session "
                              "and results are bit-identical to --jobs 1")
     sweepp.add_argument("--journal", metavar="PATH", default=None,
-                        help="resumable journal: an interrupted sweep "
-                             "restarts from its completed tasks (a .jsonl "
-                             "path is a single file, anything else a "
-                             "sharded journal directory)")
+                        help="resumable journal directory: an interrupted "
+                             "sweep restarts from its completed tasks (an "
+                             "old single-file journal there is imported "
+                             "once)")
     sweepp.add_argument("--no-cache", action="store_true",
                         help="always re-simulate; do not read or write the "
                              "run-result cache")
@@ -154,8 +154,8 @@ def build_parser() -> argparse.ArgumentParser:
                              "cache+journal probes) without running anything")
     sweepp.add_argument("--fabric", metavar="DIR", default=None,
                         help="cooperate with concurrent sweep processes "
-                             "through a shared fabric directory (sharded "
-                             "journal + shard leases); any number of "
+                             "through a shared fabric directory (journal "
+                             "+ shard leases); any number of "
                              "processes may run the same command against "
                              "the same DIR and split the work")
     sweepp.add_argument("--owner", metavar="NAME", default=None,
@@ -196,8 +196,9 @@ def build_parser() -> argparse.ArgumentParser:
                         help="default per-request timeout in seconds "
                              "(requests may override with 'timeout')")
     servep.add_argument("--journal", metavar="PATH", default=None,
-                        help="group-commit journal: simulations survive "
-                             "SIGTERM and replay warm on the next start")
+                        help="journal directory, committed before each "
+                             "reply: simulations survive SIGTERM and replay "
+                             "warm on the next start")
     servep.add_argument("--no-cache", action="store_true",
                         help="serve without the on-disk run cache")
     servep.add_argument("--cache-dir", metavar="DIR", default=None,
@@ -569,7 +570,7 @@ def _sweep_dry_run(args, groups, total, skipped, cache_dir) -> int:
     import os
 
     from repro.cache import RunCache, config_key
-    from repro.sched import open_journal
+    from repro.sched import ShardedJournal
 
     distinct = {}
     for _impl, _cores, feasible in groups:
@@ -580,11 +581,7 @@ def _sweep_dry_run(args, groups, total, skipped, cache_dir) -> int:
         cache = RunCache(cache_dir)
         warm_keys.update(k for k in distinct if cache.has_key(k))
     if args.journal and os.path.exists(args.journal):
-        journal = open_journal(args.journal)
-        try:
-            warm_keys.update(k for k in distinct if k in journal)
-        finally:
-            journal.close()
+        warm_keys |= ShardedJournal(args.journal).warm_keys(distinct)
     warm = len(warm_keys)
     print(
         f"dry-run: configs={total} infeasible={skipped} "

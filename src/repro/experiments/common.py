@@ -137,11 +137,11 @@ def run_experiments(
     cache configuration (usually: no cache) untouched.
 
     ``journal`` attaches a resumable result journal to the scheduler this
-    call creates (a ``.jsonl`` path for a flat journal, a directory for a
-    key-prefix-sharded one — see :func:`repro.sched.open_journal`);
-    records are group-committed and a killed regeneration restarted with
-    the same journal replays finished configs.  Ignored when a scheduler
-    is already installed (its journal, if any, stays in charge).
+    call creates (a directory — see :mod:`repro.sched.journal`); each
+    batch commits it before returning, and a killed regeneration
+    restarted with the same journal replays finished configs.  Ignored
+    when a scheduler is already installed (its journal, if any, stays in
+    charge).
 
     An already-installed process-wide scheduler
     (:func:`repro.sched.configure`) is reused as-is; otherwise one is

@@ -18,7 +18,7 @@ set of independent tasks and handed to one shared
 * **One intake ladder, three doors** — ``map`` is the non-blocking
   ``submit`` (keying, memo → in-flight → journal → cache lookup,
   registration, dispatch) followed by the blocking ``collect`` (inline
-  runs, drain, journal flush, results); ``probe`` runs the same lookup
+  runs, drain, journal commit, results); ``probe`` runs the same lookup
   for one config without creating a record for a cold one.  The serve
   daemon answers, coalesces and admits through these three alone.
 * **Cache short-circuit** — warm entries of the run cache
@@ -28,14 +28,13 @@ set of independent tasks and handed to one shared
   the pool is rebuilt, in-flight tasks are retried a bounded number of
   times, and a config that keeps crashing its worker is marked *poisoned*
   and reported instead of retried forever.
-* **Resumable journal** — completed task results are appended to a JSONL
-  journal (:mod:`repro.sched.journal`) under *group commit* (one
-  flush+fsync per drain cycle, never surfacing an undurable result; a
-  failed commit keeps its lines pending and never strands a task); a
-  ``SIGKILL``-interrupted batch restarted against the same journal
-  replays finished configs instead of re-simulating them.  At sweep
-  scale the journal shards into per-key-prefix files
-  (:class:`~repro.sched.journal.ShardedJournal`).
+* **Resumable journal** — completed task results are appended to a
+  journal (:class:`~repro.sched.journal.ShardedJournal`), a run-cache
+  directory that ``collect`` commits durably (one fsync per segment
+  appended to, never surfacing an undurable result; a failed append
+  stays pending and never strands a task); a ``SIGKILL``-interrupted
+  batch restarted against the same journal replays finished configs
+  instead of re-simulating them.
 * **Multi-scheduler fabric** — N independent scheduler processes share
   one batch by leasing task shards via atomic lease files with expiry
   (:mod:`repro.sched.lease`, :mod:`repro.sched.fabric`); a dead
@@ -43,8 +42,8 @@ set of independent tasks and handed to one shared
   results stay bit-identical because execution is idempotent by content
   address.
 * **Telemetry** — submitted / coalesced / cache-hit / journal-hit /
-  simulated / failed / poisoned / retry counters, journal corruption
-  tallies (torn / wrong-version / ill-shaped lines), per-task wall times
+  simulated / failed / poisoned / retry counters, the journal's entry,
+  pending and torn-line counts, per-task wall times
   and a straggler log; the counters feed the ``advection-repro sweep``
   CLI's stats line.
 
@@ -54,7 +53,7 @@ journal stores them with full round-trip precision.
 """
 
 from repro.sched.fabric import FabricResult, run_fabric, shard_of
-from repro.sched.journal import Journal, ShardedJournal, open_journal
+from repro.sched.journal import ShardedJournal
 from repro.sched.lease import ShardLeases
 from repro.sched.scheduler import (
     Batch,
@@ -71,7 +70,6 @@ from repro.sched.validate import validate_config
 __all__ = [
     "Batch",
     "FabricResult",
-    "Journal",
     "PoisonedConfigError",
     "Scheduler",
     "SchedulerError",
@@ -81,7 +79,6 @@ __all__ = [
     "TaskState",
     "active_scheduler",
     "configure",
-    "open_journal",
     "run_fabric",
     "scheduled",
     "shard_of",

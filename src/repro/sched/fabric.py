@@ -7,26 +7,28 @@ one large config batch cooperatively:
 * The batch is deduplicated by content-addressed cache key and
   partitioned into **task shards** by key prefix
   (:func:`shard_of`) — the same two-hex-char prefix that names the
-  sharded journal and cache files, so a shard's lease holder is the
+  journal and cache segment files, so a shard's lease holder is the
   *only* writer of its journal inodes.
 * Each shard is guarded by an atomic lease file with expiry
   (:class:`~repro.sched.lease.ShardLeases`).  A scheduler acquires a
   shard, runs its configs through a normal :class:`Scheduler`
-  (dedup, cache short-circuit, crash retry, group-committed journal),
+  (dedup, cache short-circuit, crash retry, durably committed journal),
   renews the lease while working, and releases it when the shard's
   results are durable.
 * A scheduler that **dies** simply stops renewing; after ``ttl`` any
   peer steals the lease and re-runs the shard.  Whatever the dead peer
-  already committed replays from the shared journal, so only its
-  unflushed tail is re-simulated.
-* Progress by *other* schedulers is observed via
-  :meth:`ShardedJournal.refresh`: a shard whose keys are all journaled
+  already appended replays from the shared journal, so only what it
+  had not yet written is re-simulated.
+* Progress by *other* schedulers is observed through the journal's
+  segment index (:meth:`~repro.cache.RunCache.has_key` reads what peers
+  appended since the last look): a shard whose keys are all journaled
   is complete regardless of who ran it.
 
 Correctness does not depend on lease exclusivity: execution is
 idempotent by content address (duplicate journal lines are
 bit-identical, last write wins), so overlapping holders only waste
-work.  Results are assembled from the journal in request order and are
+work.  Results are assembled from the journal in request order, after
+a commit of every segment they were read from, and are
 **bit-identical to a serial run** — floats round-trip exactly, and the
 simulator is deterministic per config.
 """
@@ -76,7 +78,7 @@ class FabricResult:
     shards_replayed: int = 0
     #: scheduler counters (see Scheduler.stats)
     stats: Dict[str, int] = field(default_factory=dict)
-    #: journal telemetry (entries + corruption tallies)
+    #: journal telemetry (entries, pending, torn lines)
     journal_counts: Dict[str, int] = field(default_factory=dict)
 
     def summary(self) -> str:
@@ -86,10 +88,8 @@ class FabricResult:
             f"fabric: owner={self.owner} shards-run={len(self.shards_run)}"
             f" shards-replayed={self.shards_replayed}"
             f" results={len(self.results)}"
-            f" journal-entries={c.get('entries', 0)}"
             f" journal-torn={c.get('torn', 0)}"
-            f" journal-wrong-version={c.get('wrong_version', 0)}"
-            f" journal-ill-shaped={c.get('ill_shaped', 0)}"
+            f" journal-entries={c.get('entries', 0)}"
         )
 
 
@@ -107,7 +107,7 @@ def run_fabric(
 ) -> FabricResult:
     """Run a config batch cooperatively with any concurrent peers.
 
-    ``root`` holds the shared state (``<root>/journal`` sharded journal,
+    ``root`` holds the shared state (``<root>/journal`` journal directory,
     ``<root>/leases`` lease files); every participating scheduler is
     pointed at the same directory and calls this with the same (or an
     overlapping) batch.  Returns once *every* requested config has a
@@ -119,7 +119,7 @@ def run_fabric(
     shard is stolen after ``ttl`` seconds, so the default comfortably
     covers recovery.
     """
-    from repro.cache import cacheable, config_key
+    from repro.cache import SHARD_PREFIX_CHARS, cacheable, config_key
 
     journal = ShardedJournal(os.path.join(root, "journal"))
     leases = ShardLeases(os.path.join(root, "leases"), owner=owner, ttl=ttl)
@@ -150,10 +150,9 @@ def run_fabric(
     try:
         while pending:
             progress = False
-            journal.refresh()  # peers' committed shards become visible
             for s in sorted(pending):
                 keys = shards[s]
-                if all(k in journal for k in keys):
+                if all(journal.has_key(k) for k in keys):
                     pending.discard(s)
                     result.shards_replayed += 1
                     progress = True
@@ -189,25 +188,18 @@ def run_fabric(
                         f"leased by peers (no progress for {timeout}s total)"
                     )
                 time.sleep(poll_interval)
-        # Assemble results in request order from the shared journal. All
-        # entries are durable (map flushes before returning; peers'
-        # entries were read *from* the journal), and floats round-trip
+        # Assemble results in request order from the shared journal, and
+        # commit every segment they were read from: a peer's line may be
+        # visible before that peer committed it. Floats round-trip
         # exactly, so this is bit-identical to a serial run.
-        journal.refresh()
         for key in order:
-            payload = journal.get(key)
-            if payload is None:  # pragma: no cover - defensive
+            got = journal.get(tasks[key])
+            if got is None:  # pragma: no cover - defensive
                 raise SchedulerError(f"fabric lost journal entry {key[:12]}")
-            result.results.append(
-                RunResult(
-                    config=tasks[key],
-                    elapsed_s=payload["elapsed_s"],
-                    phases=dict(payload["phases"]),
-                    comm_stats=dict(payload["comm_stats"]),
-                )
-            )
+            result.results.append(got)
+        journal.flush(segments={key[:SHARD_PREFIX_CHARS] for key in tasks})
         result.stats = sched.stats()
         result.journal_counts = journal.counts()
     finally:
-        sched.close()  # flushes and closes the journal too
+        sched.close()  # commits and closes the journal too
     return result

@@ -12,7 +12,7 @@ Execution model
 bit-identical to a serial ``[run(c) for c in configs]``.  It is two
 halves that callers on an event loop use apart: the non-blocking
 ``submit`` (keying, the intake ladder, registration, pool dispatch) and
-the blocking ``collect`` (inline execution, drain, journal flush,
+the blocking ``collect`` (inline execution, drain, journal commit,
 results).  ``probe(cfg)`` runs the same intake ladder for one config
 without creating a record for a cold one.  Internally each
 distinct config key owns one :class:`~repro.sched.task.TaskRecord`;
@@ -54,7 +54,7 @@ from typing import (
 )
 
 from repro.core.config import RunConfig, RunResult
-from repro.sched.journal import Journal, open_journal
+from repro.sched.journal import ShardedJournal
 from repro.sched.task import TaskRecord, TaskState
 from repro.sched.worker import execute_chunk, init_worker, pack_chunk
 
@@ -138,12 +138,11 @@ class Scheduler:
         directory of the process-wide cache (:func:`repro.cache.active_cache`)
         when one is installed.
     journal:
-        Path of the resumable journal (a ``.jsonl`` file or a sharded
-        journal directory, see :func:`repro.sched.journal.open_journal`),
-        or an already-open :class:`~repro.sched.journal.Journal` /
+        Directory of the resumable journal (see
+        :mod:`repro.sched.journal`), or an already-open
         :class:`~repro.sched.journal.ShardedJournal`; ``None`` disables
-        journaling.  Journal appends are group-committed; ``map`` flushes
-        before surfacing results, so nothing unjournaled is ever returned.
+        journaling.  ``collect`` commits the journal before surfacing
+        results, so nothing unjournaled is ever returned.
     max_retries:
         Worker crashes a single config may survive before being poisoned.
     straggler_factor:
@@ -162,7 +161,7 @@ class Scheduler:
         self,
         jobs: int = 1,
         cache_dir: Optional[str] = None,
-        journal: Optional[Union[str, Journal]] = None,
+        journal: Optional[Union[str, ShardedJournal]] = None,
         max_retries: int = 2,
         straggler_factor: float = 3.0,
         chunk_max_tasks: int = 32,
@@ -188,12 +187,9 @@ class Scheduler:
             active = active_cache()
             cache_dir = active.directory if active is not None else None
         self.cache_dir = cache_dir
-        if journal is None:
-            self.journal = None
-        elif isinstance(journal, (str, os.PathLike)):
-            self.journal = open_journal(journal)
-        else:
-            self.journal = journal  # already-open Journal/ShardedJournal
+        if isinstance(journal, (str, os.PathLike)):
+            journal = ShardedJournal(journal)
+        self.journal: Optional[ShardedJournal] = journal
         #: parent-side cache handle for probing/storing when no ambient
         #: cache is installed (lazy; see the cache property)
         self._cache: Optional[Any] = None
@@ -565,7 +561,7 @@ class Scheduler:
 
         Runs the inline configs (and, with ``jobs=1``, every owned record)
         in this thread, drains the pool, waits for records other callers
-        own, and flushes the journal before anything is returned, so
+        own, and commits the journal before anything is returned, so
         nothing unjournaled is ever surfaced.
         """
         # Inline execution (functional/traced/captured runs): serial order,
@@ -590,9 +586,9 @@ class Scheduler:
         for rec in batch.waiting:
             rec.done.wait()
 
-        # Durability invariant: group-committed journal records covering
-        # this batch become durable *before* any result is surfaced, so a
-        # caller can never hold a result whose record a SIGKILL would lose.
+        # Durability invariant: the journal lines covering this batch
+        # become durable *before* any result is surfaced, so a caller can
+        # never hold a result whose line a SIGKILL would lose.
         if self.journal is not None:
             self.journal.flush()
 
@@ -631,27 +627,20 @@ class Scheduler:
             return rec, "inflight"
         if not replay:
             return None, None
-        payload = None
-        # Warm journal entry: replay, no worker occupied.
-        if self.journal is not None and key in self.journal:
-            payload, state, tier = (
-                self.journal.get(key), TaskState.JOURNALED, "journal"
-            )
-        # Warm cache entry: replay, no worker occupied.  Misses are not
-        # charged here — the worker that simulates the config performs
-        # (and counts) the authoritative lookup.
-        elif cache is not None:
-            cached = cache.get(cfg, record_miss=False)
-            if cached is not None:
-                payload, state, tier = {
-                    "elapsed_s": cached.elapsed_s,
-                    "phases": dict(cached.phases),
-                    "comm_stats": dict(cached.comm_stats),
-                }, TaskState.CACHED, "cache"
-                if self.journal is not None:
-                    self._journal(key, payload)
-        if payload is None:
+        # Warm journal, then warm cache entry: replay, no worker occupied.
+        # Both are run-cache handles; misses are not charged here — the
+        # worker that simulates the config counts the authoritative one.
+        for handle, state, tier in (
+            (self.journal, TaskState.JOURNALED, "journal"),
+            (cache, TaskState.CACHED, "cache"),
+        ):
+            payload = handle.replay(key) if handle is not None else None
+            if payload is not None:
+                break
+        else:
             return None, None
+        if tier == "cache" and self.journal is not None:
+            self._journal(key, payload)
         rec = TaskRecord(key, cfg)
         rec.payload = payload
         rec.state = state
@@ -897,17 +886,17 @@ class Scheduler:
         self._fire_hooks([rec])
 
     def _journal(self, key: str, payload: Dict[str, Any]) -> None:
-        """Buffer one journal line (caller holds the lock).
+        """Append one journal line (caller holds the lock).
 
-        A group commit that fails here (``ENOSPC``, ``EIO``) leaves the
-        line pending and must not leave its record unsettled: the error
-        resurfaces from the flush :meth:`collect` runs before it returns
-        results, so nothing unjournaled is ever surfaced.
+        An append that fails here (``ENOSPC``, ``EIO``) leaves the line
+        pending and must not leave its record unsettled: the commit
+        :meth:`collect` runs before it returns results rewrites it, and
+        raises if that fails too, so nothing unjournaled is ever surfaced.
         """
         try:
             self.journal.record(key, payload)
         except OSError as exc:
-            log.warning("journal commit failed, line kept pending: %s", exc)
+            log.warning("journal append failed, line kept pending: %s", exc)
 
     def _finish_failure(self, rec: TaskRecord, exc: BaseException) -> None:
         with self._lock:
@@ -964,7 +953,7 @@ class Scheduler:
             return dict(self._counters)
 
     def journal_counts(self) -> Optional[Dict[str, int]]:
-        """Journal telemetry (entries, pending, corruption by kind)."""
+        """Journal telemetry (entries, pending, torn lines)."""
         if self.journal is None:
             return None
         return self.journal.counts()
@@ -1011,10 +1000,8 @@ class Scheduler:
 
         Built from a single :meth:`snapshot`, so the printed counters are
         mutually consistent even while other threads complete tasks.
-        When a journal is attached, its entry count and the per-kind
-        corruption tallies (torn batched writes, wrong-version lines,
-        ill-shaped payloads) are appended instead of being silently
-        dropped at load time.
+        When a journal is attached, the count of torn lines its segment
+        reader skipped and its entry count are appended.
         """
         snap = self.snapshot()
         s = snap["counters"]
@@ -1023,10 +1010,8 @@ class Scheduler:
         counts = snap["journal"]
         if counts is not None:
             line += (
-                f" journal-entries={counts['entries']}"
                 f" journal-torn={counts['torn']}"
-                f" journal-wrong-version={counts['wrong_version']}"
-                f" journal-ill-shaped={counts['ill_shaped']}"
+                f" journal-entries={counts['entries']}"
             )
         return line
 

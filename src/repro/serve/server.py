@@ -10,7 +10,7 @@ before reading responses — they come back in order).
 
 Shutdown contract (SIGTERM/SIGINT): stop accepting, close idle
 connections, let busy connections finish their current request and
-write the response, then drain the service — which flushes the journal
+write the response, then drain the service — which commits the journal
 — and exit.  A client mid-simulation at SIGTERM still gets its answer,
 and the journal left behind replays warm on the next start.
 """

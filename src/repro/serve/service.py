@@ -133,7 +133,7 @@ class SimulationService:
         return clean
 
     def close(self) -> None:
-        """Release the worker pool and journal (flushes pending lines)."""
+        """Release the worker pool and journal (commits pending lines)."""
         if self._closed:
             return
         self._closed = True

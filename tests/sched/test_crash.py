@@ -140,7 +140,7 @@ class TestCrashRetry:
 
     def test_crash_results_still_journaled(self, tmp_path):
         """Survivors of a crashy batch land in the journal for resume."""
-        from repro.sched import Journal
+        from repro.sched import ShardedJournal
 
         cfgs = _cfgs(3)
         jp = str(tmp_path / "j.jsonl")
@@ -148,6 +148,6 @@ class TestCrashRetry:
                        max_retries=1) as sched:
             sched.fault_injector = lambda cfg, attempts: cfg.cores == 2
             sched.map(cfgs, return_exceptions=True)
-        j = Journal(jp)
+        j = ShardedJournal(jp)
         assert len(j) == 2  # the two survivors; the poisoned one is absent
         j.close()

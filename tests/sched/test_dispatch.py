@@ -15,7 +15,7 @@ from repro.core.config import RunConfig
 from repro.core.runner import run
 from repro.machines import LENS, YONA
 from repro.perturb.spec import PRESETS
-from repro.sched import Scheduler, configure, open_journal
+from repro.sched import Scheduler, ShardedJournal, configure
 from repro.sched.worker import pack_chunk
 from sched_helpers import StubPool
 
@@ -80,7 +80,7 @@ class TestDispatchWhileKeying:
     def test_a_mostly_warm_batch_spreads_its_cold_configs(self, tmp_path):
         cfgs = _distinct(160)
         cold = range(0, 160, 10)
-        journal = open_journal(str(tmp_path / "j.jsonl"))
+        journal = ShardedJournal(str(tmp_path / "j.jsonl"))
         for i, cfg in enumerate(cfgs):
             if i not in cold:
                 journal.record(config_key(cfg), {

@@ -184,5 +184,5 @@ class TestTwoProcesses:
         ]
         assert results[0] == serial  # and to a serial run
         journal = ShardedJournal(os.path.join(root, "journal"))
-        assert len(journal) == n and journal.corrupt_lines == 0
+        assert len(journal) == n and journal.counts()["torn"] == 0
         journal.close()

@@ -323,13 +323,13 @@ class TestProbe:
         cfg = _cfgs(1)[0]
         with Scheduler(jobs=2) as sched:
             gets = []
-            real_get = cache.get
+            real_replay = cache.replay
 
-            def counting_get(*a, **kw):
+            def counting_replay(*a, **kw):
                 gets.append(1)
-                return real_get(*a, **kw)
+                return real_replay(*a, **kw)
 
-            cache.get = counting_get
+            cache.replay = counting_replay
             rec, _ = sched.probe(cfg)
             batch = sched.submit([cfg], probed=[rec])
             assert len(gets) == 1

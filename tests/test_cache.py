@@ -538,7 +538,7 @@ class TestConcurrentWriters:
                     assert cache.put(c, _fake_result(c, i))
                     assert cache.has_key(config_key(c))
                     for j in range(k + 1, len(configs), 8):  # peers' configs
-                        got = cache.get(configs[j], record_miss=False)
+                        got = cache.get(configs[j])
                         assert got is None or _same_result(
                             got, _fake_result(configs[j], j))
             except BaseException as exc:  # reported below
