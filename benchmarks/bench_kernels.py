@@ -23,6 +23,7 @@ same process, rounds alternating, so both columns share the host load::
 
 import argparse
 import importlib.util
+import os
 import sys
 import time
 
@@ -155,22 +156,35 @@ def _nonblocking_blocks():
     return rank.core_thirds() + rank.boundary_slabs()
 
 
-def _load_kernels(path: str):
-    spec = importlib.util.spec_from_file_location("baseline_kernels", path)
+def _load_module(name: str, path: str):
+    spec = importlib.util.spec_from_file_location(name, path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
+def _baseline_engine(path: str):
+    """``(apply_stencil_block, arena)`` of another ``kernels.py``.
+
+    The arena comes from the ``arena.py`` beside it when there is one:
+    kernels from before flat leases ask for shaped views
+    (``arena.get(name, (n,))``), which only their own arena serves.
+    """
+    kernels = _load_module("baseline_kernels", path)
+    sibling = os.path.join(os.path.dirname(path), "arena.py")
+    arena_type = (_load_module("baseline_arena", sibling).ScratchArena
+                  if os.path.exists(sibling) else ScratchArena)
+    return kernels.apply_stencil_block, arena_type()
+
+
 def block_table(coeffs, baseline=None, rounds: int = 15, calls: int = 5):
     """Rows ``(label, where, points, {engine: best µs per call})``."""
-    engines = {"this": apply_stencil_block}
+    engines = {"this": (apply_stencil_block, ScratchArena())}
     if baseline is not None:
-        engines["baseline"] = _load_kernels(baseline).apply_stencil_block
+        engines["baseline"] = _baseline_engine(baseline)
     u = _field(RANK[0])
     fill_periodic_halo(u)
     out = np.zeros_like(u)
-    arenas = {name: ScratchArena() for name in engines}
     rows = [(label, where, [(lo, hi)]) for label, where, lo, hi in TABLE_BLOCKS]
     rows.append(("3 z-thirds + 6 slabs", "one nonblocking step",
                  _nonblocking_blocks()))
@@ -178,8 +192,7 @@ def block_table(coeffs, baseline=None, rounds: int = 15, calls: int = 5):
     for label, where, blocks in rows:
         best = dict.fromkeys(engines, float("inf"))
         for _ in range(rounds):
-            for name, apply in engines.items():
-                arena = arenas[name]
+            for name, (apply, arena) in engines.items():
                 for lo, hi in blocks:  # warm this round's leases
                     apply(u, coeffs, out, lo, hi, arena=arena)
                 t0 = time.perf_counter()

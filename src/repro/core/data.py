@@ -9,6 +9,11 @@ Note on layout: the functional arrays are C-ordered ``[x, y, z]`` (z
 contiguous), while the *cost* models reference the paper's Fortran layout
 (x contiguous); the numbers produced are identical either way, and the
 costs follow the paper's machine.
+
+A rank holds no scratch of its own: the separable sweeps lease from the
+calling thread's default arena (:func:`repro.stencil.arena.default_arena`),
+which every rank and device side of a run shares, and a shadow rank holds
+no buffers at all.
 """
 
 from __future__ import annotations
@@ -19,7 +24,6 @@ import numpy as np
 
 from repro.core.config import RunConfig
 from repro.decomp.partition import Subdomain
-from repro.stencil.arena import ScratchArena
 from repro.stencil.coefficients import StencilCoefficients, tensor_product_coefficients
 from repro.stencil.grid import Grid3D, allocate_field, gaussian_field
 from repro.stencil.kernels import (
@@ -49,9 +53,6 @@ class RankData:
         self.cfg = cfg
         self.sub = sub
         self.functional = cfg.functional
-        #: per-rank scratch arena: the separable sweeps lease their
-        #: intermediate buffers here, so repeated steps allocate nothing.
-        self.arena = ScratchArena()
         #: the stencil weights; None in shadow mode, where no kernel runs.
         self.coeffs: Optional[StencilCoefficients] = None
         if self.functional:
@@ -89,11 +90,10 @@ class RankData:
 
         Runs the separable three-sweep engine (the coefficients are built
         via :func:`tensor_product_coefficients`, so factor triples are
-        always available) with this rank's scratch arena.
+        always available) on the calling thread's scratch arena.
         """
         if self.u is not None:
-            apply_stencil_block(self.u, self.coeffs, self.unew, lo, hi,
-                                arena=self.arena)
+            apply_stencil_block(self.u, self.coeffs, self.unew, lo, hi)
 
     def apply_all(self) -> None:
         """Equation 2 on the whole interior."""

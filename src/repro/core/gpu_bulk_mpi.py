@@ -8,7 +8,6 @@ from repro.core.base import Implementation
 from repro.core.context import RankContext
 from repro.core.gpu_common import box_points
 from repro.decomp.halo import pack_face, unpack_face
-from repro.stencil.arena import ScratchArena
 from repro.stencil.kernels import apply_stencil_block, interior
 
 __all__ = ["GpuBulkMPI"]
@@ -37,7 +36,6 @@ class GpuBulkMPI(Implementation):
         gpu = ctx.gpu
         st = ctx.state
         st["stream"] = gpu.stream("main")
-        st["arena"] = ScratchArena()  # device-side separable-sweep scratch
         shape = [s + 2 for s in ctx.sub.shape]
         # On GPU-aware interconnects the state arrays are NIC-registered:
         # the packed face buffers live in device memory and are DMA'd by
@@ -106,7 +104,6 @@ class GpuBulkMPI(Implementation):
         # Face kernels (one per pair of boundary faces per dimension).
         slabs = data.boundary_slabs()
         coeffs = data.coeffs
-        arena = st["arena"]
         for dim in range(3):
             pair = slabs[2 * dim : 2 * dim + 2]
             pts = sum(box_points(b) for b in pair)
@@ -115,7 +112,7 @@ class GpuBulkMPI(Implementation):
                 if u_dev.functional:
                     for lo, hi in pair:
                         apply_stencil_block(u_dev.data, coeffs, unew_dev.data,
-                                            lo, hi, arena=arena)
+                                            lo, hi)
 
             yield ctx.launch_cost(1)
             ctx.face_kernel(stream, pts, dim, face_action)
@@ -126,7 +123,7 @@ class GpuBulkMPI(Implementation):
         def interior_action():
             if u_dev.functional:
                 apply_stencil_block(u_dev.data, coeffs, unew_dev.data,
-                                    core_lo, core_hi, arena=arena)
+                                    core_lo, core_hi)
 
         yield ctx.launch_cost(1)
         ctx.stencil_kernel(stream, data.core_points(), shape=ctx.sub.shape,

@@ -6,7 +6,6 @@ import numpy as np
 
 from repro.core.base import Implementation
 from repro.core.context import RankContext
-from repro.stencil.arena import ScratchArena
 from repro.stencil.kernels import apply_stencil, fill_periodic_halo, interior
 
 __all__ = ["GpuResident"]
@@ -34,9 +33,6 @@ class GpuResident(Implementation):
         gpu = ctx.gpu
         st = ctx.state
         st["stream"] = gpu.stream("compute")
-        # Device-side scratch arena for the separable sweeps (reused every
-        # step; the functional kernel is allocation-free in steady state).
-        st["arena"] = ScratchArena()
         st["u"] = gpu.memory.allocate("u", [s + 2 for s in ctx.sub.shape], ctx.cfg.functional)
         st["unew"] = gpu.memory.allocate(
             "unew", [s + 2 for s in ctx.sub.shape], ctx.cfg.functional
@@ -51,12 +47,10 @@ class GpuResident(Implementation):
         coeffs = ctx.data.coeffs
         u_dev, unew_dev = st["u"], st["unew"]
 
-        arena = st["arena"]
-
         def kernel_body():
             if u_dev.functional:
                 fill_periodic_halo(u_dev.data)
-                apply_stencil(u_dev.data, coeffs, out=unew_dev.data, arena=arena)
+                apply_stencil(u_dev.data, coeffs, out=unew_dev.data)
 
         yield ctx.launch_cost(1)
         ctx.stencil_kernel(

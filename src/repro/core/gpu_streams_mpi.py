@@ -10,7 +10,6 @@ from repro.core.base import Implementation
 from repro.core.context import RankContext
 from repro.core.gpu_common import box_points
 from repro.decomp.halo import pack_face, unpack_face
-from repro.stencil.arena import ScratchArena
 from repro.stencil.kernels import apply_stencil_block, interior
 
 __all__ = ["GpuStreamsMPI"]
@@ -80,7 +79,6 @@ class GpuStreamsMPI(Implementation):
         st = ctx.state
         st["s1"] = gpu.stream("interior")
         st["s2"] = gpu.stream("boundary")
-        st["arena"] = ScratchArena()  # device-side separable-sweep scratch
         shape = [s + 2 for s in ctx.sub.shape]
         # NIC-registered under GPUDirect: halo traffic DMAs device memory
         # directly and the stream-2 staging copies below are skipped.
@@ -114,12 +112,11 @@ class GpuStreamsMPI(Implementation):
 
         # Interior kernel to stream 1.
         core_lo, core_hi = data.core_box()
-        arena = st["arena"]
 
         def interior_action():
             if u_dev.functional:
                 apply_stencil_block(u_dev.data, coeffs, unew_dev.data,
-                                    core_lo, core_hi, arena=arena)
+                                    core_lo, core_hi)
 
         yield ctx.launch_cost(1)
         ctx.stencil_kernel(s1, data.core_points(), shape=ctx.sub.shape,
@@ -164,7 +161,7 @@ class GpuStreamsMPI(Implementation):
                 if u_dev.functional:
                     for lo, hi in pair:
                         apply_stencil_block(u_dev.data, coeffs, unew_dev.data,
-                                            lo, hi, arena=arena)
+                                            lo, hi)
 
             ctx.face_kernel(s2, pts, dim, face_action)
 

@@ -76,13 +76,11 @@ class HybridBulkMPI(Implementation):
         yield from bulk_exchange(ctx)
 
         # 3) GPU computes the block while the CPUs compute the walls.
-        arena = st["arena"]
-
         def block_action():
             if u_dev.functional:
                 nx, ny, nz = box.block_shape
                 apply_stencil_block(u_dev.data, coeffs, unew_dev.data,
-                                    (0, 0, 0), (nx, ny, nz), arena=arena)
+                                    (0, 0, 0), (nx, ny, nz))
 
         yield ctx.launch_cost(1)
         kev = ctx.stencil_kernel(

@@ -18,7 +18,6 @@ from repro.core.gpu_common import (
 )
 from repro.decomp.boxdecomp import BoxDecomposition
 from repro.decomp.partition import shared_decomposition
-from repro.stencil.arena import ScratchArena
 
 __all__ = [
     "HybridGeometry", "hybrid_geometry", "hybrid_validate", "hybrid_setup",
@@ -106,9 +105,6 @@ def hybrid_setup(impl: Implementation, ctx: RankContext):
     box = geom.box
     st["s1"] = gpu.stream("block")
     st["s2"] = gpu.stream("edges")
-    # Device-side scratch arena for the separable sweeps over the GPU block
-    # (the CPU walls use the rank's own arena via ctx.data.apply_block).
-    st["arena"] = ScratchArena()
     shape = [s + 2 for s in box.block_shape]
     st["u"] = gpu.memory.allocate(f"blk{ctx.sub.rank}", shape, ctx.cfg.functional)
     st["unew"] = gpu.memory.allocate(f"blknew{ctx.sub.rank}", shape, ctx.cfg.functional)

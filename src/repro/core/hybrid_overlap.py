@@ -71,14 +71,11 @@ class HybridOverlapMPI(Implementation):
         # 1) Block-interior kernel to stream 1 (no halo dependency).
         bx, by, bz = box.block_shape
         interior_pts = max(0, bx - 2) * max(0, by - 2) * max(0, bz - 2)
-        arena = st["arena"]
 
         def block_interior_action():
             if u_dev.functional:
-                apply_stencil_block(
-                    u_dev.data, coeffs, unew_dev.data, (1, 1, 1),
-                    (bx - 1, by - 1, bz - 1), arena=arena
-                )
+                apply_stencil_block(u_dev.data, coeffs, unew_dev.data,
+                                    (1, 1, 1), (bx - 1, by - 1, bz - 1))
 
         yield ctx.launch_cost(1)
         interior_ev = ctx.stencil_kernel(s1, interior_pts, shape=box.block_shape,
@@ -105,7 +102,7 @@ class HybridOverlapMPI(Implementation):
                     dlo = tuple(l - b for l, b in zip(lo, box.block_lo))
                     dhi = tuple(h - b for h, b in zip(hi, box.block_lo))
                     apply_stencil_block(u_dev.data, coeffs, unew_dev.data,
-                                        dlo, dhi, arena=arena)
+                                        dlo, dhi)
 
         ctx.thin_kernel(s2, geom.shell_points, action=boundary_action)
 

@@ -113,6 +113,10 @@ class StencilCoefficients:
         Lax-Wendroff triples, and any other construction (e.g. the literal
         Table I transcription) gets a :func:`factor_rank1` recovery attempt
         with a dense (``factors=None``) fallback for non-separable tensors.
+        The stored factor arrays are read-only.
+    taps:
+        ``factors`` as three 3-tuples of floats (``None`` when not
+        separable), derived once; the separable engine keys plans by them.
     """
 
     a: np.ndarray
@@ -126,13 +130,17 @@ class StencilCoefficients:
         if self.factors is None:
             # Rank-1 recovery attempt; stays None for non-separable tensors
             # (the kernels then fall back to the dense 27-point reference).
-            object.__setattr__(self, "factors", factor_rank1(self.a))
+            factors = factor_rank1(self.a)
         else:
-            fx, fy, fz = (np.asarray(f, dtype=np.float64) for f in self.factors)
-            for f in (fx, fy, fz):
+            factors = tuple(np.array(f, dtype=np.float64) for f in self.factors)
+            for f in factors:
                 if f.shape != (3,):
                     raise ValueError(f"factor triples must be (3,), got {f.shape}")
-            object.__setattr__(self, "factors", (fx, fy, fz))
+        for f in factors or ():
+            f.setflags(write=False)
+        object.__setattr__(self, "factors", factors)
+        object.__setattr__(self, "taps", factors and tuple(
+            tuple(f.tolist()) for f in factors))
 
     @property
     def is_separable(self) -> bool:

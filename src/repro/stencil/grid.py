@@ -115,10 +115,10 @@ def gaussian_field(
     ``coords`` are the cell-centre coordinate vectors of x, y and z; ``r``
     is the minimum-image distance to ``center`` on the torus of edge
     ``length``. The field is built in one buffer: the squared distances
-    are summed as ``(wx + wy) + wz`` straight into it, then negated,
-    divided and exponentiated in place, the same operations in the same
-    order as the whole-array expression, so the values are bit-identical
-    to it. ``amplitude`` 1.0 is no pass at all (``x * 1.0 == x``).
+    are summed as ``(wx + wy) + wz`` straight into it, then divided by
+    ``-2 (sigma L)^2`` (IEEE division is sign-symmetric, so this is the
+    expression's negate-then-divide, bit for bit) and exponentiated in place.
+    ``amplitude`` 1.0 is no pass at all (``x * 1.0 == x``).
     """
     L = length
 
@@ -131,8 +131,7 @@ def gaussian_field(
     wxy = wrapped_sq(x, center[0])[:, None] + wrapped_sq(y, center[1])[None, :]
     field = np.empty((x.size, y.size, z.size))
     np.add(wxy[:, :, None], wrapped_sq(z, center[2]), out=field)
-    np.negative(field, out=field)
-    np.divide(field, 2.0 * (sigma * L) ** 2, out=field)
+    np.divide(field, -(2.0 * (sigma * L) ** 2), out=field)
     np.exp(field, out=field)
     if amplitude != 1.0:
         np.multiply(field, amplitude, out=field)

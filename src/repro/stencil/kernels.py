@@ -63,12 +63,15 @@ Three things keep the passes few:
 * a factor whose only nonzero tap is 1.0 is an index offset into the
   source, not a pass (``x * 1.0 == x`` exactly; the default velocity puts
   the x axis at unit CFL);
-* the ping-pong buffers and the tap buffer are leased from a
-  :class:`~repro.stencil.arena.ScratchArena` at the length of the
-  largest sweep output they hold, so the steady state allocates nothing
-  and a whole 48^3 rank holds 2.88 MB of scratch.
+* the ping-pong and tap buffers are flat leases of a
+  :class:`~repro.stencil.arena.ScratchArena`, by default the calling
+  thread's, which every rank of a run shares: the steady state allocates
+  nothing, and a run holds its largest block's scratch once, not once
+  per rank (2.88 MB for a whole 48^3 field).
 
-Each block extent's strides are computed once (:func:`_geometry`).
+What a call does is fixed by its block extent and factor taps, so it is
+memoized as a sweep plan (:func:`_plan`) keyed by the tap values
+(:attr:`StencilCoefficients.taps`), never by object identity.
 
 Every point still sees the identical ufunc sequence whatever the block
 bounds, the scratch memory order and whether the source was copied: the
@@ -147,7 +150,6 @@ class _Geometry(NamedTuple):
     xyz: bool
 
 
-@lru_cache(maxsize=64)
 def _geometry(ext: Tuple[int, int, int]) -> _Geometry:
     """Storage of a block of extents ``ext``: longest axis innermost."""
     padded = tuple(n + 2 for n in ext)
@@ -162,9 +164,36 @@ def _geometry(ext: Tuple[int, int, int]) -> _Geometry:
                      tuple(8 * s for s in strides), order == [0, 1, 2])
 
 
+class _Plan(NamedTuple):
+    """The sweeps of one block extent and factor triple."""
+
+    geo: _Geometry
+    #: per sweep ``(lease name, span, nonzero (offset, coefficient) pairs)``;
+    #: no lease name: a unit single tap, an offset instead of a pass
+    sweeps: Tuple[Tuple[Optional[str], int, Tuple[Tuple[int, float], ...]], ...]
+    #: length of the ``sep.tap`` lease (0 when no sweep has two taps)
+    tap: int
+
+
+@lru_cache(maxsize=256)
+def _plan(ext: Tuple[int, int, int], taps: Tuple[Tuple[float, ...], ...]) -> _Plan:
+    """The sweeps of a block of extents ``ext`` with factor taps ``taps``."""
+    geo = _geometry(ext)
+    names = iter(("sep.b", "sep.a", "sep.b"))
+    sweeps, tap, n = [], 0, geo.size
+    for factor, s in zip(taps, geo.strides):
+        n -= 2 * s
+        nonzero = tuple((d * s, c) for d, c in enumerate(factor) if c != 0.0)
+        unit = len(nonzero) == 1 and nonzero[0][1] == 1.0
+        sweeps.append((None if unit else next(names), n, nonzero))
+        if len(nonzero) > 1 and not tap:  # the first such sweep is the longest
+            tap = n
+    return _Plan(geo, tuple(sweeps), tap)
+
+
 def _apply_separable_block(
     u: np.ndarray,
-    factors: Tuple[np.ndarray, np.ndarray, np.ndarray],
+    taps: Tuple[Tuple[float, ...], ...],
     out: np.ndarray,
     lo: Tuple[int, int, int],
     hi: Tuple[int, int, int],
@@ -181,34 +210,30 @@ def _apply_separable_block(
     """
     (x0, y0, z0), (x1, y1, z1) = lo, hi
     ext = (x1 - x0, y1 - y0, z1 - z0)
-    geo = _geometry(ext)
+    plan = _plan(ext, taps)
+    geo = plan.geo
     if (geo.xyz and u.shape == geo.padded and u.dtype == np.float64
             and u.flags.c_contiguous):
         src = u.reshape(-1)  # the whole field, already in sweep layout
     else:
-        src = arena.get("sep.a", (geo.size,))
+        src = arena.get("sep.a", geo.size)
         np.ndarray(geo.padded, np.float64, src, strides=geo.byte_strides)[...] = (
             u[x0 : x1 + 2, y0 : y1 + 2, z0 : z1 + 2]
         )
-    dsts = iter(("sep.b", "sep.a", "sep.b"))
-    tap = None
-    n = geo.size
-    for taps, s in zip(factors, geo.strides):
-        n -= 2 * s
-        nonzero = [(d * s, c) for d, c in enumerate(taps.tolist()) if c != 0.0]
-        if len(nonzero) == 1 and nonzero[0][1] == 1.0:
+    if plan.tap:
+        tap = arena.get("sep.tap", plan.tap)
+    for name, n, nonzero in plan.sweeps:
+        if name is None:
             k = nonzero[0][0]
             src = src[k : k + n]
             continue
-        dst = arena.get(next(dsts), (n,))
+        dst = arena.get(name, n)
         if not nonzero:
             dst.fill(0.0)
         else:
             k, c = nonzero[0]
             np.multiply(src[k : k + n], c, out=dst)
             if len(nonzero) > 1:
-                if tap is None:  # the first such sweep's output is the longest
-                    tap = arena.get("sep.tap", (n,))
                 t = tap[:n]
                 for k, c in nonzero[1:]:
                     np.multiply(src[k : k + n], c, out=t)
@@ -330,7 +355,7 @@ def apply_stencil(
     factor triples (the default for tensor-product-built coefficients), and
     to the dense 27-point reference otherwise. ``method`` forces a specific
     path (``"auto"`` | ``"separable"`` | ``"dense"``); scratch space is
-    leased from ``arena`` (the process default when ``None``).
+    leased from ``arena`` (the calling thread's default when ``None``).
     """
     if out is None:
         out = np.zeros_like(u)
@@ -365,7 +390,7 @@ def apply_stencil_block(
         return
     if _use_separable(coeffs, method):
         _apply_separable_block(
-            u, coeffs.factors, out, lo, hi, arena if arena is not None else default_arena()
+            u, coeffs.taps, out, lo, hi, arena if arena is not None else default_arena()
         )
     else:
         apply_stencil_block_dense(u, coeffs, out, lo, hi)

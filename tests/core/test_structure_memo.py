@@ -6,13 +6,15 @@ shape, box thickness)`` share a :class:`HybridGeometry`. SpMV runs share
 each pattern's random extras, drawn once per row, and the mirror
 profile's inputs per ``(problem, tasks per node)``; GPU runs share the
 stencil kernel rate per ``(device, block, tile shape)``; mirror
-communicators share send prices per interconnect. These tests
+communicators share send prices per interconnect; functional sweeps share
+a plan per ``(block extent, factor taps)``. These tests
 hold the memos to two promises: a memoized entry equals the one computed
 from scratch, and a run's result does not depend on what earlier runs
 left in the memos.
 """
 
 import dataclasses
+import gc
 
 import numpy as np
 import pytest
@@ -36,6 +38,9 @@ from repro.perturb import NoiseSpec
 from repro.simmpi import MirrorComm, MirrorProfile, message
 from repro.simmpi.message import _Pricing, _pricing
 from repro.simgpu.blockmodel import _kernel_rate
+from repro.stencil.arena import ScratchArena
+from repro.stencil.coefficients import StencilCoefficients
+from repro.stencil.kernels import _plan, apply_stencil_block
 from repro.workloads import spmv
 from repro.workloads.spmv import SpmvProblem, _extra_cols, gather_tag
 
@@ -45,6 +50,7 @@ def clear_memo():
     hybrid_geometry.cache_clear()
     _kernel_rate.cache_clear()
     _pricing.cache_clear()
+    _plan.cache_clear()
     clear_spmv_memo()
 
 
@@ -315,6 +321,110 @@ class TestSharedSendPrices:
         assert a._price(tag, 100_000) is b._price(tag, 100_000)
 
 
+def fresh_plan(ext, factors):
+    """A block's sweeps, literally: the flat strides of the padded box
+    (longest axis innermost), each sweep's span, its nonzero taps read off
+    the factor arrays, and the ping-pong lease names."""
+    padded = [n + 2 for n in ext]
+    strides, size = [0, 0, 0], 1
+    for a in sorted(range(3), key=lambda a: (ext[a], a), reverse=True):
+        strides[a] = size
+        size *= padded[a]
+    names = ["sep.b", "sep.a", "sep.b"]
+    sweeps, tap, n = [], 0, size
+    for factor, s in zip(factors, strides):
+        n -= 2 * s
+        nonzero = tuple((d * s, float(c)) for d, c in enumerate(factor) if c != 0)
+        if len(nonzero) == 1 and nonzero[0][1] == 1.0:
+            sweeps.append((None, n, nonzero))
+            continue
+        sweeps.append((names.pop(0), n, nonzero))
+        tap = tap or (n if len(nonzero) > 1 else 0)
+    return tuple(padded), size, tuple(strides), tuple(sweeps), tap
+
+
+def plan_fields(plan):
+    geo = plan.geo
+    return geo.padded, geo.size, geo.strides, plan.sweeps, plan.tap
+
+
+def _sweep_coeffs(factors):
+    factors = tuple(np.array(f, dtype=np.float64) for f in factors)
+    return StencilCoefficients(a=np.einsum("i,j,k->ijk", *factors),
+                               velocity=(0.0, 0.0, 0.0), nu=1.0, factors=factors)
+
+
+_tap = st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, 0.25, -0.7, 1e-3])
+_factor = st.lists(_tap, min_size=3, max_size=3)
+_extent = st.tuples(*(st.integers(1, 12) for _ in range(3)))
+
+
+def _evict_plans():
+    """Push every earlier plan out of the memo with other extents."""
+    taps = ((0.5, 0.5, 0.5),) * 3
+    for n in range(_plan.cache_info().maxsize + 1):
+        _plan((100 + n, 1, 1), taps)
+
+
+class TestSweepPlans:
+    """Functional sweeps share one plan per (block extent, factor taps)."""
+
+    @given(_extent, st.tuples(_factor, _factor, _factor),
+           st.sampled_from(["cleared", "warm", "evicted"]), st.integers(0, 2**31))
+    @settings(max_examples=80, deadline=None)
+    def test_plan_and_sweep_match_a_fresh_computation(self, ext, factors, state, seed):
+        coeffs = _sweep_coeffs(factors)
+        u = np.random.default_rng(seed).standard_normal([n + 2 for n in ext])
+        want = np.zeros_like(u)
+        _plan.cache_clear()
+        apply_stencil_block(u, coeffs, want, (0, 0, 0), ext, arena=ScratchArena())
+        if state == "cleared":
+            _plan.cache_clear()
+        elif state == "evicted":
+            _evict_plans()
+        plan = _plan(ext, coeffs.taps)
+        assert _plan(ext, coeffs.taps) is plan  # the second read is the memo
+        assert plan_fields(plan) == fresh_plan(ext, coeffs.factors)
+        got = np.zeros_like(u)
+        apply_stencil_block(u, coeffs, got, (0, 0, 0), ext, arena=ScratchArena())
+        assert got.tobytes() == want.tobytes()
+
+    def test_shared_plans_are_read_only(self):
+        plan = _plan((4, 5, 6), ((0.25, 0.5, 0.25),) * 3)
+        assert isinstance(plan.sweeps, tuple)
+        assert all(isinstance(sweep, tuple) and isinstance(sweep[2], tuple)
+                   for sweep in plan.sweeps)
+        with pytest.raises(AttributeError):
+            plan.tap = 0
+        coeffs = _sweep_coeffs(((0.25, 0.5, 0.25),) * 3)
+        with pytest.raises(ValueError, match="read-only"):
+            coeffs.factors[0][0] = 1.0
+
+    def test_a_collected_coefficient_set_leaves_no_stale_plan(self):
+        """Plans are keyed by tap values, not by object identity: a new
+        coefficient set that reuses a collected one's memory (and so,
+        often, its ``id``) still sweeps with its own taps."""
+        ext = (5, 4, 6)
+        u = np.random.default_rng(7).standard_normal([n + 2 for n in ext])
+        first = ((0.5, 0.25, 0.25), (0.1, 0.8, 0.1), (0.0, 0.0, 1.0))
+        second = ((0.25, 0.25, 0.5), (0.3, 0.4, 0.3), (1.0, 0.0, 0.0))
+        _plan.cache_clear()
+        want = np.zeros_like(u)
+        apply_stencil_block(u, _sweep_coeffs(second), want, (0, 0, 0), ext,
+                            arena=ScratchArena())
+        _plan.cache_clear()
+        for _ in range(20):
+            coeffs = _sweep_coeffs(first)
+            apply_stencil_block(u, coeffs, np.zeros_like(u), (0, 0, 0), ext,
+                                arena=ScratchArena())
+            del coeffs
+            gc.collect()
+            got = np.zeros_like(u)
+            apply_stencil_block(u, _sweep_coeffs(second), got, (0, 0, 0), ext,
+                                arena=ScratchArena())
+            assert got.tobytes() == want.tobytes()
+
+
 def _configs():
     lens = dict(machine=LENS, cores=32, threads_per_task=4, steps=2,
                 domain=(48, 48, 48), box_thickness=2)
@@ -368,6 +478,7 @@ class TestRunsIgnoreMemoState:
         assert spmv._mirror_pick.cache_info().hits > 0
         assert _kernel_rate.cache_info().hits > 0
         assert _pricing.cache_info().hits > 0
+        assert _plan.cache_info().hits > 0
         backward = [_outcome(_run_uncached(cfg)) for cfg in reversed(configs)]
         backward.reverse()
         for cfg, a, b, c in zip(configs, cleared, forward, backward):

@@ -17,9 +17,9 @@ accumulation, its bit-level reference is
 :func:`repro.stencil.kernels.apply_stencil_dense`; against the separable
 path it agrees only to roundoff (different summation order).
 
-The "shared memory" staging slabs are leased from a
-:class:`~repro.stencil.arena.ScratchArena` (a ring of three per tile
-shape), mirroring how the real kernel reuses the same shared-memory
+The "shared memory" staging slabs are flat leases of a
+:class:`~repro.stencil.arena.ScratchArena` reshaped to the tile (a ring
+of three per tile shape), mirroring how the real kernel reuses the same shared-memory
 allocation for every tile — and keeping repeated emulation calls free of
 per-plane allocations.
 """
@@ -50,7 +50,7 @@ def emulate_tiled_kernel(
     exchange provide them). ``block`` is the (bx, by) thread-block shape;
     tiles sticking past the domain edge are clipped exactly like partially
     filled thread blocks. ``arena`` supplies the staged-slab buffers (the
-    process default when ``None``).
+    calling thread's default when ``None``).
     """
     bx, by = block
     if bx < 1 or by < 1:
@@ -72,10 +72,11 @@ def emulate_tiled_kernel(
             # every tile of the same shape (and every later call) reuses
             # the same allocation, like a kernel's static shared memory.
             ring = [
-                arena.get(("emulate.slab", r, iw, jw), (iw + 2, jw + 2))
+                arena.get(("emulate.slab", r, iw, jw),
+                          (iw + 2) * (jw + 2)).reshape(iw + 2, jw + 2)
                 for r in range(3)
             ]
-            acc = arena.get(("emulate.acc", iw, jw), (iw, jw))
+            acc = arena.get(("emulate.acc", iw, jw), iw * jw).reshape(iw, jw)
 
             def load_slab(k, buf):
                 # Halo threads load the rim; interior threads their point.

@@ -286,19 +286,28 @@ class TestArenaZeroAllocation:
         assert arena.misses == warm
 
     def test_shape_change_retires_buffer(self):
+        """A lease is a flat slice of the name's buffer: the same length
+        again is the same memory, a longer one retires the buffer."""
         arena = ScratchArena()
-        a = arena.get("t", (4, 4, 4))
-        b = arena.get("t", (4, 4, 4))
-        assert a is b
-        c = arena.get("t", (5, 5, 5))
-        assert c is not a and c.shape == (5, 5, 5)
+        a = arena.get("t", 64)
+        b = arena.get("t", 64)
+        assert a.shape == b.shape == (64,)
+        assert a.ctypes.data == b.ctypes.data
+        c = arena.get("t", 125)
+        assert c.shape == (125,) and not np.shares_memory(a, c)
         assert len(arena) == 1
+        assert arena.misses == 2 and arena.hits == 1
 
     def test_smaller_lease_carves_without_allocating(self):
+        """A shorter lease is the front of the buffer, and a caller that
+        wants a shape reshapes it without a copy."""
         arena = ScratchArena()
-        arena.get("t", (5, 5, 5))
-        small = arena.get("t", (2, 3, 4))
-        assert small.shape == (2, 3, 4) and small.flags.c_contiguous
+        big = arena.get("t", 125)
+        small = arena.get("t", 24)
+        assert small.shape == (24,) and small.flags.c_contiguous
+        shaped = small.reshape(2, 3, 4)
+        assert shaped.flags.c_contiguous and np.shares_memory(shaped, big)
+        assert small.ctypes.data == big.ctypes.data
         assert arena.misses == 1 and arena.hits == 1
         assert arena.nbytes == 5 * 5 * 5 * 8
 
