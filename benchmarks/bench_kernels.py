@@ -37,6 +37,7 @@ from repro.stencil.arena import ScratchArena
 from repro.stencil.coefficients import tensor_product_coefficients
 from repro.stencil.grid import allocate_field
 from repro.stencil.kernels import (
+    SCRATCH_BUDGET,
     advance,
     apply_stencil,
     apply_stencil_block,
@@ -107,6 +108,19 @@ def test_bench_advance_throughput_floor():
     assert mpts >= FLOOR_MPTS, (
         f"separable advance ran at {mpts:.1f} Mpts/s, below the "
         f"{FLOOR_MPTS:.0f} Mpts/s floor (2.5x the dense seed)"
+    )
+
+
+def test_bench_96_cube_scratch_within_budget():
+    """A 96^3 advance sweeps in chunks: three leases of at most the scratch
+    budget (about 3 MB), not three 7.5 MB padded fields. Deterministic, no
+    timing."""
+    u = _field(96)
+    arena = ScratchArena()
+    advance(u, COEFFS, steps=1, arena=arena)
+    assert len(arena) <= 3
+    assert arena.nbytes <= 3 * 8 * SCRATCH_BUDGET, (
+        f"a 96^3 advance left {arena.nbytes / 1e6:.2f} MB in its arena"
     )
 
 

@@ -220,6 +220,11 @@ class Process(Event):
     has the exception thrown in, for failed events). The process — itself an
     event — succeeds with the generator's return value, so processes can wait
     on each other. Built only by :meth:`Environment.process`.
+
+    Its resume callbacks are bound methods of the process itself, kept
+    in slots so a resume allocates none. They are dropped when the
+    generator ends (returns, raises or yields a non-event), so a finished
+    process holds no reference to itself and reference counting frees it.
     """
 
     __slots__ = ("_generator", "_send", "_name", "_resume_cb", "_resume_with_cb")
@@ -251,6 +256,7 @@ class Process(Event):
                 # process event is still pending, so no state check).
                 self._state = _TRIGGERED
                 self._value = stop.value
+                self._resume_cb = self._resume_with_cb = None
                 cur = env._cur
                 if cur is not None:
                     cur.append(_EVENT)
@@ -339,6 +345,7 @@ class Process(Event):
         pending — the generator was alive — so the state check is skipped)."""
         self._state = _TRIGGERED
         self._value = value
+        self._resume_cb = self._resume_with_cb = None
         env = self.env
         cur = env._cur
         if cur is not None:
@@ -352,6 +359,7 @@ class Process(Event):
         # with no waiters attached, Environment.run re-raises instead of
         # letting the crash vanish silently.
         has_waiters = bool(self.callbacks)
+        self._resume_cb = self._resume_with_cb = None
         self.fail(exc)
         if not has_waiters:
             self.env._record_crash(self, exc)
@@ -365,6 +373,7 @@ class Process(Event):
             err = SimulationError(
                 f"process {self.name!r} yielded {type(target).__name__}, expected Event"
             )
+        self._resume_cb = self._resume_with_cb = None
         self.fail(err)
         self.env._record_crash(self, err)
 

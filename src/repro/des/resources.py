@@ -109,10 +109,11 @@ class SharedBandwidth:
         self._active: list[_Transfer] = []
         self._last_update = env.now
         #: pending completion-wakeup handle (tombstoned on membership
-        #: change), or None. The bound wake callback is cached so each
-        #: reschedule is slot traffic only — no allocation.
+        #: change), or None. The wakeup is the module function
+        #: :func:`_wake` with the link as its slot argument: slot traffic
+        #: only, no allocation, and no bound method of the link kept on
+        #: the link (that would make every link a reference cycle).
         self._wakeup_handle: Optional[int] = None
-        self._wake_cb = self._wake
         #: optional repro.obs tracer: per-transfer wire intervals (lane =
         #: the link's name) and an in-flight counter series. Zero-cost when
         #: None (one attribute check per transfer).
@@ -199,11 +200,14 @@ class SharedBandwidth:
             return
         total_w = self._total_weight()
         next_done = min(t.remaining / (self.rate * t.weight / total_w) for t in self._active)
-        self._wakeup_handle = self.env.schedule_cancellable(next_done, self._wake_cb)
+        self._wakeup_handle = self.env.schedule_cancellable(next_done, _wake, self)
 
-    def _wake(self, _arg) -> None:
-        # The handle died the moment this fired; clear it before _advance
-        # can run completion callbacks that start new transfers.
-        self._wakeup_handle = None
-        self._advance()
-        self._reschedule()
+
+def _wake(link: SharedBandwidth) -> None:
+    """A link's completion wakeup (the slot callback of
+    :meth:`SharedBandwidth._reschedule`)."""
+    # The handle died the moment this fired; clear it before _advance
+    # can run completion callbacks that start new transfers.
+    link._wakeup_handle = None
+    link._advance()
+    link._reschedule()

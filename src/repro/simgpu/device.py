@@ -43,10 +43,14 @@ class Stream:
     flat core's *live cohort*, so it runs this very timestamp after
     everything already scheduled for it — the same position the seed
     engine's counter would have assigned.
+
+    A stream keeps its device's environment, not the device: the device
+    lists its streams, and a back reference would make every device a
+    reference cycle that outlives its run.
     """
 
-    def __init__(self, gpu: "Gpu", name: str):
-        self.gpu = gpu
+    def __init__(self, env: Environment, name: str):
+        self.env = env
         self.name = name
         self._tail: Optional[Event] = None
 
@@ -60,14 +64,14 @@ class Stream:
         prev = self._tail
         self._tail = done
         if prev is None or prev.processed:
-            self.gpu.env.schedule_now(begin)
+            self.env.schedule_now(begin)
         else:
             prev.callbacks.append(begin)
         return done
 
     def synchronize(self) -> Event:
         """Event that fires when all work issued to this stream is done."""
-        env = self.gpu.env
+        env = self.env
         if self._tail is None or self._tail.processed:
             ev = env.event()
             ev.succeed()
@@ -130,7 +134,7 @@ class Gpu:
     # -- streams ------------------------------------------------------------
     def stream(self, name: Optional[str] = None) -> Stream:
         """Create a new stream."""
-        s = Stream(self, name or f"{self.name}-stream{len(self._streams)}")
+        s = Stream(self.env, name or f"{self.name}-stream{len(self._streams)}")
         self._streams.append(s)
         return s
 

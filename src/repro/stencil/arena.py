@@ -11,8 +11,12 @@ is ~137 MB), so all scratch space is leased from a :class:`ScratchArena`.
 
 Each name owns one grow-only float64 buffer, and a lease of ``n`` elements
 is the slice ``buf[:n]``: blocks of every extent share one allocation per
-name, and the steady-state time step allocates nothing once the largest
-block has been seen. A caller that wants a shape reshapes the lease.
+name, and the steady-state time step allocates nothing once the longest
+lease has been seen. A caller that wants a shape reshapes the lease. The
+sweeps hold every lease to :data:`repro.stencil.kernels.SCRATCH_BUDGET`
+points (1 MiB) by sweeping larger blocks in chunks of outer planes, so a
+thread's arena is bounded by the budget, about 3 MB over its three names,
+not by the largest block it ever swept.
 Buffers are handed out *uninitialized* (contents are whatever the previous
 lease left behind); callers must fully overwrite the region they read back,
 and a new lease under a name invalidates the previous one.
@@ -22,8 +26,8 @@ backs the kernel entry points when no explicit arena is passed. The
 simulator executes rank programs one at a time inside one discrete-event
 loop, and a sweep never spans two events, so every simulated rank (and
 every simulated device) on a thread shares that thread's arena: scratch is
-bounded by the largest block rather than by the rank count, and it is hot
-when the next rank sweeps. Runs on other threads (the scheduler's inline
+bounded by the budget rather than by the rank count, and it is hot when
+the next rank sweeps. Runs on other threads (the scheduler's inline
 configs under the serve daemon's executor) lease from their own arenas,
 so concurrent runs never share a buffer; a thread's arena lives as long
 as the thread. Code that wants isolation or exact accounting (tests,

@@ -66,15 +66,27 @@ Three things keep the passes few:
 * the ping-pong and tap buffers are flat leases of a
   :class:`~repro.stencil.arena.ScratchArena`, by default the calling
   thread's, which every rank of a run shares: the steady state allocates
-  nothing, and a run holds its largest block's scratch once, not once
-  per rank (2.88 MB for a whole 48^3 field).
+  nothing, and a run holds its scratch once, not once per rank.
+
+Scratch is bounded by :data:`SCRATCH_BUDGET` (2^17 points, 1 MiB per
+lease), not by the largest block. A block whose padded box holds more
+points is swept in chunks of whole outer planes (planes of the outermost
+storage axis): each chunk reads its planes plus the two beside them,
+copied in or read in place, and runs the same sweeps over a box that is
+shorter on the outer axis only. No lease then exceeds the larger of the
+budget and three outer planes: a 96^3 ``advance`` holds 2.5 MB of scratch
+where one whole-field sweep held 22 MB, and runs faster because each chunk
+stays in cache. Every block of a 48^3 rank fits the budget and is swept in
+one chunk, with the same leases as before chunking (2.88 MB for a whole
+48^3 field).
 
 What a call does is fixed by its block extent and factor taps, so it is
 memoized as a sweep plan (:func:`_plan`) keyed by the tap values
 (:attr:`StencilCoefficients.taps`), never by object identity.
 
 Every point still sees the identical ufunc sequence whatever the block
-bounds, the scratch memory order and whether the source was copied: the
+bounds, the chunking, the scratch memory order and whether the source was
+copied: the
 first nonzero tap multiplied into the accumulator, each further tap
 multiplied into the tap buffer and added, zero taps skipped. The block
 path is therefore *bit-identical* to the full-field path (the property
@@ -148,6 +160,8 @@ class _Geometry(NamedTuple):
     byte_strides: Tuple[int, int, int]
     #: the storage order is x, y, z (the padded box is C-ordered)
     xyz: bool
+    #: the outermost axis, whose planes a chunked sweep splits the box into
+    outer: int
 
 
 def _geometry(ext: Tuple[int, int, int]) -> _Geometry:
@@ -161,7 +175,15 @@ def _geometry(ext: Tuple[int, int, int]) -> _Geometry:
         strides[a] = size
         size *= padded[a]
     return _Geometry(padded, size, tuple(strides),
-                     tuple(8 * s for s in strides), order == [0, 1, 2])
+                     tuple(8 * s for s in strides), order == [0, 1, 2], order[0])
+
+
+#: Scratch budget of the separable sweeps, in float64 points per lease
+#: (1 MiB). A block whose padded box holds more points is swept in chunks
+#: of whole outer planes that each fit it, so a lease never exceeds the
+#: larger of the budget and three outer planes, whatever the block size.
+#: Every block of a 48^3 rank (padded 50^3) is swept in one piece.
+SCRATCH_BUDGET = 2**17
 
 
 class _Plan(NamedTuple):
@@ -203,45 +225,71 @@ def _apply_separable_block(
 
     The padded block is swept as one flat buffer, each sweep at its axis's
     stride, and the result is copied into ``out`` once (see the module
-    docstring). A whole C-ordered field is read in place, and a unit
-    single-tap factor is an offset instead of a pass. Zero taps are
-    skipped, exactly like the dense kernel skips zero coefficients, which
-    keeps the unit-CFL exact-shift oracle bit-exact.
+    docstring). A padded box over :data:`SCRATCH_BUDGET` points is swept
+    in chunks of whole outer planes, each chunk copied in (or read in
+    place), swept and copied out on its own. A whole C-ordered field is
+    read in place, and a unit single-tap factor is an offset instead of a
+    pass. Zero taps are skipped, exactly like the dense kernel skips zero
+    coefficients, which keeps the unit-CFL exact-shift oracle bit-exact.
     """
     (x0, y0, z0), (x1, y1, z1) = lo, hi
     ext = (x1 - x0, y1 - y0, z1 - z0)
     plan = _plan(ext, taps)
     geo = plan.geo
+    o = geo.outer
+    depth, plane = ext[o], geo.strides[o]
+    # Outer planes per chunk: the whole block when its box fits the budget,
+    # else as many as fit beside their two halo planes (at least one, and
+    # never more than the block has).
+    step = depth if geo.size <= SCRATCH_BUDGET else max(1, SCRATCH_BUDGET // plane - 2)
+    whole = None
     if (geo.xyz and u.shape == geo.padded and u.dtype == np.float64
             and u.flags.c_contiguous):
-        src = u.reshape(-1)  # the whole field, already in sweep layout
-    else:
-        src = arena.get("sep.a", geo.size)
-        np.ndarray(geo.padded, np.float64, src, strides=geo.byte_strides)[...] = (
-            u[x0 : x1 + 2, y0 : y1 + 2, z0 : z1 + 2]
-        )
-    if plan.tap:
-        tap = arena.get("sep.tap", plan.tap)
-    for name, n, nonzero in plan.sweeps:
-        if name is None:
-            k = nonzero[0][0]
-            src = src[k : k + n]
-            continue
-        dst = arena.get(name, n)
-        if not nonzero:
-            dst.fill(0.0)
+        whole = u.reshape(-1)  # the whole field, already in sweep layout
+    box = (slice(x0, x1 + 2), slice(y0, y1 + 2), slice(z0, z1 + 2))
+    block = (slice(1 + x0, 1 + x1), slice(1 + y0, 1 + y1), slice(1 + z0, 1 + z1))
+    padded, shape, short = geo.padded, ext, 0
+    if plan.tap:  # sized for the first chunk, the largest
+        tap = arena.get("sep.tap", plan.tap - (depth - step) * plane)
+    for c0 in range(0, depth, step):
+        if step < depth:  # narrow the boxes to this chunk's outer planes
+            planes = min(step, depth - c0)
+            a = lo[o] + c0
+            # the chunk's box holds this many points fewer than the block's
+            short = (depth - planes) * plane
+            box = _replace(box, o, slice(a, a + planes + 2))
+            block = _replace(block, o, slice(1 + a, 1 + a + planes))
+            padded = _replace(padded, o, planes + 2)
+            shape = _replace(shape, o, planes)
+        if whole is not None:
+            src = whole[c0 * plane : c0 * plane + geo.size - short]
         else:
-            k, c = nonzero[0]
-            np.multiply(src[k : k + n], c, out=dst)
-            if len(nonzero) > 1:
-                t = tap[:n]
-                for k, c in nonzero[1:]:
-                    np.multiply(src[k : k + n], c, out=t)
-                    np.add(dst, t, out=dst)
-        src = dst
-    out[1 + x0 : 1 + x1, 1 + y0 : 1 + y1, 1 + z0 : 1 + z1] = np.ndarray(
-        ext, np.float64, src, strides=geo.byte_strides
-    )
+            src = arena.get("sep.a", geo.size - short)
+            np.ndarray(padded, np.float64, src, strides=geo.byte_strides)[...] = u[box]
+        for name, n, nonzero in plan.sweeps:
+            n -= short
+            if name is None:
+                k = nonzero[0][0]
+                src = src[k : k + n]
+                continue
+            dst = arena.get(name, n)
+            if not nonzero:
+                dst.fill(0.0)
+            else:
+                k, c = nonzero[0]
+                np.multiply(src[k : k + n], c, out=dst)
+                if len(nonzero) > 1:
+                    t = tap[:n]
+                    for k, c in nonzero[1:]:
+                        np.multiply(src[k : k + n], c, out=t)
+                        np.add(dst, t, out=dst)
+            src = dst
+        out[block] = np.ndarray(shape, np.float64, src, strides=geo.byte_strides)
+
+
+def _replace(t: tuple, i: int, value) -> tuple:
+    """``t`` with item ``i`` replaced by ``value``."""
+    return t[:i] + (value,) + t[i + 1:]
 
 
 # ---------------------------------------------------------------------------

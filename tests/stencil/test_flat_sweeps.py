@@ -16,7 +16,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.config import RunConfig
@@ -25,9 +25,20 @@ from repro.decomp.partition import Subdomain
 from repro.machines import LENS
 from repro.stencil.analytic import error_norms
 from repro.stencil.arena import ScratchArena
-from repro.stencil.coefficients import StencilCoefficients
+from repro.stencil import kernels
+from repro.stencil.coefficients import (
+    StencilCoefficients,
+    lax_wendroff_1d,
+    tensor_product_coefficients,
+)
 from repro.stencil.grid import Grid3D, gaussian_initial_condition
-from repro.stencil.kernels import apply_stencil_block, interior
+from repro.stencil.kernels import (
+    SCRATCH_BUDGET,
+    _geometry,
+    advance,
+    apply_stencil_block,
+    interior,
+)
 from test_kernel_digests import RANK, _random_field, _reference_block, tiling_blocks
 
 #: unit taps at each offset (λ = ±1 and the λ = 0 identity), an all-zero
@@ -170,6 +181,100 @@ def test_arena_holds_no_copy_buffer_for_an_in_place_field():
                             arena=arena)
         sizes[layout] = arena.nbytes
     assert sizes["c"] < sizes["fortran"] <= 3 * u.nbytes
+
+
+# -- chunked sweeps under the scratch budget -----------------------------------
+
+#: 1-D Lax-Wendroff factors at Courant numbers of both signs, unit ones
+#: (λ = ±1, a unit tap) and zero (the identity) among them
+_lw_factor = st.one_of(
+    st.sampled_from([-1.0, -0.5, 0.0, 0.25, 1.0]),
+    st.floats(-1.0, 1.0, allow_nan=False),
+).map(lambda c: np.array(lax_wendroff_1d(c, 1.0)))
+_chunk_factors = st.one_of(_factors, st.tuples(_lw_factor, _lw_factor, _lw_factor))
+
+
+@st.composite
+def _chunked_cases(draw):
+    """A block, and a budget below its padded box: one outer plane, a few
+    hundred points, or ``k`` output planes per chunk (plus some points)."""
+    shape = tuple(draw(st.integers(2, 13)) for _ in range(3))
+    lo = tuple(draw(st.integers(0, n - 1)) for n in shape)
+    hi = tuple(draw(st.integers(l + 1, n)) for l, n in zip(lo, shape))
+    geo = _geometry(tuple(h - l for l, h in zip(lo, hi)))
+    plane = geo.strides[geo.outer]
+    depth = hi[geo.outer] - lo[geo.outer]
+    budget = draw(st.one_of(
+        st.just(plane),
+        st.integers(200, 400),
+        st.tuples(st.integers(1, max(1, depth - 1)), st.integers(0, plane - 1))
+        .map(lambda kr: (kr[0] + 2) * plane + kr[1]),
+    ))
+    return shape, lo, hi, budget
+
+
+def _chunked_sweep(u, coeffs, lo, hi, budget, sentinel):
+    """``out`` and the arena after one sweep of ``[lo, hi)`` under ``budget``."""
+    out = sentinel.copy()
+    arena = ScratchArena()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(kernels, "SCRATCH_BUDGET", budget)
+        with np.errstate(invalid="ignore", over="ignore"):
+            apply_stencil_block(u, coeffs, out, lo, hi, arena=arena)
+    return out, arena
+
+
+def _max_lease(arena: ScratchArena) -> int:
+    """The longest lease the arena served (its buffers grow to fit one)."""
+    return max((b.size for b in arena._bufs.values()), default=0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_chunked_cases(), _chunk_factors, st.sampled_from(["c", "fortran", "strided"]),
+       st.integers(0, 2**32 - 1))
+@example(((12, 5, 6), (0, 0, 0), (12, 5, 6), 4 * 8 * 14), (np.array([0.2, 0.5, 0.3]),) * 3,
+         "c", 0)  # 5 outer planes in chunks of 2: the last chunk holds one
+@example(((9, 9, 9), (1, 0, 2), (8, 9, 9), 121), (np.array([1.0, 0.0, 0.0]),) * 3,
+         "fortran", 1)  # a chunk of one plane, three unit-tap offsets
+def test_chunked_sweeps_match_one_chunk(case, factors, layout, seed):
+    """A box over the budget is swept in chunks of outer planes, bit for bit
+    what one chunk gives, with no lease over max(budget, 3 outer planes)."""
+    shape, lo, hi, budget = case
+    geo = _geometry(tuple(h - l for l, h in zip(lo, hi)))
+    assume(geo.size > budget)
+    u = _layouts(_random_field(shape, seed))[layout]
+    coeffs = _coeffs(factors)
+    sentinel = np.random.default_rng(seed).standard_normal(u.shape)
+    got, arena = _chunked_sweep(u, coeffs, lo, hi, budget, sentinel)
+    want, _ = _chunked_sweep(u, coeffs, lo, hi, geo.size, sentinel)
+    assert got.tobytes() == want.tobytes()
+    assert _max_lease(arena) <= max(budget, 3 * geo.strides[geo.outer])
+
+
+def test_the_budget_keeps_every_rank_block_whole():
+    """Every block of a 48^3 rank, and the rank itself, fits the budget, so
+    the functional runs sweep each block in one piece."""
+    blocks = {b for tiling in tiling_blocks().values() for b in tiling}
+    blocks.add(((0, 0, 0), RANK))
+    for lo, hi in blocks:
+        assert _geometry(tuple(h - l for l, h in zip(lo, hi))).size <= SCRATCH_BUDGET
+
+
+def test_a_96_cube_holds_the_budget():
+    """A 96^3 advance (read in place) and a 96^3 copy-in block lease at
+    most the budget each: about 3 MB in all, not three padded fields."""
+    coeffs = tensor_product_coefficients((0.9, -0.6, 0.4), 1.0)
+    u = _random_field((96, 96, 96), 6)
+    arena = ScratchArena()
+    advance(u, coeffs, arena=arena)
+    assert _max_lease(arena) <= SCRATCH_BUDGET
+    assert arena.nbytes <= 3 * 8 * SCRATCH_BUDGET
+    arena = ScratchArena()
+    apply_stencil_block(u, coeffs, np.zeros_like(u), (1, 0, 0), (96, 96, 95),
+                        arena=arena)
+    assert "sep.a" in arena._bufs  # copied in
+    assert _max_lease(arena) <= SCRATCH_BUDGET
+    assert arena.nbytes <= 3 * 8 * SCRATCH_BUDGET
 
 
 # -- Step 3 as a buffer flip ---------------------------------------------------
