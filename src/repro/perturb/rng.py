@@ -153,7 +153,22 @@ class Stream:
         """
         if sigma <= 0.0:
             return 1.0
-        return math.exp(sigma * self.normal() - 0.5 * sigma * sigma)
+        # normal() with its two uniform() draws written inline: the
+        # seeded hot path calls this once per priced operation.
+        i = self.index
+        self.index = i + 2
+        key = self._key
+        z = key ^ ((i + 5 * _GOLDEN) & _MASK64)
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+        u1 = ((z ^ (z >> 31)) >> 11) * _INV_2_53
+        z = key ^ ((i + 1 + 5 * _GOLDEN) & _MASK64)
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+        u2 = ((z ^ (z >> 31)) >> 11) * _INV_2_53
+        r = math.sqrt(-2.0 * math.log(u1 + _INV_2_53))
+        normal = r * math.cos(2.0 * math.pi * u2)
+        return math.exp(sigma * normal - 0.5 * sigma * sigma)
 
     def exponential(self, mean: float) -> float:
         """Next exponential draw with the given mean (heavy-ish stall tails)."""

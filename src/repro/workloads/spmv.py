@@ -18,6 +18,13 @@ orders. Duplicated draws stay duplicated in the stored matrix (CRS keeps
 what you put in it) but are deduplicated in the gather plan (an ``x``
 entry is fetched once).
 
+No table of the pattern is kept. A rank's coupling, its gather summary
+and the mirror representative come from one streamed scan: the band's
+nonzeros and overhang in closed form, the extras drawn in fixed blocks of
+``_SCAN_BLOCK_ROWS`` rows and deduplicated in an occupancy bitmap over
+the columns. Set-up memory is then a bitmap plus one block, whatever the
+problem size.
+
 Communication model
 -------------------
 Per sweep, rank ``r`` exchanges with each coupled peer ``p`` under the
@@ -42,7 +49,6 @@ simulators:
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
@@ -136,20 +142,31 @@ def _stream_base(pseed: int, stream: int) -> np.uint64:
     return _U(v)
 
 
-def _extra_cols(rows: int, extras: int, pseed: int, lo: int, hi: int) -> np.ndarray:
-    """Random extra columns of rows ``[lo, hi)``: shape ``(hi-lo, extras)``."""
-    n = max(0, hi - lo)
-    if extras == 0 or n == 0:
-        return np.empty((n, 0), dtype=np.int64)
-    i = np.arange(lo, hi, dtype=np.uint64)[:, None]
-    j = np.arange(extras, dtype=np.uint64)[None, :]
-    z = _mix64(
-        _stream_base(pseed, 1)
-        ^ (i * _U(0xA24BAED4963EE407))
-        ^ (j * _U(0x9FB21C651E98DF25))
-    )
-    z %= _U(rows)
+def _extra_draws(rows: int, extras: int, pseed: int, lo: int, hi: int) -> np.ndarray:
+    """Random extra columns of rows ``[lo, hi)``, draw-major: element
+    ``[j, i]`` is draw ``j`` of row ``lo + i``, shape ``(extras, hi-lo)``.
+
+    Draw-major keeps every ufunc's inner loop as long as the row range.
+    A power-of-two ``rows`` takes the remainder as a bit mask, the same
+    value as ``%`` without the 64-bit division.
+    """
+    i = np.arange(lo, max(lo, hi), dtype=np.uint64)
+    i *= _U(0xA24BAED4963EE407)
+    i ^= _stream_base(pseed, 1)
+    j = np.arange(extras, dtype=np.uint64)
+    j *= _U(0x9FB21C651E98DF25)
+    z = _mix64(j[:, None] ^ i[None, :])
+    if rows & (rows - 1):
+        z %= _U(rows)
+    else:
+        z &= _U(rows - 1)
     return z.view(np.int64)  # every value is < rows
+
+
+def _extra_cols(rows: int, extras: int, pseed: int, lo: int, hi: int) -> np.ndarray:
+    """Random extra columns of rows ``[lo, hi)``: shape ``(hi-lo, extras)``,
+    each row's draws in draw order (a view of :func:`_extra_draws`)."""
+    return _extra_draws(rows, extras, pseed, lo, hi).T
 
 
 def _unit_floats(base: np.uint64, idx: np.ndarray) -> np.ndarray:
@@ -163,64 +180,48 @@ def initial_x(pseed: int, lo: int, hi: int) -> np.ndarray:
     return _unit_floats(_stream_base(pseed, 2), np.arange(lo, hi, dtype=np.int64))
 
 
-def _sorted_unique(a: np.ndarray, span: int) -> np.ndarray:
-    """Sorted distinct values of an int array with values in ``[0, span)``.
+# -- the streamed pattern scan ----------------------------------------------
 
-    Many values over a small span: an occupancy bitmap (``np.flatnonzero``
-    returns its hits sorted). Few values over a wide span: one sort plus
-    an adjacent-difference mask (NumPy 2's hash-based ``np.unique`` is
-    far slower on these sizes). Both give the same array; the bitmap wins
-    once there is about one value per eight slots.
+#: Rows per block of the pattern scan: a block's draws and masks are all
+#: the scan holds at once, whatever the problem size.
+_SCAN_BLOCK_ROWS = 8192
+
+
+def _extra_blocks(rows: int, extras: int, pseed: int, lo: int, hi: int):
+    """The random extra columns of rows ``[lo, hi)``, one flat array per
+    block of at most ``_SCAN_BLOCK_ROWS`` rows (draw-major within a block:
+    a scan only marks and counts them)."""
+    if extras == 0:
+        return
+    for a in range(lo, hi, _SCAN_BLOCK_ROWS):
+        b = min(hi, a + _SCAN_BLOCK_ROWS)
+        yield _extra_draws(rows, extras, pseed, a, b).reshape(-1)
+
+
+def _ramp_sum(n: int, top: int, cap: int) -> int:
+    """``sum(min(cap, max(0, top - k)) for k in range(n))`` in closed form."""
+    capped = min(n, max(0, top - cap + 1))  # the terms at the cap
+    end = min(n, max(0, top))  # the terms past `end` are zero
+    m = end - capped
+    return cap * capped + (m * (2 * top - capped - end + 1) // 2 if m > 0 else 0)
+
+
+def _band_terms(rows: int, band: int, row0: int, r1: int) -> Tuple[int, int]:
+    """(banded nonzeros, band overhang) of rows ``[row0, r1)``, closed form.
+
+    Row ``i`` stores columns ``[max(i-band, 0), min(i+band, rows-1)]``;
+    its overhang is the part of that window outside ``[row0, r1)``. The
+    window clipped to the block is a square band matrix of ``r1 - row0``
+    rows (the ``nnz_total`` count); the overhang on each side is a ramp
+    falling by one column per row away from the edge, capped by the
+    ``row0`` columns left and the ``rows - r1`` right of the block.
     """
-    if 8 * len(a) >= span:
-        seen = np.zeros(span, dtype=bool)
-        seen[a] = True
-        return np.flatnonzero(seen)
-    a = np.sort(a)
-    keep = np.empty(len(a), dtype=bool)
-    keep[:1] = True
-    np.not_equal(a[1:], a[:-1], out=keep[1:])
-    return a[keep]
-
-
-#: Rows drawn per block when a table grows (bounds the temporaries).
-_DRAW_BLOCK_ROWS = 1 << 16
-
-
-class _ExtrasTable:
-    """The random extra columns of one ``(rows, extras, pseed)`` pattern,
-    each row drawn once while the table is kept.
-
-    Rows are drawn on demand as a growing prefix ``[0, drawn)``: the
-    mirror path only ever asks for node 0's rows, which start at row 0.
-    The buffer is reserved for the whole matrix but untouched pages cost
-    no memory, so a table holds at most ``rows * extras * 8`` bytes, and
-    only once some run asked for the last row block. Views are read-only:
-    every run and every task count of the pattern shares them.
-    """
-
-    def __init__(self, rows: int, extras: int, pseed: int):
-        self.rows, self.extras, self.pseed = rows, extras, pseed
-        self._cols = np.empty((rows, extras), dtype=np.int64)
-        self._drawn = 0
-
-    def cols(self, lo: int, hi: int) -> np.ndarray:
-        """Extra columns of rows ``[lo, hi)``: shape ``(hi-lo, extras)``."""
-        drawn = self._drawn
-        while drawn < hi:
-            end = min(hi, drawn + _DRAW_BLOCK_ROWS)
-            self._cols[drawn:end] = _extra_cols(
-                self.rows, self.extras, self.pseed, drawn, end
-            )
-            drawn = self._drawn = end
-        view = self._cols[lo:hi]
-        view.flags.writeable = False
-        return view
-
-
-@lru_cache(maxsize=2)
-def _extras_table(rows: int, extras: int, pseed: int) -> _ExtrasTable:
-    return _ExtrasTable(rows, extras, pseed)
+    n = r1 - row0
+    if n <= 0:
+        return 0, 0
+    b = min(band, n - 1)
+    overhang = _ramp_sum(n, band, row0) + _ramp_sum(n, band, rows - r1)
+    return n * (2 * b + 1) - b * (b + 1) + overhang, overhang
 
 
 # -- the problem -----------------------------------------------------------
@@ -247,16 +248,17 @@ class SpmvCoupling:
     def peers(self) -> List[int]:
         return sorted(self.gather_cols)
 
-    def gather_bytes(self, peer: int) -> int:
-        return 8 * len(self.gather_cols[peer])
-
-    @property
-    def total_gather_bytes(self) -> int:
-        return sum(8 * len(c) for c in self.gather_cols.values())
-
 
 class SpmvProblem:
-    """One matrix pattern + row partition (pure function of its arguments)."""
+    """One matrix pattern + row partition (pure function of its arguments).
+
+    It holds the row starts, plus the couplings a full-backend run asked
+    for and the representative of each placement. Nothing else of the
+    pattern is kept: every rank's extras are redrawn from the counter
+    generator when a scan, a coupling or the triplets need them, a block
+    of ``_SCAN_BLOCK_ROWS`` rows at a time in the scans, so set-up memory
+    does not follow the problem size.
+    """
 
     def __init__(self, rows: int, band: int, extras: int, pseed: int, ntasks: int):
         self.rows = rows
@@ -294,28 +296,40 @@ class SpmvProblem:
         b = min(self.band, self.rows - 1)
         return self.rows * (2 * b + 1) - b * (b + 1) + self.extras * self.rows
 
+    def _scan(self, rank: int) -> Tuple[int, int, np.ndarray]:
+        """(nnz, nnz_boundary, remote-column bitmap) of one rank's rows.
+
+        The entry-granular local/non-local split (Schubert's matrix
+        parts): the band's overhang outside ``[row0, r1)``, counted in
+        closed form, plus the remote extras, duplicates included. The
+        extras are drawn block by block and marked in one occupancy
+        bitmap over the columns; clearing the rank's own rows and marking
+        the band's overhang leaves its deduped gather. The scan never
+        holds more than one block's draws. A rank owning every row has no
+        remote column and draws nothing.
+        """
+        rows, band = self.rows, self.band
+        row0, nrows = self.block(rank)
+        r1 = row0 + nrows
+        band_nnz, nnz_boundary = _band_terms(rows, band, row0, r1)
+        seen = np.zeros(rows, dtype=bool)
+        if nrows < rows:
+            for extra in _extra_blocks(rows, self.extras, self.pseed, row0, r1):
+                seen[extra] = True
+                local = np.count_nonzero(extra >= row0) - np.count_nonzero(extra >= r1)
+                nnz_boundary += len(extra) - int(local)
+            seen[row0:r1] = False
+        seen[max(0, row0 - band):row0] = True
+        seen[r1:r1 + band] = True
+        return band_nnz + self.extras * nrows, nnz_boundary, seen
+
     def coupling(self, rank: int) -> SpmvCoupling:
         """Per-rank coupling (memoized; deterministic in ``rank`` alone)."""
         got = self._coupling.get(rank)
         if got is not None:
             return got
-        rows, band, extras = self.rows, self.band, self.extras
-        row0, nrows = self.block(rank)
-        r1 = row0 + nrows
-        i = np.arange(row0, r1, dtype=np.int64)
-        win_lo = np.maximum(i - band, 0)
-        win_hi = np.minimum(i + band, rows - 1)
-        band_counts = win_hi - win_lo + 1
-        nnz = int(band_counts.sum()) + extras * nrows
-        extra = _extras_table(rows, extras, self.pseed).cols(row0, r1).reshape(-1)
-        banded_remote = np.concatenate(
-            [
-                np.arange(max(0, row0 - band), row0, dtype=np.int64),
-                np.arange(r1, min(rows, r1 + band), dtype=np.int64),
-            ]
-        )
-        extra_remote = np.compress((extra < row0) | (extra >= r1), extra)
-        remote = _sorted_unique(np.concatenate([banded_remote, extra_remote]), rows)
+        nnz, nnz_boundary, seen = self._scan(rank)
+        remote = np.flatnonzero(seen)
         # Sorted columns have sorted owners: split at the owner changes.
         owners = self.owner_of(remote)
         heads = np.flatnonzero(np.diff(owners, prepend=-1))
@@ -324,12 +338,7 @@ class SpmvProblem:
             p: remote[a:b]
             for p, a, b in zip(owners[heads].tolist(), heads.tolist(), ends)
         }
-        # Entry-granular local/non-local split (Schubert's matrix parts):
-        # the band's overhang outside [row0, r1) plus the remote extras.
-        band_overhang = np.maximum(row0 - win_lo, 0) + np.maximum(
-            win_hi - (r1 - 1), 0
-        )
-        nnz_boundary = int(band_overhang.sum()) + len(extra_remote)
+        row0, nrows = self.block(rank)
         out = SpmvCoupling(
             rank=rank,
             row0=row0,
@@ -348,9 +357,12 @@ class SpmvProblem:
         With ``tpn`` contiguous ranks per node, node 0 owns rows
         ``[0, split)`` and every column ``>= split`` lives off-node. A
         rank's off-node gather is its band overhang past ``split`` plus
-        its distinct extras beyond that overhang, so one pass over node
-        0's draws counts all ranks without building their couplings. Ties
-        go to the lowest rank; a single node has no off-node traffic.
+        its distinct extras beyond that overhang. The ranks are counted
+        one at a time: each marks its extras, streamed in scan blocks, in
+        one bitmap over the columns and counts the marks past its
+        overhang. No coupling is built and no more than one block of
+        draws is held. Ties go to the lowest rank; a single node has no
+        off-node traffic.
         """
         got = self._representative.get(tpn)
         if got is not None:
@@ -358,18 +370,18 @@ class SpmvProblem:
         rep = 0
         if 1 < tpn < self.ntasks:
             rows, split = self.rows, int(self._starts[tpn])
-            bounds = self._starts[:tpn + 1]
-            over = np.clip(np.minimum(bounds[1:] + self.band, rows) - split, 0, None)
-            row_rank = np.repeat(np.arange(tpn), np.diff(bounds))
-            extra = _extras_table(rows, self.extras, self.pseed).cols(0, split)
-            # Distinct (rank, column) pairs keyed rank * rows + column;
-            # np.compress beats boolean indexing on a random mask.
-            far = extra >= (split + over[row_rank])[:, None]
-            keys = _sorted_unique(np.compress(
-                far.ravel(), (extra + (row_rank * rows)[:, None]).ravel()
-            ), tpn * rows)
-            per_rank = np.diff(np.searchsorted(keys, np.arange(tpn + 1) * rows))
-            rep = int(np.argmax(over + per_rank))
+            bounds = self._starts[:tpn + 1].tolist()
+            seen = np.zeros(rows, dtype=bool)
+            best = -1
+            for r in range(tpn):
+                over = max(0, min(bounds[r + 1] + self.band, rows) - split)
+                seen[:] = False
+                for extra in _extra_blocks(rows, self.extras, self.pseed,
+                                           bounds[r], bounds[r + 1]):
+                    seen[extra] = True
+                count = over + int(np.count_nonzero(seen[split + over:]))
+                if count > best:
+                    rep, best = r, count
         self._representative[tpn] = rep
         return rep
 
@@ -398,7 +410,7 @@ class SpmvProblem:
         steps[row_starts] = win_lo - np.concatenate(([0], win_hi[:-1]))
         band_cols = np.cumsum(steps)
         band_rows = np.repeat(np.arange(nrows, dtype=np.int64), band_counts)
-        extra = _extras_table(rows, extras, self.pseed).cols(row0, r1)
+        extra = _extra_cols(rows, extras, self.pseed, row0, r1)
         extra_rows = np.repeat(np.arange(nrows, dtype=np.int64), extras)
         cols = np.concatenate([band_cols, extra.reshape(-1)])
         rws = np.concatenate([band_rows, extra_rows])
@@ -432,27 +444,54 @@ class GatherSummary(NamedTuple):
     recv_bytes: int
 
 
+def _owner_counts(seen: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """Marked columns of ``seen`` in each owner's block ``[starts[p],
+    starts[p+1])``.
+
+    Counted in scan blocks of columns: each block's hits locate the owner
+    starts that fall in it. ``np.add.reduceat`` would first cast the
+    whole bitmap to ``int64``, eight bytes per column.
+    """
+    below = np.empty(len(starts), dtype=np.int64)  # marks left of each start
+    done = j = 0
+    for a in range(0, len(seen), _SCAN_BLOCK_ROWS):
+        hits = np.flatnonzero(seen[a:a + _SCAN_BLOCK_ROWS])
+        k = int(np.searchsorted(starts, a + _SCAN_BLOCK_ROWS))
+        below[j:k] = done + np.searchsorted(hits, starts[j:k] - a)
+        done += len(hits)
+        j = k
+    return np.diff(below, append=done)
+
+
+def _summary(rank: int, ntasks: int, nnz: int, nnz_boundary: int,
+             counts) -> GatherSummary:
+    """A :class:`GatherSummary` from ``(peer, columns)`` counts, peers ascending."""
+    plan = tuple((p, gather_tag(rank, p, ntasks), 8 * n) for p, n in counts)
+    return GatherSummary(
+        nnz, nnz - nnz_boundary, nnz_boundary, plan, sum(n for _, _, n in plan)
+    )
+
+
 def _summarize(coupling: SpmvCoupling, ntasks: int) -> GatherSummary:
     """The :class:`GatherSummary` of one rank's coupling."""
-    me = coupling.rank
-    plan = tuple(
-        (p, gather_tag(me, p, ntasks), coupling.gather_bytes(p))
-        for p in coupling.peers
-    )
-    return GatherSummary(
-        coupling.nnz, coupling.nnz_interior, coupling.nnz_boundary, plan,
-        sum(n for _, _, n in plan),
-    )
+    counts = ((p, len(coupling.gather_cols[p])) for p in coupling.peers)
+    return _summary(coupling.rank, ntasks, coupling.nnz, coupling.nnz_boundary,
+                    counts)
 
 
 @lru_cache(maxsize=256)
 def _gather_summary(
     rows: int, band: int, extras: int, pseed: int, ntasks: int, rank: int
 ) -> GatherSummary:
-    """One rank's summary, kept apart from the problem instance, so an
-    evicted ``_problem`` entry costs no redraw."""
+    """One rank's summary, counted from its scan without building its
+    coupling. Kept apart from the problem instance, so a mirror run holds
+    no column array and an evicted ``_problem`` entry costs no rescan."""
     problem = _problem(rows, band, extras, pseed, ntasks)
-    return _summarize(problem.coupling(rank), ntasks)
+    nnz, nnz_boundary, seen = problem._scan(rank)
+    per_owner = _owner_counts(seen, problem._starts)
+    peers = np.flatnonzero(per_owner)
+    return _summary(rank, ntasks, nnz, nnz_boundary,
+                    zip(peers.tolist(), per_owner[peers].tolist()))
 
 
 @lru_cache(maxsize=256)

@@ -3,8 +3,8 @@
 Runs of one ``(ntasks, domain)`` share a :class:`Decomposition` whose
 per-rank layouts are filled on first use, and runs of one ``(subdomain
 shape, box thickness)`` share a :class:`HybridGeometry`. SpMV runs share
-each pattern's random extras, drawn once per row, and the mirror
-profile's inputs per ``(problem, tasks per node)``; GPU runs share the
+the mirror profile's inputs per ``(problem, tasks per node)``, each
+counted by a streamed scan of the pattern; GPU runs share the
 stencil kernel rate per ``(device, block, tile shape)``; mirror
 communicators share send prices per interconnect; functional sweeps share
 a plan per ``(block extent, factor taps)``. These tests
@@ -15,6 +15,7 @@ left in the memos.
 
 import dataclasses
 import gc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -55,8 +56,7 @@ def clear_memo():
 
 
 def clear_spmv_memo():
-    for memo in (spmv._problem, spmv._extras_table, spmv._gather_summary,
-                 spmv._mirror_pick):
+    for memo in (spmv._problem, spmv._gather_summary, spmv._mirror_pick):
         memo.cache_clear()
 
 
@@ -175,8 +175,17 @@ def fresh_coupling(rows, band, extras, pseed, ntasks, rank):
     return len(cols), len(cols) - nnz_boundary, nnz_boundary, gather
 
 
+def fresh_summary(coupling, rank, ntasks):
+    """The summary tuple of a :func:`fresh_coupling` result."""
+    nnz, interior, boundary, gather = coupling
+    plan = tuple((p, gather_tag(rank, p, ntasks), 8 * len(gather[p]))
+                 for p in sorted(gather))
+    return nnz, interior, boundary, plan, sum(n for _, _, n in plan)
+
+
 def fresh_profile_inputs(rows, band, extras, pseed, ntasks, tpn):
-    """(representative, summary, off-node flags) by the per-rank scan."""
+    """(representative, summary, off-node flags) by the per-rank scan
+    (``test_spmv._brute_representative``'s pick, on fresh couplings)."""
     couplings = [fresh_coupling(rows, band, extras, pseed, ntasks, r)
                  for r in range(tpn)]
 
@@ -184,12 +193,9 @@ def fresh_profile_inputs(rows, band, extras, pseed, ntasks, tpn):
         return sum(8 * len(c) for p, c in couplings[r][3].items() if p // tpn != 0)
 
     rep = 0 if tpn in (1, ntasks) else max(range(tpn), key=offnode_bytes)
-    nnz, interior, boundary, gather = couplings[rep]
-    plan = tuple((p, gather_tag(rep, p, ntasks), 8 * len(gather[p]))
-                 for p in sorted(gather))
-    offnode = tuple((tag, p // tpn != 0) for p, tag, _ in plan)
-    recv_bytes = sum(n for _, _, n in plan)
-    return rep, (nnz, interior, boundary, plan, recv_bytes), offnode
+    summary = fresh_summary(couplings[rep], rep, ntasks)
+    offnode = tuple((tag, p // tpn != 0) for p, tag, _ in summary[3])
+    return rep, summary, offnode
 
 
 @st.composite
@@ -200,9 +206,22 @@ def _spmv_cases(draw):
             draw(st.integers(1, 3)), ntasks, draw(st.integers(1, ntasks)))
 
 
+@st.composite
+def _scan_cases(draw):
+    """A problem, one of its ranks, a placement and a scan block size,
+    with bands as wide as the matrix and one row per task included."""
+    rows = draw(st.integers(1, 200))
+    ntasks = draw(st.integers(1, min(rows, 12)) | st.just(rows))
+    band = draw(st.integers(0, 20) | st.integers(max(0, rows - 1), rows + 3))
+    return (rows, band, draw(st.integers(0, 5)), draw(st.integers(1, 3)),
+            ntasks, draw(st.integers(0, ntasks - 1)),
+            draw(st.integers(1, ntasks)),
+            draw(st.sampled_from([1, 3, 7, spmv._SCAN_BLOCK_ROWS])))
+
+
 def _evict_problems(key):
     """Push ``key``'s problem out of the ``_problem`` memo with problems of
-    the same pattern table (other bands)."""
+    the same pattern (other bands)."""
     rows, band, extras, pseed, ntasks = key
     for n in range(1, spmv._problem.cache_info().maxsize + 2):
         spmv._problem(rows, band + n, extras, pseed, ntasks)
@@ -228,7 +247,7 @@ class TestSpmvMemoEqualsFresh:
         # Warm: the second ask is the memo, and it is the same object.
         assert spmv._mirror_pick(*key, tpn) is spmv._mirror_pick(*key, tpn)
         assert spmv._gather_summary(*key, rep) is summary
-        # Every rank's coupling, from a problem built on the shared table.
+        # Every rank's coupling, from a problem of its own.
         problem = SpmvProblem(*key)
         for r in range(key[4]):
             nnz, interior, boundary, gather = fresh_coupling(*key, r)
@@ -238,18 +257,35 @@ class TestSpmvMemoEqualsFresh:
             for p in gather:
                 assert np.array_equal(c.gather_cols[p], gather[p])
 
-    @given(st.integers(1, 5000), st.integers(0, 6), st.integers(0, 4),
-           st.lists(st.tuples(st.integers(0, 5000), st.integers(0, 5000)),
-                    min_size=1, max_size=6))
-    @settings(max_examples=80, deadline=None)
-    def test_extras_table_matches_direct_draws(self, rows, extras, pseed, spans):
-        table = spmv._ExtrasTable(rows, extras, pseed)
-        for a, b in spans:
-            lo, hi = sorted((a % (rows + 1), b % (rows + 1)))
-            got = table.cols(lo, hi)
-            assert not got.flags.writeable and got.shape == (hi - lo, extras)
-            want = _extra_cols(rows, extras, pseed, lo, hi)
-            assert np.array_equal(got.ravel(), want.ravel())
+    @given(_scan_cases())
+    @settings(max_examples=200, deadline=None)
+    def test_streamed_scan_matches_a_literal_recomputation(self, case):
+        """Any scan block size, down to one row, gives the literal
+        coupling, summary and representative, and the closed-form band
+        terms equal the per-row sums."""
+        *key, rank, tpn, block = case
+        key = tuple(key)
+        rows, band, extras, pseed, ntasks = key
+        want = fresh_coupling(*key, rank)
+        want_rep = fresh_profile_inputs(*key, tpn)[0]
+        with mock.patch.object(spmv, "_SCAN_BLOCK_ROWS", block):
+            clear_spmv_memo()
+            problem = SpmvProblem(*key)
+            c = problem.coupling(rank)
+            assert (c.nnz, c.nnz_interior, c.nnz_boundary) == want[:3]
+            assert list(c.gather_cols) == list(want[3])
+            for p, cols in want[3].items():
+                assert np.array_equal(c.gather_cols[p], cols)
+            summary = spmv._gather_summary(*key, rank)
+            assert tuple(summary) == fresh_summary(want, rank, ntasks)
+            assert problem.representative(tpn) == want_rep
+        row0, nrows = block_range(rows, ntasks, rank)
+        r1 = row0 + nrows
+        i = np.arange(row0, r1)
+        win_lo, win_hi = np.maximum(i - band, 0), np.minimum(i + band, rows - 1)
+        overhang = np.maximum(row0 - win_lo, 0) + np.maximum(win_hi - (r1 - 1), 0)
+        assert spmv._band_terms(rows, band, row0, r1) == (
+            int((win_hi - win_lo + 1).sum()), int(overhang.sum()))
 
     def test_shared_entries_are_read_only(self):
         key = (4096, 8, 2, 1, 16)
@@ -257,21 +293,6 @@ class TestSpmvMemoEqualsFresh:
         assert isinstance(offnode, tuple)
         summary = spmv._gather_summary(*key, rep)
         assert isinstance(summary, tuple) and isinstance(summary.recv_plan, tuple)
-        with pytest.raises(ValueError, match="read-only"):
-            spmv._extras_table(4096, 2, 1).cols(0, 8)[0, 0] = 1
-
-    def test_an_evicted_problem_costs_no_redraw(self, monkeypatch):
-        key = (4096, 8, 2, 1, 16)
-        spmv._mirror_pick(*key, 4)
-        draws = []
-        real = spmv._extra_cols
-        monkeypatch.setattr(spmv, "_extra_cols",
-                            lambda *a: draws.append(a) or real(*a))
-        _evict_problems(key)
-        spmv._mirror_pick.cache_clear()
-        spmv._gather_summary.cache_clear()
-        spmv._mirror_pick(*key, 4)
-        assert draws == []
 
 
 _PRICE_FIELDS = ("local", "unpaired", "buffered", "lat", "frac", "rate",

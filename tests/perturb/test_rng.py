@@ -102,6 +102,14 @@ class TestStream:
         assert all(x > 0 for x in xs)
         assert abs(sum(xs) / len(xs) - 1.0) < 0.02
 
+    def test_lognormal_factor_equals_the_normal_formula_bit_for_bit(self):
+        for sigma in (0.05, 0.2, 1.0):
+            s, ref = Stream(21, 3, LANE_COMPUTE), Stream(21, 3, LANE_COMPUTE)
+            for _ in range(10_000):
+                want = math.exp(sigma * ref.normal() - 0.5 * sigma * sigma)
+                assert s.lognormal_factor(sigma) == want
+            assert s.index == ref.index == 20_000
+
     def test_lognormal_zero_sigma_is_exact_one(self):
         s = Stream(1, 1, 1)
         assert s.lognormal_factor(0.0) == 1.0

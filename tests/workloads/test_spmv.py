@@ -1,6 +1,8 @@
 """SpMV workload tests: pattern determinism, functional exactness,
 the SS V-E overlap ordering, and trace invariants."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -97,6 +99,25 @@ class TestProblem:
                 assert ((cs >= lo) & (cs < lo + n)).all()
             assert (owners != r).all()
 
+    @pytest.mark.parametrize("rows", [1000, 4096, 1 << 20])
+    def test_extra_columns_match_the_scalar_generator(self, rows):
+        """The vectorized draws (a bit mask for power-of-two ``rows``)
+        equal SplitMix64 evaluated on Python ints."""
+        mask = (1 << 64) - 1
+
+        def draw(pseed, row, j):
+            z = ((pseed * 0x9E3779B97F4A7C15 + 0xBF58476D1CE4E5B9) & mask
+                 ^ (row * 0xA24BAED4963EE407) & mask
+                 ^ (j * 0x9FB21C651E98DF25) & mask)
+            z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & mask
+            z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
+            return (z ^ (z >> 31)) % rows
+
+        lo = rows // 3
+        got = spmv._extra_cols(rows, 3, 2, lo, lo + 40)
+        assert got.tolist() == [[draw(2, lo + i, j) for j in range(3)]
+                                for i in range(40)]
+
     def test_pair_tags_are_symmetric_and_disjoint(self):
         n = 7
         tags = set()
@@ -178,6 +199,8 @@ class TestRepresentative:
         assert pr._coupling == {}  # no per-rank coupling was built
 
     def test_mirror_profile_builds_only_the_representative(self):
+        """The profile picks the representative and counts its summary
+        from the scan: no rank's coupling is built, not even its own."""
         cfg = _cfg(JAGUARPF, "bulk", 96, 6)
         wl = get_workload("spmv")
         part = wl.decompose(cfg)
@@ -186,8 +209,41 @@ class TestRepresentative:
         # memos builds nothing; clear them so this one has to build.
         spmv._mirror_pick.cache_clear()
         spmv._gather_summary.cache_clear()
-        prof = wl.mirror_profile(cfg, part)
-        assert set(part.problem._coupling) == {prof.representative_rank}
+        wl.mirror_profile(cfg, part)
+        assert part.problem._coupling == {}
+
+
+def _numpy_leaves(value):
+    """Every ndarray or NumPy scalar inside nested tuples."""
+    if isinstance(value, tuple):
+        return [x for v in value for x in _numpy_leaves(v)]
+    return [value] if isinstance(value, (np.ndarray, np.generic)) else []
+
+
+class TestSetupMemory:
+    """The profile inputs at the default problem size stay within a
+    fixed budget, whatever the task count (the parent of the streamed
+    scan peaked at 44-88 MB here)."""
+
+    @pytest.mark.parametrize("ntasks,tpn", [(1, 1), (2, 1), (12, 12), (96, 12)])
+    def test_profile_inputs_stay_within_four_mib(self, ntasks, tpn):
+        key = (1 << 20, 48, 4, 1, ntasks)
+        for memo in (spmv._problem, spmv._gather_summary, spmv._mirror_pick):
+            memo.cache_clear()
+        tracemalloc.start()
+        try:
+            rep, offnode = spmv._mirror_pick(*key, tpn)
+            summary = spmv._gather_summary(*key, rep)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 << 20, f"{peak / 2**20:.1f} MiB"
+        # The memos keep tuples of ints; the problem keeps its row starts.
+        assert _numpy_leaves((rep, offnode, tuple(summary))) == []
+        problem = spmv._problem(*key)
+        assert problem._coupling == {}
+        assert [name for name, v in vars(problem).items()
+                if isinstance(v, np.ndarray)] == ["_starts"]
 
 
 class TestParams:
