@@ -1,4 +1,4 @@
-"""Sweep-fabric hot paths: journal commits and warm parent lookups.
+"""Sweep-scale hot paths: journal commits and warm parent lookups.
 
 Million-config sweeps live or die on two costs (docs/MODEL.md §13): how
 often completed results are fsynced on their way to durable journal

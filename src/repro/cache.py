@@ -136,7 +136,7 @@ MODEL_VERSION = "pr3-obs-copy-engines-1"
 DEFAULT_CACHE_DIR = ".repro-cache"
 
 #: Hex characters of the cache key naming an entry's segment file
-#: (2 -> 256 segments). Shared by the journal and the lease fabric.
+#: (2 -> 256 segments). Shared by the journal and `sweep --peer` shares.
 SHARD_PREFIX_CHARS = 2
 
 

@@ -11,6 +11,8 @@
     advection-repro experiments                # list experiment ids
     advection-repro sweep --machine yona --impl hybrid_overlap \\
         --cores 12 24 48 --jobs 4              # tuning sweep, parallel
+    advection-repro sweep --machine yona --impl all --cores 12 24 \\
+        --journal j/ --peer 0/2                # peer 0 of 2 on one journal
     advection-repro tune --machine yona --impl hybrid_overlap --cores 48
     advection-repro trace --machine yona --impl hybrid_overlap --out t.json
     advection-repro trace --experiments all --fast --check
@@ -152,21 +154,12 @@ def build_parser() -> argparse.ArgumentParser:
                         help="expand the cross-product and print config/"
                              "dedup counts and the warm/cold split (batched "
                              "cache+journal probes) without running anything")
-    sweepp.add_argument("--fabric", metavar="DIR", default=None,
-                        help="cooperate with concurrent sweep processes "
-                             "through a shared fabric directory (journal "
-                             "+ shard leases); any number of "
-                             "processes may run the same command against "
-                             "the same DIR and split the work")
-    sweepp.add_argument("--owner", metavar="NAME", default=None,
-                        help="lease owner identity in --fabric mode "
-                             "(default: host:pid)")
-    sweepp.add_argument("--lease-ttl", type=float, default=30.0, metavar="S",
-                        help="seconds before a dead scheduler's shard lease "
-                             "may be stolen by a peer (--fabric mode)")
-    sweepp.add_argument("--shards", type=int, default=16, metavar="N",
-                        help="task shards the batch is partitioned into in "
-                             "--fabric mode (1-256)")
+    sweepp.add_argument("--peer", metavar="I/N", default=None,
+                        help="run as peer I of N sweep processes sharing "
+                             "--journal: simulate this peer's share of the "
+                             "batch first, then finish the others' (what a "
+                             "peer already journaled replays) and print the "
+                             "full table")
     _add_progress_flag(sweepp)
 
     servep = sub.add_parser(
@@ -510,7 +503,7 @@ def _sweep_groups(args, machine, thicknesses):
     """Expand the sweep cross-product: one feasible-config group per
     (impl, cores) point, plus total/infeasible counts.
 
-    Every sweep mode (run, ``--dry-run``, ``--fabric``) shares this
+    Every sweep mode (run, ``--dry-run``, ``--peer``) shares this
     expansion, so the printed tables stay byte-identical across modes.
     """
     from repro.perf.sweep import tuning_configs
@@ -565,12 +558,13 @@ def _sweep_dry_run(args, groups, total, skipped, cache_dir) -> int:
 
     The warm/cold split comes from *batched existence probes* of the
     memoized cache keys against the run cache and (when given) the
-    journal: no payloads are read, no counters move, nothing simulates.
+    journal: no payloads are read, no counters move, nothing simulates,
+    and an old single-file journal is read where it lies, not imported.
     """
     import os
 
     from repro.cache import RunCache, config_key
-    from repro.sched import ShardedJournal
+    from repro.sched.journal import _flat_entry
 
     distinct = {}
     for _impl, _cores, feasible in groups:
@@ -578,10 +572,13 @@ def _sweep_dry_run(args, groups, total, skipped, cache_dir) -> int:
             distinct.setdefault(config_key(cfg), cfg)
     warm_keys = set()
     if cache_dir is not None and os.path.isdir(cache_dir):
-        cache = RunCache(cache_dir)
-        warm_keys.update(k for k in distinct if cache.has_key(k))
-    if args.journal and os.path.exists(args.journal):
-        warm_keys |= ShardedJournal(args.journal).warm_keys(distinct)
+        warm_keys |= RunCache(cache_dir).warm_keys(distinct)
+    if args.journal and os.path.isdir(args.journal):
+        warm_keys |= RunCache(args.journal).warm_keys(distinct)
+    elif args.journal and os.path.isfile(args.journal):
+        with open(args.journal, "rb") as fh:
+            flat = {entry[0] for entry in map(_flat_entry, fh) if entry}
+        warm_keys |= flat.intersection(distinct)
     warm = len(warm_keys)
     print(
         f"dry-run: configs={total} infeasible={skipped} "
@@ -593,29 +590,33 @@ def _sweep_dry_run(args, groups, total, skipped, cache_dir) -> int:
     return 0
 
 
-def _sweep_fabric(args, groups, cache_dir) -> int:
-    """Run the sweep cooperatively with concurrent peer processes."""
-    from repro.sched import run_fabric
+def _parse_peer(text: str):
+    """``(i, n)`` of ``--peer i/N``, or None unless ``0 <= i < n``."""
+    try:
+        i, n = (int(part) for part in text.split("/"))
+    except ValueError:
+        return None
+    return (i, n) if 0 <= i < n else None
 
-    if not 1 <= args.shards <= 256:
-        print(f"sweep: --shards must be in [1, 256], got {args.shards}",
-              file=sys.stderr)
-        return 2
-    flat = [cfg for _impl, _cores, feasible in groups for cfg in feasible]
-    fr = run_fabric(
-        flat, args.fabric,
-        owner=args.owner, jobs=args.jobs, nshards=args.shards,
-        ttl=args.lease_ttl, cache_dir=cache_dir,
-    )
-    rows = []
-    it = iter(fr.results)
-    for impl, cores, feasible in groups:
-        results = [next(it) for _ in feasible]
-        best = max(results, key=lambda r: r.gflops) if results else None
-        rows.append((impl, cores, best))
-    _print_sweep_table(rows)
-    print(fr.summary())
-    return 0
+
+def _map_peer_shares(sched, groups, peer) -> None:
+    """Map peer ``i``'s share of the batch, then shares i+1, ..., i+N-1.
+
+    A config's share is its key's journal segment prefix modulo N, so
+    each segment has one regular writer. In another peer's share, what
+    that peer already journaled replays as journal hits and the rest is
+    simulated again, identically, so a dead peer's share still finishes.
+    """
+    from repro.cache import SHARD_PREFIX_CHARS, config_key
+
+    i, n = peer
+    shares = {}
+    for _impl, _cores, feasible in groups:
+        for cfg in feasible:
+            share = int(config_key(cfg)[:SHARD_PREFIX_CHARS], 16) % n
+            shares.setdefault(share, []).append(cfg)
+    for share in sorted(shares, key=lambda s: (s - i) % n):
+        sched.map(shares[share])
 
 
 def _cmd_sweep(args) -> int:
@@ -628,6 +629,16 @@ def _cmd_sweep(args) -> int:
     if args.jobs < 1:
         print(f"sweep: --jobs must be >= 1, got {args.jobs}", file=sys.stderr)
         return 2
+    peer = None
+    if args.peer is not None:
+        peer = _parse_peer(args.peer)
+        if peer is None:
+            print(f"sweep: --peer must be I/N with 0 <= I < N, got {args.peer!r}",
+                  file=sys.stderr)
+            return 2
+        if not args.journal:
+            print("sweep: --peer needs --journal", file=sys.stderr)
+            return 2
     thicknesses = None
     if args.thicknesses:
         try:
@@ -646,13 +657,13 @@ def _cmd_sweep(args) -> int:
         return 2
     if args.dry_run:
         return _sweep_dry_run(args, groups, total, skipped, cache_dir)
-    if args.fabric:
-        return _sweep_fabric(args, groups, cache_dir)
     if cache_dir is not None:
         run_cache.configure(cache_dir)
 
     rows = []
     with scheduled(args.jobs, cache_dir=cache_dir, journal=args.journal) as sched:
+        if peer is not None:
+            _map_peer_shares(sched, groups, peer)
         for impl, cores, feasible in groups:
             results = sweep_configs(feasible)
             best = max(results, key=lambda r: r.gflops) if results else None

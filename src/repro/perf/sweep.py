@@ -131,7 +131,7 @@ def tuning_configs(
     is reproducible); combinations the config constructor itself rejects
     are dropped here, deeper feasibility is left to
     :func:`repro.sched.validate_config`.  Shared by ``best_over_threads``
-    and the sweep CLI's ``--dry-run``/``--fabric`` paths.
+    and the sweep CLI's ``--dry-run``/``--peer`` paths.
     """
     impl = get_implementation(impl_key, workload=workload)
     threads = list(thread_counts if thread_counts is not None else

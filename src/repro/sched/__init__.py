@@ -31,16 +31,16 @@ set of independent tasks and handed to one shared
 * **Resumable journal** — completed task results are appended to a
   journal (:class:`~repro.sched.journal.ShardedJournal`), a run-cache
   directory that ``collect`` commits durably (one fsync per segment
-  appended to, never surfacing an undurable result; a failed append
-  stays pending and never strands a task); a ``SIGKILL``-interrupted
-  batch restarted against the same journal replays finished configs
-  instead of re-simulating them.
-* **Multi-scheduler fabric** — N independent scheduler processes share
-  one batch by leasing task shards via atomic lease files with expiry
-  (:mod:`repro.sched.lease`, :mod:`repro.sched.fabric`); a dead
-  scheduler's shard is stolen by a peer after the lease expires, and
-  results stay bit-identical because execution is idempotent by content
-  address.
+  appended to or replayed from, never surfacing an undurable result; a
+  failed append stays pending and never strands a task); a
+  ``SIGKILL``-interrupted batch restarted against the same journal
+  replays finished configs instead of re-simulating them.
+* **Static peers** — ``advection-repro sweep --journal DIR --peer i/N``
+  splits one batch over N processes sharing one journal: each maps its
+  own share of the journal's segment prefixes first, then the others',
+  where lines a peer already appended replay as journal hits.  A dead
+  peer's share is finished by the survivors, and results stay
+  bit-identical because execution is idempotent by content address.
 * **Telemetry** — submitted / coalesced / cache-hit / journal-hit /
   simulated / failed / poisoned / retry counters, the journal's entry,
   pending and torn-line counts, per-task wall times
@@ -52,9 +52,7 @@ deterministic simulator, results travel back as exact floats, and the
 journal stores them with full round-trip precision.
 """
 
-from repro.sched.fabric import FabricResult, run_fabric, shard_of
 from repro.sched.journal import ShardedJournal
-from repro.sched.lease import ShardLeases
 from repro.sched.scheduler import (
     Batch,
     PoisonedConfigError,
@@ -69,18 +67,14 @@ from repro.sched.validate import validate_config
 
 __all__ = [
     "Batch",
-    "FabricResult",
     "PoisonedConfigError",
     "Scheduler",
     "SchedulerError",
-    "ShardLeases",
     "ShardedJournal",
     "TaskRecord",
     "TaskState",
     "active_scheduler",
     "configure",
-    "run_fabric",
     "scheduled",
-    "shard_of",
     "validate_config",
 ]

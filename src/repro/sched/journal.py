@@ -14,15 +14,18 @@ Durable commit
 :meth:`ShardedJournal.record` appends the line at once (one ``O_APPEND``
 write, no fsync); :meth:`ShardedJournal.flush` is the commit, one
 ``fsync`` of every segment this handle appended to since the last
-commit. The scheduler commits in ``collect`` and serve's coalesced path
-commits before replying, so **a result is never surfaced to a caller
-before its line is durable**, and a ``SIGKILL`` loses only lines whose
-results were never returned. An append that fails (``ENOSPC``, ``EIO``,
-a short write) raises but keeps its line pending: the next commit
-rewrites it after a newline, so a torn fragment of the failed write
-cannot swallow it, and then fsyncs. A commit that fails raises and keeps
-everything pending. Floats round-trip exactly through JSON in CPython,
-so a journal replay is bit-identical to the original simulation.
+commit. A line this handle replays (:meth:`ShardedJournal.replay`) may
+be one another process appended and has not committed yet, so a replay
+hit marks its segment dirty too. The scheduler commits in ``collect``,
+and serve commits before a reply that was not answered from memory, so
+**a result is never surfaced to a caller before its line is durable**,
+and a ``SIGKILL`` loses only lines whose results were never returned.
+An append that fails (``ENOSPC``, ``EIO``, a short write) raises but
+keeps its line pending: the next commit rewrites it after a newline, so
+a torn fragment of the failed write cannot swallow it, and then fsyncs.
+A commit that fails raises and keeps everything pending. Floats
+round-trip exactly through JSON in CPython, so a journal replay is
+bit-identical to the original simulation.
 
 Paths
 -----
@@ -99,7 +102,7 @@ class ShardedJournal(RunCache):
         _import_flat(root)
         super().__init__(root)
         self._commit_lock = threading.Lock()
-        #: segments appended to since the last commit
+        #: segments appended to or replayed from since the last commit
         self._dirty: set = set()
         #: lines appended since the last commit (not yet durable)
         self._uncommitted = 0
@@ -138,18 +141,26 @@ class ShardedJournal(RunCache):
                     self._index[key] = line
                 raise
 
-    def flush(self, segments=()) -> None:
-        """Commit: rewrite failed appends, then fsync each dirty segment once.
+    def replay(self, key: str) -> Optional[Dict[str, Any]]:
+        """The cache's replay; a hit's segment is fsynced at the next commit.
 
-        ``segments`` names further key prefixes to fsync, for lines other
-        handles appended that this caller is about to surface.
+        The line may be another handle's append that it has not committed
+        yet, and the caller is about to surface it.
         """
+        payload = super().replay(key)
+        if payload is not None:
+            with self._commit_lock:
+                self._dirty.add(key[:SHARD_PREFIX_CHARS])
+        return payload
+
+    def flush(self) -> None:
+        """Commit: rewrite failed appends, then fsync each dirty segment once."""
         with self._commit_lock:
             while self._retry:
                 key, line = self._retry[0]
                 self._append(key, line, lead=b"\n")
                 self._retry.pop(0)
-            for prefix in sorted(self._dirty.union(segments)):
+            for prefix in sorted(self._dirty):
                 fd = os.open(self._segment_path(prefix), os.O_WRONLY | os.O_APPEND)
                 try:
                     os.fsync(fd)

@@ -12,7 +12,8 @@ a sweep its own list — and resolves cheapest first:
 2. **Scheduler probe** — :meth:`Scheduler.probe` walks the scheduler's
    one intake ladder for each config (memo, in-flight, journal replay,
    cache replay) without a worker.  When every record is terminal the
-   answer is built from the records.
+   answer is built from the records, after a journal commit when any of
+   them was replayed rather than found in memory.
 3. **Coalesced wait** — a run whose every config is known but some are
    still in flight awaits those records through the scheduler's
    completion hooks: no admission slot, no second task.
@@ -395,6 +396,12 @@ class SimulationService:
         if all(rec is not None and rec.done.is_set() for rec in recs):
             replayed = [tier for _rec, tier in probes if tier != "memo"]
             self.metrics.inc("warm_cache_hits" if replayed else "warm_memo_hits")
+            if replayed and self.sched.journal is not None:
+                # A replayed line (or a cache hit's fresh journal line)
+                # may not be durable yet: commit before surfacing it.
+                await asyncio.get_running_loop().run_in_executor(
+                    None, self.sched.journal.flush
+                )
             source = "cache" if req.verb == "sweep" else (
                 replayed[0] if replayed else "memo")
             results = [rec.outcome(cfg) for rec, cfg in zip(recs, cfgs)]

@@ -4,7 +4,10 @@ Imported by name (``from sched_helpers import ...``), like
 ``tests/obs/obs_configs.py``, so they never shadow another ``conftest``.
 """
 
+import glob
+import os
 import pickle
+import signal
 from concurrent.futures import Future
 
 from repro.sched import TaskRecord
@@ -53,3 +56,23 @@ def assert_no_payload_bytes(sched):
             assert not isinstance(value, (bytes, bytearray)), name
     for recs in table.values():
         assert all(isinstance(r, TaskRecord) for r in recs)
+
+
+def journal_lines(path):
+    """Complete lines across a journal directory's segments."""
+    lines = 0
+    for segment in glob.glob(os.path.join(path, "*.jsonl")):
+        try:
+            with open(segment) as fh:
+                lines += sum(1 for line in fh if line.endswith("\n"))
+        except OSError:
+            pass
+    return lines
+
+
+def reap_group(proc):
+    """Kill what is left of a killed child's session: its orphaned pool workers."""
+    try:
+        os.killpg(proc.pid, signal.SIGKILL)
+    except ProcessLookupError:
+        pass

@@ -20,6 +20,7 @@ from repro.core.config import RunConfig
 from repro.core.runner import run
 from repro.machines import LENS
 from repro.sched import Scheduler, ShardedJournal, configure
+from sched_helpers import journal_lines, reap_group
 
 
 PAYLOAD = {
@@ -485,6 +486,27 @@ class TestDurableCommit:
         for cfg, got in zip(cfgs, results):
             assert plain.get(cfg) == got == run(cfg)
 
+    def test_journal_hit_is_committed_before_map_returns(self, tmp_path, fsyncs):
+        """A line another handle appended but never committed is fsynced
+        by the ``map`` that replays it, once, before the result returns."""
+        cfg = _cfgs(1)[0]
+        expected = run(cfg)
+        root = str(tmp_path / "j")
+        peer = ShardedJournal(root)
+        peer.record(config_key(cfg), {
+            "elapsed_s": expected.elapsed_s, "phases": expected.phases,
+            "comm_stats": expected.comm_stats,
+        })
+        with Scheduler(jobs=1, journal=root) as sched:
+            assert sched.map([cfg]) == [expected]
+            assert sched.stats()["journal_hits"] == 1
+            synced = list(fsyncs)
+            assert sched.map([cfg]) == [expected]  # a memo hit: no commit
+            assert fsyncs == synced
+        segment = os.path.join(root, config_key(cfg)[:2] + ".jsonl")
+        assert synced == [os.stat(segment).st_ino]
+        peer.close()
+
 
 _DRIVER = """
 import sys
@@ -504,26 +526,6 @@ sched.map(cfgs)
 print("SUMMARY " + sched.summary(), flush=True)
 sched.close()
 """
-
-
-def _journal_lines(path):
-    """Complete lines across a journal directory's segments."""
-    lines = 0
-    for segment in glob.glob(os.path.join(path, "*.jsonl")):
-        try:
-            with open(segment) as fh:
-                lines += sum(1 for line in fh if line.endswith("\n"))
-        except OSError:
-            pass
-    return lines
-
-
-def _reap_group(proc):
-    """Kill what is left of a killed child's session: its orphaned pool workers."""
-    try:
-        os.killpg(proc.pid, signal.SIGKILL)
-    except ProcessLookupError:
-        pass
 
 
 class TestSigkillResume:
@@ -548,15 +550,15 @@ class TestSigkillResume:
         # Kill as soon as a few results are durably journaled.
         deadline = time.monotonic() + 120.0
         while time.monotonic() < deadline:
-            if _journal_lines(jp) >= 3 or proc.poll() is not None:
+            if journal_lines(jp) >= 3 or proc.poll() is not None:
                 break
             time.sleep(0.005)
         killed = proc.poll() is None
         if killed:
             proc.send_signal(signal.SIGKILL)
         proc.wait()
-        _reap_group(proc)
-        done_at_kill = _journal_lines(jp)
+        reap_group(proc)
+        done_at_kill = journal_lines(jp)
         assert done_at_kill >= 3, "driver finished nothing before the kill"
 
         # Second run against the same journal resumes, not restarts.
@@ -650,7 +652,7 @@ class TestSigkillBetweenFlushes:
         if proc.poll() is None:
             proc.send_signal(signal.SIGKILL)
         proc.wait()
-        _reap_group(proc)
+        reap_group(proc)
         reader.join(timeout=10.0)
         assert len(acked) >= 8, "driver surfaced nothing before the kill"
 

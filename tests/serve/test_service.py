@@ -120,6 +120,31 @@ class TestTiers:
         assert counters["journal_hits"] == 1
 
 
+    def test_journal_reply_is_committed_first(self, service, tmp_path,
+                                              monkeypatch):
+        """A reply replayed from the journal follows a commit of its
+        segment; a reply from memory commits nothing."""
+        _run(service.handle(_doc(1)))
+        service.close()
+        synced = []
+        real = os.fsync
+        monkeypatch.setattr(
+            os, "fsync", lambda fd: synced.append(os.fstat(fd).st_ino) or real(fd)
+        )
+        journal = tmp_path / "journal.jsonl"
+        svc2 = SimulationService(jobs=1, cache_dir=None, journal=str(journal),
+                                 max_inflight=2)
+        try:
+            resp = _run(svc2.handle(_doc(2)))
+            at_reply = list(synced)
+            again = _run(svc2.handle(_doc(3)))
+            assert synced == at_reply
+        finally:
+            svc2.close()
+        assert resp["source"] == "journal" and again["source"] == "memo"
+        assert at_reply == [os.stat(p).st_ino for p in journal.glob("*.jsonl")]
+
+
 class TestCoalescingExact:
     def test_n_waiters_one_job(self, service, monkeypatch):
         """Deterministic coalescing: the job blocks until every other

@@ -125,6 +125,25 @@ class TestSweepModes:
         # a dry run probes but never creates cache or journal state
         assert not cache_dir.exists() and not journal.exists()
 
+    def test_dry_run_reads_an_old_flat_journal_in_place(self, tmp_path, capsys):
+        import filecmp
+        import os
+        import shutil
+
+        fixture = os.path.join(os.path.dirname(__file__), "sched",
+                               "flat_journal_v1.jsonl")
+        flat = tmp_path / "flat.jsonl"
+        shutil.copy(fixture, flat)
+        rc = main(["sweep", "--machine", "lens", "--impl", "nonblocking",
+                   "bulk", "--cores", "16", "32", "--no-cache", "--dry-run",
+                   "--journal", str(flat)])
+        assert rc == 0
+        out = capsys.readouterr().out
+        assert " cold=0" in out and " warm=0 " not in out
+        # the old file is read where it lies: not imported, not moved
+        assert flat.is_file() and filecmp.cmp(fixture, flat, shallow=False)
+        assert sorted(os.listdir(tmp_path)) == ["flat.jsonl"]
+
     def test_dry_run_sees_warm_entries(self, tmp_path, capsys):
         cache_dir = str(tmp_path / "cache")
         assert main(_sweep_args("--cache-dir", cache_dir)) == 0
@@ -160,26 +179,30 @@ class TestSweepModes:
         assert " 0 hits " in line
         assert f" 0 stored, {misses} write errors -> " in line
 
-    def test_fabric_table_matches_scheduled(self, tmp_path, capsys):
+    def test_peer_table_matches_scheduled(self, tmp_path, capsys):
+        def table(out):
+            return [line for line in out.splitlines()
+                    if not line.startswith(("scheduler:", "run cache:"))]
+
         assert main(_sweep_args("--no-cache")) == 0
-        plain = [
-            line for line in capsys.readouterr().out.splitlines()
-            if not line.startswith(("scheduler:", "run cache:"))
-        ]
-        rc = main(_sweep_args(
-            "--no-cache", "--fabric", str(tmp_path / "fab"),
-            "--owner", "t", "--shards", "4",
-        ))
+        plain = table(capsys.readouterr().out)
+        rc = main(_sweep_args("--no-cache", "--journal", str(tmp_path / "j"),
+                              "--peer", "0/2"))
         assert rc == 0
         out = capsys.readouterr().out
-        fabric = [
-            line for line in out.splitlines()
-            if not line.startswith("fabric:")
-        ]
-        assert fabric == plain
-        assert "fabric: owner=t" in out and "journal-torn=0" in out
+        assert table(out) == plain
+        assert " journal-torn=0 " in out and " failed=0 " in out
 
-    def test_fabric_bad_shards_rejected(self, tmp_path, capsys):
-        rc = main(_sweep_args("--fabric", str(tmp_path / "fab"),
-                              "--shards", "0"))
+    @pytest.mark.parametrize("value", ["1", "a/b", "1/0", "2/2", "3/2"])
+    def test_bad_peer_rejected(self, tmp_path, capsys, value):
+        rc = main(_sweep_args("--journal", str(tmp_path / "j"),
+                              "--peer", value))
         assert rc == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and "--peer" in err
+        assert not (tmp_path / "j").exists()
+
+    def test_peer_without_journal_rejected(self, capsys):
+        assert main(_sweep_args("--peer", "0/2")) == 2
+        err = capsys.readouterr().err
+        assert err == "sweep: --peer needs --journal\n"
